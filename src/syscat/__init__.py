@@ -59,7 +59,6 @@ from .equations import (
     arr_eq_morphism,
     check_preservation,
     kernel_rep,
-    make_equation_rep,
     pullback_equations,
 )
 from .errors import (
@@ -97,7 +96,6 @@ from .systems import (
     full_system,
     interconnect_shared,
     make_morphism,
-    make_system,
     product_systems,
     project_latent,
     pullback_systems,

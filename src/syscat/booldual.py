@@ -235,12 +235,6 @@ class BoolSystemMorphism:
             raise MismatchError("bool-system morphism square does not commute")
 
 
-def identity_bool_morphism(b: BoolSystem) -> BoolSystemMorphism:
-    return BoolSystemMorphism(
-        b, b, identity_hom(PowerLattice(b.universum)), identity_hom(PowerLattice(b.behavior_obj))
-    )
-
-
 def compose_bool_morphisms(b: BoolSystemMorphism, a: BoolSystemMorphism) -> BoolSystemMorphism:
     if a.dst != b.src:
         raise MismatchError("bool-system morphisms are not composable")

@@ -185,7 +185,3 @@ def terminal_map(obj: CarrierObj) -> CarrierMap:
     if isinstance(obj, FinObj):
         return finset.terminal_map(obj)
     return vect.zero_map(obj, vect.ZERO_SPACE)
-
-
-def map_to_json(f: CarrierMap) -> dict:
-    return f.to_json()

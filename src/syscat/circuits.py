@@ -439,8 +439,9 @@ def glue(
         raise MismatchError("pullback universum does not match the merged universum")
     alpha = LinMap(syntax_system.universum, glued, alpha_matrix)
     transported = vect.column_space(carriers.compose(alpha, syntax_system.inclusion))
-    direct = behavior_image(arr_eq(kernel_rep(stacked)))
-    if transported != direct:
+    rep = kernel_rep(stacked)
+    system = arr_eq(rep)
+    if transported != behavior_image(system):
         raise MismatchError("stacked equations disagree with the pullback route")
 
     closed_names: tuple[str, ...] = ()
@@ -451,10 +452,11 @@ def glue(
             VectObj(tuple(stacked.cod.vars) + ext_names),
             tuple(stacked.matrix) + ext_rows,
         )
-    rep = kernel_rep(stacked)
+        rep = kernel_rep(stacked)
+        system = arr_eq(rep)
     return GlueResult(
         rep=rep,
-        system=arr_eq(rep),
+        system=system,
         universum=glued,
         merged=pairs,
         syntax_system=syntax_system,

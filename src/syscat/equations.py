@@ -40,10 +40,6 @@ class EquationRep:
         return {"f1": self.f1.to_json(), "f2": self.f2.to_json()}
 
 
-def make_equation_rep(f1: CarrierMap, f2: CarrierMap) -> EquationRep:
-    return EquationRep(f1, f2)
-
-
 def kernel_rep(f: LinMap) -> EquationRep:
     """The pair (f, 0); its behavior is the kernel of f."""
     if not isinstance(f, LinMap):

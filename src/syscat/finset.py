@@ -14,8 +14,12 @@ from typing import Iterator
 from .errors import MismatchError
 
 
+_PAIR_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,", "(": "\\(", ")": "\\)"})
+
+
 def pair_label(a: str, b: str) -> str:
-    return f"({a},{b})"
+    """The label ``(a,b)``, injective in (a, b): each component's ``\\ , ( )`` is escaped."""
+    return f"({a.translate(_PAIR_ESCAPES)},{b.translate(_PAIR_ESCAPES)})"
 
 
 @dataclass(frozen=True)

@@ -138,13 +138,6 @@ def obj_eq(e: GenEquation) -> GeneralizedSystem:
     return GeneralizedSystem(induced)
 
 
-def obj_eq_projections(e: GenEquation) -> GenSystemMorphism:
-    """The canonical morphism from obj_eq(e) into the pair's source."""
-    ec = carriers.equalizer(e.phi1.phi_c, e.phi2.phi_c)
-    eu = carriers.equalizer(e.phi1.phi_u, e.phi2.phi_u)
-    return GenSystemMorphism(obj_eq(e), e.src, ec.arrow, eu.arrow)
-
-
 def obj_eq_morphism(t: GenEquationMorphism) -> GenSystemMorphism:
     """Functor action on equation morphisms, by mediation into the equalizers."""
     src_sys = obj_eq(t.src)

@@ -53,10 +53,6 @@ class System:
         }
 
 
-def make_system(inclusion: CarrierMap) -> System:
-    return System(inclusion)
-
-
 def full_system(universum: CarrierObj) -> System:
     return System(carriers.identity(universum))
 

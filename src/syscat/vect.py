@@ -6,6 +6,13 @@ vectors. Floats are rejected at construction; nothing in this module rounds.
 Computed subobjects (kernels, images, pullback objects) come back with
 generated ``k<i>`` coordinate names and reduced row-echelon bases, which makes
 subspace equality a plain ``==`` on representations.
+
+The matrices the constructions produce are mostly zeros, so the exact kernels
+(``rref``, ``mat_mul``) visit only the nonzero entries: ``rref`` normalizes and
+eliminates over the pivot row's nonzero columns, and ``mat_mul`` multiplies
+each nonzero of A by the nonzeros of the matching row of B. Their results are
+the same dense tuples, equal entry for entry to the plain dense loops. ``frac``
+passes a ``Fraction`` through unchanged and converts anything else.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ Rows = tuple[Vec, ...]
 
 
 def frac(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise MismatchError("floating point values are not accepted; use int or 'p/q'")
     return Fraction(x)
@@ -60,7 +69,7 @@ class LinMap:
     matrix: Rows
 
     def __post_init__(self):
-        rows = tuple(tuple(frac(x) for x in row) for row in self.matrix)
+        rows = tuple(tuple(map(frac, row)) for row in self.matrix)
         if len(rows) != self.cod.dim:
             raise MismatchError(
                 f"matrix has {len(rows)} rows, codomain dimension is {self.cod.dim}"
@@ -97,16 +106,23 @@ def rref(rows, ncols: int) -> tuple[Rows, tuple[int, ...]]:
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = m[r]
+        # Rows r.. are zero left of c, so the pivot row's support starts at c.
+        support = [j for j in range(c, ncols) if prow[j]]
+        pv = prow[c]
+        if pv != 1:
+            for j in support:
+                prow[j] = prow[j] / pv
+        entries = [(j, prow[j]) for j in support]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                for j, y in entries:
+                    row[j] = row[j] - f * y
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -152,11 +168,18 @@ def solve_matrix(a_rows, ncols: int, b_rows, bcols: int):
 
 def mat_mul(a_rows, b_rows, inner: int) -> Rows:
     # inner >= 1; callers special-case degenerate shapes.
-    bt = list(zip(*b_rows))
-    return tuple(
-        tuple(sum((row[k] * col[k] for k in range(inner)), Fraction(0)) for col in bt)
-        for row in a_rows
-    )
+    ncols = len(b_rows[0])
+    b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b_rows[:inner]]
+    zero = Fraction(0)
+    out = []
+    for row in a_rows:
+        acc = [zero] * ncols
+        for x, b_entries in zip(row, b_support):
+            if x:
+                for j, y in b_entries:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_identity(n: int) -> Rows:
@@ -242,7 +265,9 @@ def pullback(f1: LinMap, f2: LinMap) -> tuple[VectObj, LinMap, LinMap]:
 def equalizer(f: LinMap, g: LinMap) -> tuple[VectObj, LinMap]:
     if f.dom != g.dom or f.cod != g.cod:
         raise MismatchError("equalizer: maps must be a parallel pair")
-    rows = [tuple(a - b for a, b in zip(rf, rg)) for rf, rg in zip(f.matrix, g.matrix)]
+    rows = [
+        tuple(a - b if b else a for a, b in zip(rf, rg)) for rf, rg in zip(f.matrix, g.matrix)
+    ]
     basis = kernel_basis(rows, f.dom.dim)
     obj = VectObj(_kernel_names(len(basis)))
     arrow = LinMap(obj, f.dom, tuple(tuple(b[i] for b in basis) for i in range(f.dom.dim)))
@@ -287,7 +312,7 @@ class Subspace:
     basis: Rows
 
     def __post_init__(self):
-        rows = tuple(tuple(frac(x) for x in row) for row in self.basis)
+        rows = tuple(tuple(map(frac, row)) for row in self.basis)
         for row in rows:
             if len(row) != self.ambient.dim:
                 raise MismatchError("basis row length does not match the ambient dimension")
@@ -354,14 +379,6 @@ class Subspace:
             "dim": self.dim,
             "basis": [[str(x) for x in row] for row in self.basis],
         }
-
-
-def full_subspace(ambient: VectObj) -> Subspace:
-    return Subspace(ambient, mat_identity(ambient.dim))
-
-
-def zero_subspace(ambient: VectObj) -> Subspace:
-    return Subspace(ambient, ())
 
 
 def column_space(f: LinMap) -> Subspace:

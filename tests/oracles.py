@@ -38,3 +38,39 @@ def in_row_space(rows, vec, ncols) -> bool:
     if base.rows == 0:
         return all(x == 0 for x in vec)
     return sympy.Matrix.vstack(base, target).rank() == base.rank()
+
+
+# The dense exact kernels as they stood before zero-skipping, kept verbatim as
+# the reference the sparse-aware ``syscat.vect`` kernels must match entry for
+# entry.
+
+def dense_rref(rows, ncols: int):
+    """Reduced row-echelon form; returns the nonzero rows and pivot columns."""
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+
+
+def dense_mat_mul(a_rows, b_rows, inner: int):
+    # inner >= 1; callers special-case degenerate shapes.
+    bt = list(zip(*b_rows))
+    return tuple(
+        tuple(sum((row[k] * col[k] for k in range(inner)), Fraction(0)) for col in bt)
+        for row in a_rows
+    )

@@ -61,6 +61,40 @@ def test_product_of_pairs():
     assert p2.table == {"(a,x)": "x", "(b,x)": "x"}
 
 
+def test_product_labels_with_commas_stay_distinct():
+    x, y = FinObj(("a", "a,b")), FinObj(("b,c", "c"))
+    p, p1, p2 = finset.product(x, y)
+    assert len(p) == 4
+    assert {(p1(e), p2(e)) for e in p} == {(a, b) for a in x for b in y}
+
+
+def _split_pair_label(label):
+    """Left inverse of pair_label: unescape, splitting at the one unescaped comma."""
+    assert label[0] == "(" and label[-1] == ")"
+    parts, cur, chars = [], [], iter(label[1:-1])
+    for ch in chars:
+        if ch == "\\":
+            cur.append(next(chars))
+        elif ch == ",":
+            parts.append("".join(cur))
+            cur = []
+        else:
+            assert ch not in "()"
+            cur.append(ch)
+    parts.append("".join(cur))
+    return tuple(parts)
+
+
+# Short strings over the characters pair_label escapes, or arbitrary text.
+LABEL_TEXT = st.text(st.sampled_from("ab,()\\"), max_size=5) | st.text()
+
+
+@settings(deadline=None, max_examples=300)
+@given(LABEL_TEXT, LABEL_TEXT)
+def test_pair_label_is_injective(a, b):
+    assert _split_pair_label(finset.pair_label(a, b)) == (a, b)
+
+
 def test_product_with_empty_is_empty():
     p, _, _ = finset.product(FinObj(()), FinObj(("x",)))
     assert len(p) == 0

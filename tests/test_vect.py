@@ -25,6 +25,10 @@ def rand_matrix(rng, rows, cols, span=3):
 def test_floats_are_rejected():
     with pytest.raises(MismatchError):
         LinMap(Q1, Q1, ((1.5,),))
+    with pytest.raises(MismatchError):
+        LinMap(Q2, Q2, ((Fraction(1), Fraction(0)), (Fraction(0), 2.0)))
+    with pytest.raises(MismatchError):
+        Subspace(Q2, ((Fraction(1), Fraction(0)), (Fraction(0), 0.5)))
 
 
 def test_compose_matrix_product():
