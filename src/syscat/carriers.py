@@ -170,7 +170,8 @@ def image_factorize(f: CarrierMap) -> Factorization:
 def classify_map(f: CarrierMap) -> MapClass:
     if isinstance(f, FinMap):
         return MapClass(finset.is_injective(f), finset.is_surjective(f))
-    return MapClass(vect.is_mono(f), vect.is_epi(f))
+    r = vect.rank_of(f.matrix, f.dom.dim)
+    return MapClass(r == f.dom.dim, r == f.cod.dim)
 
 
 def terminal_obj(carrier: str) -> CarrierObj:

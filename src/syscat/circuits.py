@@ -390,8 +390,13 @@ def glue(
     universum, together with the syntax- and semantics-side pullbacks and the
     verdict of comparing them.
     """
+    return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec, close_dangling)
+
+
+def _glue_compiled(
+    k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec, close_dangling: bool | None
+) -> GlueResult:
     close = spec.close_dangling if close_dangling is None else close_dangling
-    k1, k2 = compile_circuit(c1), compile_circuit(c2)
     pairs, glued = _merged_names(spec, k1.universum, k2.universum)
 
     lift1 = vect.coordinate_map(
@@ -446,7 +451,7 @@ def glue(
 
     closed_names: tuple[str, ...] = ()
     if close:
-        ext_names, ext_rows, closed_names = _close_rows(c1, c2, pairs, glued)
+        ext_names, ext_rows, closed_names = _close_rows(k1.circuit, k2.circuit, pairs, glued)
         stacked = LinMap(
             glued,
             VectObj(tuple(stacked.cod.vars) + ext_names),
@@ -517,7 +522,7 @@ def emergence_report(
     ph1 = phenome(k1.system, obs)
     ph2 = phenome(k2.system, obs)
     parts = behavior_image(ph1.system).intersect(behavior_image(ph2.system))
-    glued = glue(c1, c2, spec, close_dangling)
+    glued = _glue_compiled(k1, k2, spec, close_dangling)
     whole = behavior_image(phenome(glued.system, obs).system)
     return EmergenceReport(
         observed=obs,

@@ -19,7 +19,20 @@ from .systems import behavior_image
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _print_basis(sub, out):
@@ -146,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a law-check suite")
     p.add_argument("--law", required=True, choices=sorted(LAWS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
     return parser

@@ -7,18 +7,26 @@ Computed subobjects (kernels, images, pullback objects) come back with
 generated ``k<i>`` coordinate names and reduced row-echelon bases, which makes
 subspace equality a plain ``==`` on representations.
 
-The matrices the constructions produce are mostly zeros, so the exact kernels
-(``rref``, ``mat_mul``) visit only the nonzero entries: ``rref`` normalizes and
-eliminates over the pivot row's nonzero columns, and ``mat_mul`` multiplies
-each nonzero of A by the nonzeros of the matching row of B. Their results are
-the same dense tuples, equal entry for entry to the plain dense loops. ``frac``
-passes a ``Fraction`` through unchanged and converts anything else.
+The exact kernels (``rref``, ``rank_of``, ``kernel_basis``, ``solve_matrix``,
+``mat_mul``) compute on Python ints; ``Fraction``s exist only at their
+boundary. Each input row is scaled by the lcm of its denominators into a
+sparse row of int nonzeros by column, the matrices the constructions produce
+being mostly zeros. One fraction-free Gauss-Jordan elimination,
+``_eliminate``, serves the first four; ``mat_mul`` multiplies the nonzeros of
+the scaled rows and divides once per nonzero result entry. Results are the
+same dense tuples of ``Fraction`` as before, equal entry for entry to plain
+``Fraction`` loops, since the reduced row-echelon form is unique; zero and
+small integers among them are shared ``Fraction`` objects. ``frac`` passes a
+``Fraction`` through unchanged and converts anything else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import MismatchError
 
@@ -32,6 +40,14 @@ def frac(x) -> Fraction:
     if isinstance(x, float):
         raise MismatchError("floating point values are not accepted; use int or 'p/q'")
     return Fraction(x)
+
+
+def _vec(row) -> Vec:
+    """row as a tuple of Fractions, converting entries only when needed."""
+    row = tuple(row)
+    if set(map(type, row)) <= {Fraction}:
+        return row
+    return tuple(map(frac, row))
 
 
 def _kernel_names(n: int) -> tuple[str, ...]:
@@ -69,7 +85,7 @@ class LinMap:
     matrix: Rows
 
     def __post_init__(self):
-        rows = tuple(tuple(map(frac, row)) for row in self.matrix)
+        rows = tuple(map(_vec, self.matrix))
         if len(rows) != self.cod.dim:
             raise MismatchError(
                 f"matrix has {len(rows)} rows, codomain dimension is {self.cod.dim}"
@@ -99,54 +115,136 @@ class LinMap:
 
 
 # -- exact matrix kernels ---------------------------------------------------
+#
+# Scaling a row by the lcm of its denominators keeps its row space and, for a
+# row of an augmented matrix [A | B], the solutions of A X = B.
 
-def rref(rows, ncols: int) -> tuple[Rows, tuple[int, ...]]:
-    """Reduced row-echelon form; returns the nonzero rows and pivot columns."""
-    m = [list(r) for r in rows]
+# Fractions are immutable, so results may share these.
+_SMALL_MAX = 64
+_SMALL = {n: Fraction(n) for n in range(-_SMALL_MAX, _SMALL_MAX + 1)}
+_ZERO, _ONE = _SMALL[0], _SMALL[1]
+_NUM = attrgetter("numerator")
+
+
+def _q(n: int, d: int) -> Fraction:
+    """The Fraction n/d for d > 0, sharing zero and small integers."""
+    if not n:
+        return _ZERO
+    if d == 1 or not n % d:
+        n //= d
+        return _SMALL[n] if -_SMALL_MAX <= n <= _SMALL_MAX else Fraction(n)
+    return Fraction(n, d)
+
+
+def _int_row(row) -> tuple[int, dict[int, int]]:
+    """(d, the nonzeros of row * d by column) for d the lcm of the row's denominators."""
+    nums = tuple(map(_NUM, row))
+    cols = tuple(compress(range(len(nums)), nums))
+    dens = [row[j].denominator for j in cols]
+    d = lcm(*dens)
+    if d == 1:
+        return 1, {j: nums[j] for j in cols}
+    return d, {j: nums[j] * (d // q) for j, q in zip(cols, dens)}
+
+
+def _int_rows(rows) -> list[dict[int, int]]:
+    return [_int_row(row)[1] for row in rows]
+
+
+def _eliminate(m: list[dict[int, int]], ncols: int) -> list[int]:
+    """Fraction-free Gauss-Jordan elimination of sparse int rows, in place.
+
+    Returns the pivot columns. Afterwards row i < len(pivots) of m has a
+    positive entry at pivots[i] and no other pivot column, and the rows below
+    are empty: dividing each kept row by its pivot gives the RREF. Each pivot
+    row is made primitive with a positive pivot p, and p clears column c from
+    a row with entry f as (p/g)*row - (f/g)*prow, g = gcd(p, f). A row scaled
+    by p/g != 1 is then divided by the gcd of its entries: without that, the
+    scalings multiply and the integers grow exponentially on dense input. A
+    row that was not scaled only had a multiple of a primitive row subtracted.
+    """
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        pr = next((i for i in range(r, len(m)) if c in m[i]), None)
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         prow = m[r]
-        # Rows r.. are zero left of c, so the pivot row's support starts at c.
-        support = [j for j in range(c, ncols) if prow[j]]
-        pv = prow[c]
-        if pv != 1:
-            for j in support:
-                prow[j] = prow[j] / pv
-        entries = [(j, prow[j]) for j in support]
+        g = gcd(*prow.values())
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            for j in prow:
+                prow[j] //= g
+        p = prow[c]
+        entries = tuple(prow.items())
         for i, row in enumerate(m):
-            f = row[c]
+            f = row.get(c)
             if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    for j in row:
+                        row[j] *= a
                 for j, y in entries:
-                    row[j] = row[j] - f * y
+                    x = row.get(j, 0) - b * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                if a != 1:
+                    g = gcd(*row.values())
+                    if g > 1:
+                        for j in row:
+                            row[j] //= g
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return tuple(tuple(row) for row in m[:r]), tuple(pivots)
+    return pivots
+
+
+def _reduced(m: list[dict[int, int]], pivots, ncols: int) -> Rows:
+    """The RREF rows of eliminated int rows: each kept row over its pivot."""
+    out = []
+    for row, c in zip(m, pivots):
+        p = row[c]
+        v = [_ZERO] * ncols
+        for j, x in row.items():
+            v[j] = _q(x, p)
+        out.append(tuple(v))
+    return tuple(out)
+
+
+def rref(rows, ncols: int) -> tuple[Rows, tuple[int, ...]]:
+    """Reduced row-echelon form; returns the nonzero rows and pivot columns."""
+    m = _int_rows(rows)
+    pivots = _eliminate(m, ncols)
+    return _reduced(m, pivots, ncols), tuple(pivots)
 
 
 def rank_of(rows, ncols: int) -> int:
-    return len(rref(rows, ncols)[0])
+    return len(_eliminate(_int_rows(rows), ncols))
 
 
 def kernel_basis(rows, ncols: int) -> Rows:
     """Canonical basis of the right kernel (itself in row-echelon form)."""
-    rr, pivots = rref(rows, ncols)
+    m = _int_rows(rows)
+    pivots = _eliminate(m, ncols)
     pivot_set = set(pivots)
     basis = []
-    for fc in (c for c in range(ncols) if c not in pivot_set):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rr[i][fc]
-        basis.append(tuple(v))
-    canon, _ = rref(basis, ncols)
-    return canon
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        # x[fc] = 1 and x[pc] = -row[fc] / row[pc], scaled by the lcm of those pivots
+        used = [(row[fc], row[pc], pc) for row, pc in zip(m, pivots) if fc in row]
+        scale = lcm(*(p for _, p, _ in used))
+        v = {fc: scale}
+        for f, p, pc in used:
+            v[pc] = -f * (scale // p)
+        basis.append(v)
+    return _reduced(basis, _eliminate(basis, ncols), ncols)
 
 
 def solve_matrix(a_rows, ncols: int, b_rows, bcols: int):
@@ -155,36 +253,45 @@ def solve_matrix(a_rows, ncols: int, b_rows, bcols: int):
     Free coordinates are set to zero, so the solution is unique exactly when A
     has full column rank (the only case the callers rely on).
     """
-    aug = [tuple(ar) + tuple(br) for ar, br in zip(a_rows, b_rows)]
-    rr, pivots = rref(aug, ncols + bcols)
-    if any(p >= ncols for p in pivots):
+    m = _int_rows(tuple(ar) + tuple(br) for ar, br in zip(a_rows, b_rows))
+    pivots = _eliminate(m, ncols + bcols)
+    if pivots and pivots[-1] >= ncols:
         return None
-    x = [[Fraction(0)] * bcols for _ in range(ncols)]
-    for i, p in enumerate(pivots):
-        for j in range(bcols):
-            x[p][j] = rr[i][ncols + j]
-    return tuple(tuple(row) for row in x)
+    x = [(_ZERO,) * bcols] * ncols
+    for row, p in zip(m, pivots):
+        d = row[p]
+        x[p] = tuple(_q(row.get(j, 0), d) for j in range(ncols, ncols + bcols))
+    return tuple(x)
 
 
 def mat_mul(a_rows, b_rows, inner: int) -> Rows:
+    """A @ B, computed as (A d_i) @ (B e) over the ints, then divided by d_i e.
+
+    d_i is the lcm of the denominators in row i of A, e that of all of B.
+    """
     # inner >= 1; callers special-case degenerate shapes.
     ncols = len(b_rows[0])
-    b_support = [[(j, y) for j, y in enumerate(row) if y] for row in b_rows[:inner]]
-    zero = Fraction(0)
+    scaled = [_int_row(row) for row in b_rows[:inner]]
+    e = lcm(*(d for d, _ in scaled))
+    b_support = [[(j, y * (e // d)) for j, y in row.items()] for d, row in scaled]
     out = []
     for row in a_rows:
-        acc = [zero] * ncols
-        for x, b_entries in zip(row, b_support):
-            if x:
-                for j, y in b_entries:
-                    acc[j] += x * y
-        out.append(tuple(acc))
+        d, a = _int_row(row)
+        acc = [0] * ncols
+        for k, x in a.items():
+            for j, y in b_support[k]:
+                acc[j] += x * y
+        d *= e
+        v = [_ZERO] * ncols
+        for j in compress(range(ncols), acc):
+            v[j] = _q(acc[j], d)
+        out.append(tuple(v))
     return tuple(out)
 
 
 def mat_identity(n: int) -> Rows:
     return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
+        tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
     )
 
 
@@ -199,7 +306,7 @@ def identity(obj: VectObj) -> LinMap:
 
 
 def zero_map(dom: VectObj, cod: VectObj) -> LinMap:
-    return LinMap(dom, cod, tuple(tuple(Fraction(0) for _ in range(dom.dim)) for _ in range(cod.dim)))
+    return LinMap(dom, cod, ((_ZERO,) * dom.dim,) * cod.dim)
 
 
 def compose(g: LinMap, f: LinMap) -> LinMap:
@@ -222,10 +329,10 @@ def product(x: VectObj, y: VectObj) -> tuple[VectObj, LinMap, LinMap]:
     # Side tags keep the disjoint union of names collision-free.
     obj = VectObj(tuple("L." + v for v in x.vars) + tuple("R." + v for v in y.vars))
     p1 = tuple(
-        tuple(Fraction(1) if j == i else Fraction(0) for j in range(obj.dim)) for i in range(x.dim)
+        tuple(_ONE if j == i else _ZERO for j in range(obj.dim)) for i in range(x.dim)
     )
     p2 = tuple(
-        tuple(Fraction(1) if j == x.dim + i else Fraction(0) for j in range(obj.dim))
+        tuple(_ONE if j == x.dim + i else _ZERO for j in range(obj.dim))
         for i in range(y.dim)
     )
     return obj, LinMap(obj, x, p1), LinMap(obj, y, p2)
@@ -236,9 +343,9 @@ def product_map(f: LinMap, g: LinMap) -> LinMap:
     cod, _, _ = product(f.cod, g.cod)
     rows = []
     for row in f.matrix:
-        rows.append(tuple(row) + tuple(Fraction(0) for _ in range(g.dom.dim)))
+        rows.append(tuple(row) + (_ZERO,) * g.dom.dim)
     for row in g.matrix:
-        rows.append(tuple(Fraction(0) for _ in range(f.dom.dim)) + tuple(row))
+        rows.append((_ZERO,) * f.dom.dim + tuple(row))
     return LinMap(dom, cod, tuple(rows))
 
 
@@ -293,9 +400,9 @@ def coordinate_map(dom: VectObj, cod: VectObj, assignment: dict[str, str]) -> Li
     for k, v in assignment.items():
         dom.index(k)
         cod.index(v)
-    rows = [[Fraction(0)] * dom.dim for _ in range(cod.dim)]
+    rows = [[_ZERO] * dom.dim for _ in range(cod.dim)]
     for k, v in assignment.items():
-        rows[cod.index(v)][dom.index(k)] = Fraction(1)
+        rows[cod.index(v)][dom.index(k)] = _ONE
     return LinMap(dom, cod, tuple(tuple(r) for r in rows))
 
 
@@ -312,7 +419,7 @@ class Subspace:
     basis: Rows
 
     def __post_init__(self):
-        rows = tuple(tuple(map(frac, row)) for row in self.basis)
+        rows = tuple(map(_vec, self.basis))
         for row in rows:
             if len(row) != self.ambient.dim:
                 raise MismatchError("basis row length does not match the ambient dimension")

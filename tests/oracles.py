@@ -40,9 +40,9 @@ def in_row_space(rows, vec, ncols) -> bool:
     return sympy.Matrix.vstack(base, target).rank() == base.rank()
 
 
-# The dense exact kernels as they stood before zero-skipping, kept verbatim as
-# the reference the sparse-aware ``syscat.vect`` kernels must match entry for
-# entry.
+# The dense exact kernels over ``Fraction``s, as they stood before
+# zero-skipping and integer elimination: the reference the ``syscat.vect``
+# kernels must match entry for entry.
 
 def dense_rref(rows, ncols: int):
     """Reduced row-echelon form; returns the nonzero rows and pivot columns."""
@@ -74,3 +74,31 @@ def dense_mat_mul(a_rows, b_rows, inner: int):
         tuple(sum((row[k] * col[k] for k in range(inner)), Fraction(0)) for col in bt)
         for row in a_rows
     )
+
+
+def dense_kernel_basis(rows, ncols: int):
+    """Canonical basis of the right kernel (itself in row-echelon form)."""
+    rr, pivots = dense_rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivot_set):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -rr[i][fc]
+        basis.append(tuple(v))
+    canon, _ = dense_rref(basis, ncols)
+    return canon
+
+
+def dense_solve_matrix(a_rows, ncols: int, b_rows, bcols: int):
+    """One exact solution X of A @ X = B (free coordinates zero), or None."""
+    aug = [tuple(ar) + tuple(br) for ar, br in zip(a_rows, b_rows)]
+    rr, pivots = dense_rref(aug, ncols + bcols)
+    if any(p >= ncols for p in pivots):
+        return None
+    x = [[Fraction(0)] * bcols for _ in range(ncols)]
+    for i, p in enumerate(pivots):
+        for j in range(bcols):
+            x[p][j] = rr[i][ncols + j]
+    return tuple(tuple(row) for row in x)

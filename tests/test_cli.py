@@ -41,6 +41,22 @@ def test_behavior_empty_nodes_is_usage_error(tmp_path, capsys):
     assert "no nodes" in err
 
 
+@pytest.mark.parametrize("command", ["behavior", "glue", "emergence"])
+def test_non_utf8_input_is_usage_error(command, circuits_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.ckt"
+    bad.write_bytes(b"\xff\xfe")
+    argv = {
+        "behavior": ["behavior", str(bad)],
+        "glue": ["glue", str(circuits_dir / "S.ckt"), str(bad), str(circuits_dir / "SP.glue")],
+        "emergence": ["emergence", str(circuits_dir / "S_aug.ckt"), str(circuits_dir / "P_aug.ckt"),
+                      str(bad), "--observe", "v_a"],
+    }[command]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    assert str(bad) in err and "UTF-8" in err
+
+
 def test_glue_text_output(circuits_dir, capsys):
     code, out, _ = run_cli(
         ["glue", str(circuits_dir / "S.ckt"), str(circuits_dir / "P.ckt"),
@@ -133,6 +149,15 @@ def test_check_unknown_law_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--law", "gravity"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("law", ["lattice", "preservation"])
+@pytest.mark.parametrize("trials", ["0", "-1", "-5"])
+def test_check_trials_below_one_is_usage_error(law, trials, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--law", law, "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
 
 
 def test_outputs_are_deterministic(circuits_dir, capsys):
