@@ -1,8 +1,17 @@
 """Carrier-generic categorical operations.
 
-The two carriers (finite sets, rational vector spaces) expose the same
-operations; this module dispatches on the value type so the rest of the
-library can stay carrier-agnostic. Every operation is a pure function of
+The two carriers, finite sets (``finset``) and rational vector spaces
+(``vect``), are modules with the same interface: ``identity``, ``compose``,
+``product``, ``product_map``, ``pullback``, ``equalizer``,
+``image_factorize``, ``classify`` (mono, epi), ``terminal_obj``,
+``terminal_map`` and ``lift``. One table picks the module from the type of the
+arguments, so each function here is one call into it and the rest of the
+library stays carrier-agnostic. Values of different carriers, or values that
+belong to no carrier, raise ``MismatchError``.
+
+Every universal property used by the library reduces to ``lift``: factor a
+cone through a jointly mono family (product and pullback projections, an
+equalizer, a system's inclusion). Every operation is a pure function of
 immutable inputs.
 """
 
@@ -21,20 +30,24 @@ CarrierMap = FinMap | LinMap
 FINSET = "finset"
 VECT = "vect"
 
+_CARRIERS = {FinObj: finset, FinMap: finset, VectObj: vect, LinMap: vect}
+_BY_NAME = {FINSET: finset, VECT: vect}
+
+
+def _carrier(x, *rest):
+    """The carrier module shared by x and all of rest."""
+    module = _CARRIERS.get(type(x))
+    if module is None:
+        raise MismatchError(f"not a carrier value: {x!r}")
+    for y in rest:
+        if _CARRIERS.get(type(y)) is not module:
+            raise MismatchError("values live in different carriers")
+    return module
+
 
 def carrier_of(x) -> str:
-    if isinstance(x, (FinObj, FinMap)):
-        return FINSET
-    if isinstance(x, (VectObj, LinMap)):
-        return VECT
-    raise MismatchError(f"not a carrier value: {x!r}")
-
-
-def _same_carrier(*xs) -> str:
-    tags = {carrier_of(x) for x in xs}
-    if len(tags) != 1:
-        raise MismatchError("values live in different carriers")
-    return tags.pop()
+    """The name of x's carrier: ``FINSET`` or ``VECT``."""
+    return FINSET if _carrier(x) is finset else VECT
 
 
 @dataclass(frozen=True)
@@ -62,10 +75,6 @@ class Factorization:
     surj: CarrierMap
     inj: CarrierMap
 
-    @property
-    def mid(self) -> CarrierObj:
-        return self.surj.cod
-
 
 @dataclass(frozen=True)
 class MapClass:
@@ -78,111 +87,81 @@ class MapClass:
 
 
 def identity(obj: CarrierObj) -> CarrierMap:
-    if isinstance(obj, FinObj):
-        return finset.identity(obj)
-    return vect.identity(obj)
+    return _carrier(obj).identity(obj)
 
 
 def compose(g: CarrierMap, f: CarrierMap) -> CarrierMap:
-    if _same_carrier(g, f) == FINSET:
-        return finset.compose(g, f)
-    return vect.compose(g, f)
+    return _carrier(g, f).compose(g, f)
 
 
 def product(x: CarrierObj, y: CarrierObj) -> ProductResult:
-    if _same_carrier(x, y) == FINSET:
-        return ProductResult(*finset.product(x, y))
-    return ProductResult(*vect.product(x, y))
+    return ProductResult(*_carrier(x, y).product(x, y))
 
 
 def product_map(f: CarrierMap, g: CarrierMap) -> CarrierMap:
-    if _same_carrier(f, g) == FINSET:
-        return finset.product_map(f, g)
-    return vect.product_map(f, g)
+    return _carrier(f, g).product_map(f, g)
+
+
+def pullback(f1: CarrierMap, f2: CarrierMap) -> PullbackResult:
+    return PullbackResult(*_carrier(f1, f2).pullback(f1, f2))
+
+
+def equalizer(f: CarrierMap, g: CarrierMap) -> EqualizerResult:
+    return EqualizerResult(*_carrier(f, g).equalizer(f, g))
+
+
+def image_factorize(f: CarrierMap) -> Factorization:
+    return Factorization(*_carrier(f).image_factorize(f))
+
+
+def classify_map(f: CarrierMap) -> MapClass:
+    return MapClass(*_carrier(f).classify(f))
+
+
+def terminal_obj(carrier: str) -> CarrierObj:
+    module = _BY_NAME.get(carrier)
+    if module is None:
+        raise MismatchError(f"unknown carrier {carrier!r}")
+    return module.terminal_obj()
+
+
+def terminal_map(obj: CarrierObj) -> CarrierMap:
+    return _carrier(obj).terminal_map(obj)
+
+
+def lift(ms, fs) -> CarrierMap | None:
+    """The unique u with m_i . u = f_i for a jointly mono family ms, or None.
+
+    All ms share a domain, all fs share a domain (the apex of the cone), and
+    m_i and f_i share a codomain; anything else raises ``MismatchError``.
+    """
+    if not ms or len(ms) != len(fs):
+        raise MismatchError("lift needs one map of the cone per map of the family")
+    module = _carrier(*ms, *fs)
+    dom, apex = ms[0].dom, fs[0].dom
+    for m, f in zip(ms, fs):
+        # tuple comparison skips __eq__ for identical objects, the common case
+        if (m.dom, f.dom, m.cod) != (dom, apex, f.cod):
+            raise MismatchError("the cone does not match the family it should factor through")
+    return module.lift(ms, fs)
 
 
 def product_mediate(prod: ProductResult, q1: CarrierMap, q2: CarrierMap) -> CarrierMap:
     """The unique map <q1, q2> into the product with the given projections."""
-    if q1.dom != q2.dom:
-        raise MismatchError("product mediation requires a common domain")
-    if isinstance(prod.obj, FinObj):
-        index = {(prod.proj1(p), prod.proj2(p)): p for p in prod.obj}
-        table = {x: index[(q1(x), q2(x))] for x in q1.dom}
-        return FinMap(q1.dom, prod.obj, table)
-    return LinMap(q1.dom, prod.obj, tuple(q1.matrix) + tuple(q2.matrix))
-
-
-def pullback(f1: CarrierMap, f2: CarrierMap) -> PullbackResult:
-    if _same_carrier(f1, f2) == FINSET:
-        return PullbackResult(*finset.pullback(f1, f2))
-    return PullbackResult(*vect.pullback(f1, f2))
+    return lift((prod.proj1, prod.proj2), (q1, q2))
 
 
 def pullback_mediate(pb: PullbackResult, q1: CarrierMap, q2: CarrierMap) -> CarrierMap:
     """The unique map into the pullback induced by a cone (q1, q2)."""
-    if q1.dom != q2.dom:
-        raise MismatchError("pullback mediation requires a common cone apex")
-    if isinstance(pb.obj, FinObj):
-        index = {(pb.proj1(k), pb.proj2(k)): k for k in pb.obj}
-        table = {}
-        for x in q1.dom:
-            key = (q1(x), q2(x))
-            if key not in index:
-                raise MismatchError("the given pair of maps is not a cone over the pullback")
-            table[x] = index[key]
-        return FinMap(q1.dom, pb.obj, table)
-    emb = tuple(pb.proj1.matrix) + tuple(pb.proj2.matrix)
-    target = tuple(q1.matrix) + tuple(q2.matrix)
-    sol = vect.solve_matrix(emb, pb.obj.dim, target, q1.dom.dim)
-    if sol is None:
+    u = lift((pb.proj1, pb.proj2), (q1, q2))
+    if u is None:
         raise MismatchError("the given pair of maps is not a cone over the pullback")
-    return LinMap(q1.dom, pb.obj, sol)
-
-
-def equalizer(f: CarrierMap, g: CarrierMap) -> EqualizerResult:
-    if _same_carrier(f, g) == FINSET:
-        return EqualizerResult(*finset.equalizer(f, g))
-    return EqualizerResult(*vect.equalizer(f, g))
+    return u
 
 
 def equalizer_mediate(eq: EqualizerResult, h: CarrierMap) -> CarrierMap:
     """The unique map u with arrow . u = h, for h equalizing the same pair."""
-    if isinstance(eq.obj, FinObj):
-        table = {}
-        for x in h.dom:
-            y = h(x)
-            if y not in eq.obj:
-                raise MismatchError("map does not factor through the equalizer")
-            table[x] = y
-        return FinMap(h.dom, eq.obj, table)
-    sol = vect.solve_matrix(eq.arrow.matrix, eq.obj.dim, h.matrix, h.dom.dim)
-    if sol is None:
+    u = lift((eq.arrow,), (h,))
+    if u is None:
         raise MismatchError("map does not factor through the equalizer")
-    return LinMap(h.dom, eq.obj, sol)
-
-
-def image_factorize(f: CarrierMap) -> Factorization:
-    if isinstance(f, FinMap):
-        return Factorization(*finset.image_factorize(f))
-    return Factorization(*vect.image_factorize(f))
-
-
-def classify_map(f: CarrierMap) -> MapClass:
-    if isinstance(f, FinMap):
-        return MapClass(finset.is_injective(f), finset.is_surjective(f))
-    r = vect.rank_of(f.matrix, f.dom.dim)
-    return MapClass(r == f.dom.dim, r == f.cod.dim)
-
-
-def terminal_obj(carrier: str) -> CarrierObj:
-    if carrier == FINSET:
-        return finset.terminal_obj()
-    if carrier == VECT:
-        return vect.ZERO_SPACE
-    raise MismatchError(f"unknown carrier {carrier!r}")
-
-
-def terminal_map(obj: CarrierObj) -> CarrierMap:
-    if isinstance(obj, FinObj):
-        return finset.terminal_map(obj)
-    return vect.zero_map(obj, vect.ZERO_SPACE)
+    return u

@@ -433,16 +433,9 @@ def _glue_compiled(
 
     # transport the pullback behavior onto the merged names and cross-check
     # against the stacked equations
-    iota = vect.pair_into_product(lift1, lift2)
-    estar = vect.pair_into_product(
-        epb.proj1.psi_u, epb.proj2.psi_u
-    )
-    alpha_matrix = vect.solve_matrix(
-        iota.matrix, glued.dim, estar.matrix, syntax_system.universum.dim
-    )
-    if alpha_matrix is None:
+    alpha = carriers.lift((lift1, lift2), (epb.proj1.psi_u, epb.proj2.psi_u))
+    if alpha is None:
         raise MismatchError("pullback universum does not match the merged universum")
-    alpha = LinMap(syntax_system.universum, glued, alpha_matrix)
     transported = vect.column_space(carriers.compose(alpha, syntax_system.inclusion))
     rep = kernel_rep(stacked)
     system = arr_eq(rep)

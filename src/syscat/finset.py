@@ -31,6 +31,8 @@ class FinObj:
         if len(set(elems)) != len(elems):
             raise MismatchError(f"duplicate element labels in {elems!r}")
         object.__setattr__(self, "elements", elems)
+        # not a dataclass field, so == and hash still compare ``elements`` only
+        object.__setattr__(self, "_members", frozenset(elems))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -39,7 +41,7 @@ class FinObj:
         return iter(self.elements)
 
     def __contains__(self, label) -> bool:
-        return label in self.elements
+        return label in self._members
 
 
 @dataclass(frozen=True)
@@ -50,10 +52,11 @@ class FinMap:
 
     def __post_init__(self):
         table = {str(k): str(v) for k, v in self.table.items()}
-        if set(table) != set(self.dom.elements):
+        if table.keys() != self.dom._members:
             raise MismatchError("map table must be defined on exactly the domain")
+        cod = self.cod._members
         for k, v in table.items():
-            if v not in self.cod:
+            if v not in cod:
                 raise MismatchError(f"image {v!r} of {k!r} is not in the codomain")
         object.__setattr__(self, "table", table)
 
@@ -96,6 +99,11 @@ def is_injective(f: FinMap) -> bool:
 
 def is_surjective(f: FinMap) -> bool:
     return set(f.table.values()) == set(f.cod.elements)
+
+
+def classify(f: FinMap) -> tuple[bool, bool]:
+    """(mono, epi): whether f is injective and whether it is surjective."""
+    return is_injective(f), is_surjective(f)
 
 
 def product(x: FinObj, y: FinObj) -> tuple[FinObj, FinMap, FinMap]:
@@ -145,6 +153,28 @@ def image_factorize(f: FinMap) -> tuple[FinMap, FinMap]:
     surj = FinMap(f.dom, image, dict(f.table))
     inj = FinMap(image, f.cod, {v: v for v in image})
     return surj, inj
+
+
+def lift(ms, fs) -> FinMap | None:
+    """The u with m_i . u = f_i for jointly injective ms, or None; see ``carriers.lift``.
+
+    u sends x to the point p with (m_1(p), ..., m_k(p)) = (f_1(x), ..., f_k(x));
+    a lone map skips building a tuple per point.
+    """
+    dom, apex = ms[0].dom, fs[0].dom
+    if len(ms) == 1:
+        index = {v: p for p, v in ms[0].table.items()}
+        keys = map(fs[0].table.__getitem__, apex.elements)
+    else:
+        index = dict(zip(zip(*[map(m.table.__getitem__, dom.elements) for m in ms]), dom.elements))
+        keys = zip(*[map(f.table.__getitem__, apex.elements) for f in fs])
+    table = {}
+    for x, key in zip(apex.elements, keys):
+        p = index.get(key)
+        if p is None:
+            return None
+        table[x] = p
+    return FinMap(apex, dom, table)
 
 
 def all_maps(dom: FinObj, cod: FinObj) -> Iterator[FinMap]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import carriers, finset
-from .carriers import CarrierMap
+from .carriers import CarrierMap, EqualizerResult
 from .equations import EquationMorphism, EquationRep
 from .errors import DomainError, MismatchError
 from .finset import FinObj
@@ -129,10 +129,17 @@ def image_system_morphism(m: GenSystemMorphism) -> SystemMorphism:
     return make_morphism(image_system(m.src), image_system(m.dst), m.phi_u)
 
 
+def _equalizers(e: GenEquation) -> tuple[EqualizerResult, EqualizerResult]:
+    """The equalizers of the two component pairs of e: domains, then codomains."""
+    return (
+        carriers.equalizer(e.phi1.phi_c, e.phi2.phi_c),
+        carriers.equalizer(e.phi1.phi_u, e.phi2.phi_u),
+    )
+
+
 def obj_eq(e: GenEquation) -> GeneralizedSystem:
     """Componentwise equalizer of a parallel pair of morphisms."""
-    ec = carriers.equalizer(e.phi1.phi_c, e.phi2.phi_c)
-    eu = carriers.equalizer(e.phi1.phi_u, e.phi2.phi_u)
+    ec, eu = _equalizers(e)
     # the structure map carries agreeing points to agreeing points
     induced = carriers.equalizer_mediate(eu, carriers.compose(e.src.arrow, ec.arrow))
     return GeneralizedSystem(induced)
@@ -141,10 +148,8 @@ def obj_eq(e: GenEquation) -> GeneralizedSystem:
 def obj_eq_morphism(t: GenEquationMorphism) -> GenSystemMorphism:
     """Functor action on equation morphisms, by mediation into the equalizers."""
     src_sys = obj_eq(t.src)
-    dst_ec = carriers.equalizer(t.dst.phi1.phi_c, t.dst.phi2.phi_c)
-    dst_eu = carriers.equalizer(t.dst.phi1.phi_u, t.dst.phi2.phi_u)
-    src_ec = carriers.equalizer(t.src.phi1.phi_c, t.src.phi2.phi_c)
-    src_eu = carriers.equalizer(t.src.phi1.phi_u, t.src.phi2.phi_u)
+    dst_ec, dst_eu = _equalizers(t.dst)
+    src_ec, src_eu = _equalizers(t.src)
     phi_c = carriers.equalizer_mediate(dst_ec, carriers.compose(t.tau1, src_ec.arrow))
     phi_u = carriers.equalizer_mediate(dst_eu, carriers.compose(t.tau2, src_eu.arrow))
     return GenSystemMorphism(src_sys, obj_eq(t.dst), phi_c, phi_u)
@@ -162,9 +167,7 @@ def diagonal_morphism(m: GenSystemMorphism) -> GenEquationMorphism:
 def embed_equation(rep: EquationRep) -> GenEquation:
     """A plain representation as a pair of morphisms into the terminal system."""
     u = rep.universum
-    carrier = carriers.carrier_of(rep.f1)
     top = GeneralizedSystem(carriers.identity(u))
-    point = carriers.terminal_obj(carrier)
     bottom = GeneralizedSystem(carriers.terminal_map(rep.codomain))
     bang_u = carriers.terminal_map(u)
     phi1 = GenSystemMorphism(top, bottom, rep.f1, bang_u)
@@ -174,7 +177,7 @@ def embed_equation(rep: EquationRep) -> GenEquation:
 
 def embed_equation_morphism(m: EquationMorphism) -> GenEquationMorphism:
     src, dst = embed_equation(m.src), embed_equation(m.dst)
-    point_id = carriers.identity(carriers.terminal_obj(carriers.carrier_of(m.psi_u)))
+    point_id = carriers.identity(src.dst.codomain)  # the terminal object
     return GenEquationMorphism(src, dst, m.psi_u, m.psi_u, m.psi_e, point_id)
 
 
@@ -297,17 +300,19 @@ class AdjunctionReport:
         return self.diagonal_homs == self.objeq_homs and self.bijection_ok and self.naturality_ok
 
 
-def _transpose_to_objeq(t: GenEquationMorphism, e: GenEquation, g: GeneralizedSystem) -> GenSystemMorphism:
-    ec = carriers.equalizer(e.phi1.phi_c, e.phi2.phi_c)
-    eu = carriers.equalizer(e.phi1.phi_u, e.phi2.phi_u)
+def _transpose_to_objeq(t: GenEquationMorphism, eqs, target: GeneralizedSystem,
+                        g: GeneralizedSystem) -> GenSystemMorphism:
+    """The transpose g => target = obj_eq(e) of t, for eqs = _equalizers(e)."""
+    ec, eu = eqs
     alpha = carriers.equalizer_mediate(ec, t.tau1)
     beta = carriers.equalizer_mediate(eu, t.tau2)
-    return GenSystemMorphism(g, obj_eq(e), alpha, beta)
+    return GenSystemMorphism(g, target, alpha, beta)
 
 
-def _transpose_to_diagonal(m: GenSystemMorphism, e: GenEquation, g: GeneralizedSystem) -> GenEquationMorphism:
-    ec = carriers.equalizer(e.phi1.phi_c, e.phi2.phi_c)
-    eu = carriers.equalizer(e.phi1.phi_u, e.phi2.phi_u)
+def _transpose_to_diagonal(m: GenSystemMorphism, e: GenEquation, eqs,
+                           g: GeneralizedSystem) -> GenEquationMorphism:
+    """The transpose diagonal(g) => e of m, for eqs = _equalizers(e)."""
+    ec, eu = eqs
     tau1 = carriers.compose(ec.arrow, m.phi_c)
     tau2 = carriers.compose(eu.arrow, m.phi_u)
     tau3 = carriers.compose(e.phi1.phi_c, tau1)
@@ -326,21 +331,22 @@ def adjunction_check(
     """
     _require_finset_small(g.domain, g.codomain, e.src.domain, e.src.codomain,
                           e.dst.domain, e.dst.codomain)
+    eqs, target = _equalizers(e), obj_eq(e)
     lhs = homs_from_diagonal(g, e)
-    rhs = gen_system_homs(g, obj_eq(e))
+    rhs = gen_system_homs(g, target)
     bijection_ok = len(lhs) == len(rhs)
     seen = []
     for t in lhs:
-        m = _transpose_to_objeq(t, e, g)
-        back = _transpose_to_diagonal(m, e, g)
+        m = _transpose_to_objeq(t, eqs, target, g)
+        back = _transpose_to_diagonal(m, e, eqs, g)
         if back != t:
             bijection_ok = False
         seen.append(m)
     for m in rhs:
         if m not in seen:
             bijection_ok = False
-        t = _transpose_to_diagonal(m, e, g)
-        if _transpose_to_objeq(t, e, g) != m:
+        t = _transpose_to_diagonal(m, e, eqs, g)
+        if _transpose_to_objeq(t, eqs, target, g) != m:
             bijection_ok = False
 
     if probe is None:
@@ -348,8 +354,8 @@ def adjunction_check(
     naturality_ok = True
     for t in lhs:
         precomposed = _compose_equation_with_diagonal(t, probe)
-        direct = _transpose_to_objeq(precomposed, e, probe.src)
-        expected = compose_gen_morphisms(_transpose_to_objeq(t, e, g), probe)
+        direct = _transpose_to_objeq(precomposed, eqs, target, probe.src)
+        expected = compose_gen_morphisms(_transpose_to_objeq(t, eqs, target, g), probe)
         if direct != expected:
             naturality_ok = False
     return AdjunctionReport(len(lhs), len(rhs), bijection_ok, naturality_ok)

@@ -149,9 +149,8 @@ def _vect_equation_cospan(rng: random.Random) -> tuple[EquationMorphism, Equatio
         e = _vect_obj(rng, f"e{side}", ec.dim, 4)
         psi_u = _linmap(rng, u, uc)
         psi_e = _epi_linmap(rng, e, ec)
-        right_inv = vect.solve_matrix(
-            psi_e.matrix, e.dim, vect.mat_identity(ec.dim), ec.dim
-        )
+        # psi_e . right_inv = id: psi_e is epi, so a solution exists
+        right_inv = vect.lift((psi_e,), (vect.identity(ec),)).matrix
         kernel = vect.kernel_basis(psi_e.matrix, e.dim)
         maps = []
         for h in (shared.f1, shared.f2):

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import carriers, finset, vect
-from .carriers import CarrierMap, CarrierObj, EqualizerResult, PullbackResult
+from . import carriers, vect
+from .carriers import CarrierMap, CarrierObj
 from .errors import BehaviorEscapes, MismatchError, NonInjectiveInclusion, NotEpi
 from .finset import FinMap, FinObj
-from .vect import LinMap, Subspace, VectObj
+from .vect import LinMap, VectObj
 
 
 @dataclass(frozen=True)
@@ -154,23 +154,9 @@ def make_morphism(src: System, dst: System, phi_u: CarrierMap) -> SystemMorphism
     """Restrict phi_u to the behaviors; fails if the image escapes dst's behavior."""
     if phi_u.dom != src.universum or phi_u.cod != dst.universum:
         raise MismatchError("phi_u must map the source universum to the target universum")
-    if isinstance(phi_u, FinMap):
-        reverse = {dst.inclusion(b): b for b in dst.behavior}
-        table = {}
-        for b in src.behavior:
-            v = phi_u(src.inclusion(b))
-            if v not in reverse:
-                raise BehaviorEscapes(f"image of behavior point {b!r} lies outside the target behavior")
-            table[b] = reverse[v]
-        phi_b = FinMap(src.behavior, dst.behavior, table)
-    else:
-        target = carriers.compose(phi_u, src.inclusion)
-        sol = vect.solve_matrix(
-            dst.inclusion.matrix, dst.behavior.dim, target.matrix, src.behavior.dim
-        )
-        if sol is None:
-            raise BehaviorEscapes("image of the behavior lies outside the target behavior")
-        phi_b = LinMap(src.behavior, dst.behavior, sol)
+    phi_b = carriers.lift((dst.inclusion,), (carriers.compose(phi_u, src.inclusion),))
+    if phi_b is None:
+        raise BehaviorEscapes("image of the behavior lies outside the target behavior")
     return SystemMorphism(src, dst, phi_b, phi_u)
 
 
@@ -210,10 +196,9 @@ def product_systems(s: System, t: System) -> SystemPullback:
 def span_into_product(pb: SystemPullback) -> SystemMorphism:
     """The canonical morphism from a pullback into the product of its feet."""
     prod = product_systems(pb.proj1.dst, pb.proj2.dst)
-    pu = carriers.product(pb.proj1.dst.universum, pb.proj2.dst.universum)
-    pbeh = carriers.product(pb.proj1.dst.behavior, pb.proj2.dst.behavior)
-    phi_u = carriers.product_mediate(pu, pb.proj1.phi_u, pb.proj2.phi_u)
-    phi_b = carriers.product_mediate(pbeh, pb.proj1.phi_b, pb.proj2.phi_b)
+    p1, p2 = prod.proj1, prod.proj2
+    phi_u = carriers.lift((p1.phi_u, p2.phi_u), (pb.proj1.phi_u, pb.proj2.phi_u))
+    phi_b = carriers.lift((p1.phi_b, p2.phi_b), (pb.proj1.phi_b, pb.proj2.phi_b))
     return SystemMorphism(pb.system, prod.system, phi_b, phi_u)
 
 
@@ -254,19 +239,7 @@ def factors_through(s: System, t: System):
     """The unique witness h with s = t . h, or None if behavior(s) is not contained."""
     if s.universum != t.universum:
         raise MismatchError("systems must share their universum")
-    if s.carrier == carriers.FINSET:
-        reverse = {t.inclusion(b): b for b in t.behavior}
-        table = {}
-        for b in s.behavior:
-            v = s.inclusion(b)
-            if v not in reverse:
-                return None
-            table[b] = reverse[v]
-        return FinMap(s.behavior, t.behavior, table)
-    sol = vect.solve_matrix(t.inclusion.matrix, t.behavior.dim, s.inclusion.matrix, s.behavior.dim)
-    if sol is None:
-        return None
-    return LinMap(s.behavior, t.behavior, sol)
+    return carriers.lift((t.inclusion,), (s.inclusion,))
 
 
 @dataclass(frozen=True)

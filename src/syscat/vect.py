@@ -317,12 +317,18 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
     return LinMap(f.dom, g.cod, mat_mul(g.matrix, f.matrix, f.cod.dim))
 
 
-def is_mono(f: LinMap) -> bool:
-    return rank_of(f.matrix, f.dom.dim) == f.dom.dim
+def terminal_obj() -> VectObj:
+    return ZERO_SPACE
 
 
-def is_epi(f: LinMap) -> bool:
-    return rank_of(f.matrix, f.dom.dim) == f.cod.dim
+def terminal_map(obj: VectObj) -> LinMap:
+    return zero_map(obj, ZERO_SPACE)
+
+
+def classify(f: LinMap) -> tuple[bool, bool]:
+    """(mono, epi) from one rank: full column rank and full row rank."""
+    r = rank_of(f.matrix, f.dom.dim)
+    return r == f.dom.dim, r == f.cod.dim
 
 
 def product(x: VectObj, y: VectObj) -> tuple[VectObj, LinMap, LinMap]:
@@ -347,14 +353,6 @@ def product_map(f: LinMap, g: LinMap) -> LinMap:
     for row in g.matrix:
         rows.append((_ZERO,) * f.dom.dim + tuple(row))
     return LinMap(dom, cod, tuple(rows))
-
-
-def pair_into_product(q1: LinMap, q2: LinMap) -> LinMap:
-    """The pairing <q1, q2> : H -> cod(q1) x cod(q2)."""
-    if q1.dom != q2.dom:
-        raise MismatchError("pairing requires a common domain")
-    cod, _, _ = product(q1.cod, q2.cod)
-    return LinMap(q1.dom, cod, tuple(q1.matrix) + tuple(q2.matrix))
 
 
 def pullback(f1: LinMap, f2: LinMap) -> tuple[VectObj, LinMap, LinMap]:
@@ -393,6 +391,19 @@ def image_factorize(f: LinMap) -> tuple[LinMap, LinMap]:
         surj_rows.append(tuple(f.matrix[p][j] for j in range(f.dom.dim)))
     surj = LinMap(f.dom, mid, tuple(surj_rows))
     return surj, inj
+
+
+def lift(ms, fs) -> LinMap | None:
+    """The u with m_i . u = f_i for jointly mono ms, or None; see ``carriers.lift``.
+
+    u solves [m_1; ...; m_k] u = [f_1; ...; f_k]. For ms not jointly mono it is
+    the solution whose free coordinates are zero.
+    """
+    a = [row for m in ms for row in m.matrix]
+    b = [row for f in fs for row in f.matrix]
+    dom, apex = ms[0].dom, fs[0].dom
+    sol = solve_matrix(a, dom.dim, b, apex.dim)
+    return None if sol is None else LinMap(apex, dom, sol)
 
 
 def coordinate_map(dom: VectObj, cod: VectObj, assignment: dict[str, str]) -> LinMap:

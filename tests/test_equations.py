@@ -152,7 +152,8 @@ def test_two_resistor_series_syntax_pullback():
     assert pb.rep.codomain.dim == 2
     sys = arr_eq(pb.rep)
     # transported into the product coordinates, the series law holds
-    emb = vect.pair_into_product(pb.proj1.psi_u, pb.proj2.psi_u)
+    prod = carriers.product(r1.universum, r2.universum)
+    emb = carriers.product_mediate(prod, pb.proj1.psi_u, pb.proj2.psi_u)
     points = carriers.compose(emb, sys.inclusion)
     # product order: (v_a, v_b, i_ab | v_a', v_b', i_ab')
     for j in range(sys.behavior.dim):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syscat import vect
+from syscat import carriers, vect
 from syscat.errors import MismatchError
 from syscat.vect import LinMap, Subspace, VectObj
 
@@ -64,7 +64,7 @@ def test_pullback_kernel_example():
     assert oracles.nullity([(1, 0, -1)], 3) == 2
     assert vect.compose(f1, p1) == vect.compose(f2, p2)
     # K = {(a, b, c) : a = c} inside Q^2 x Q^1
-    emb = vect.pair_into_product(p1, p2)
+    emb = carriers.product_mediate(carriers.product(Q2, Q1), p1, p2)
     for j in range(k.dim):
         col = emb.column(j)
         assert col[0] == col[2]
@@ -102,12 +102,12 @@ def test_image_factorize_rank_one():
     assert oracles.rank(f.matrix, 2) == 1
     assert inj.column(0) == (Fraction(1), Fraction(2))
     assert vect.compose(inj, surj) == f
-    assert vect.is_epi(surj) and vect.is_mono(inj)
+    assert vect.classify(surj)[1] and vect.classify(inj)[0]
 
 
 def test_classify_thin_column():
     f = LinMap(Q1, Q2, ((1,), (1,)))
-    assert vect.is_mono(f) and not vect.is_epi(f)
+    assert vect.classify(f) == (True, False)
     assert oracles.rank(f.matrix, 1) == 1
 
 
