@@ -158,16 +158,11 @@ def image_factorize(f: FinMap) -> tuple[FinMap, FinMap]:
 def lift(ms, fs) -> FinMap | None:
     """The u with m_i . u = f_i for jointly injective ms, or None; see ``carriers.lift``.
 
-    u sends x to the point p with (m_1(p), ..., m_k(p)) = (f_1(x), ..., f_k(x));
-    a lone map skips building a tuple per point.
+    u sends x to the point p with (m_1(p), ..., m_k(p)) = (f_1(x), ..., f_k(x)).
     """
     dom, apex = ms[0].dom, fs[0].dom
-    if len(ms) == 1:
-        index = {v: p for p, v in ms[0].table.items()}
-        keys = map(fs[0].table.__getitem__, apex.elements)
-    else:
-        index = dict(zip(zip(*[map(m.table.__getitem__, dom.elements) for m in ms]), dom.elements))
-        keys = zip(*[map(f.table.__getitem__, apex.elements) for f in fs])
+    index = dict(zip(zip(*[map(m.table.__getitem__, dom.elements) for m in ms]), dom.elements))
+    keys = zip(*[map(f.table.__getitem__, apex.elements) for f in fs])
     table = {}
     for x, key in zip(apex.elements, keys):
         p = index.get(key)

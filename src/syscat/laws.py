@@ -149,8 +149,7 @@ def _vect_equation_cospan(rng: random.Random) -> tuple[EquationMorphism, Equatio
         e = _vect_obj(rng, f"e{side}", ec.dim, 4)
         psi_u = _linmap(rng, u, uc)
         psi_e = _epi_linmap(rng, e, ec)
-        # psi_e . right_inv = id: psi_e is epi, so a solution exists
-        right_inv = vect.lift((psi_e,), (vect.identity(ec),)).matrix
+        right_inv = vect.right_inverse(psi_e)
         kernel = vect.kernel_basis(psi_e.matrix, e.dim)
         maps = []
         for h in (shared.f1, shared.f2):

@@ -155,6 +155,10 @@ def make_morphism(src: System, dst: System, phi_u: CarrierMap) -> SystemMorphism
     if phi_u.dom != src.universum or phi_u.cod != dst.universum:
         raise MismatchError("phi_u must map the source universum to the target universum")
     phi_b = carriers.lift((dst.inclusion,), (carriers.compose(phi_u, src.inclusion),))
+    if phi_b is None and isinstance(phi_u, FinMap):
+        image = set(dst.inclusion.table.values())
+        b = next(b for b in src.behavior if phi_u(src.inclusion(b)) not in image)
+        raise BehaviorEscapes(f"image of behavior point {b!r} lies outside the target behavior")
     if phi_b is None:
         raise BehaviorEscapes("image of the behavior lies outside the target behavior")
     return SystemMorphism(src, dst, phi_b, phi_u)

@@ -396,14 +396,18 @@ def image_factorize(f: LinMap) -> tuple[LinMap, LinMap]:
 def lift(ms, fs) -> LinMap | None:
     """The u with m_i . u = f_i for jointly mono ms, or None; see ``carriers.lift``.
 
-    u solves [m_1; ...; m_k] u = [f_1; ...; f_k]. For ms not jointly mono it is
-    the solution whose free coordinates are zero.
+    u solves [m_1; ...; m_k] u = [f_1; ...; f_k].
     """
     a = [row for m in ms for row in m.matrix]
     b = [row for f in fs for row in f.matrix]
     dom, apex = ms[0].dom, fs[0].dom
     sol = solve_matrix(a, dom.dim, b, apex.dim)
     return None if sol is None else LinMap(apex, dom, sol)
+
+
+def right_inverse(f: LinMap) -> Rows | None:
+    """A matrix r with f . r = id (free coordinates zero), or None if f is not epi."""
+    return solve_matrix(f.matrix, f.dom.dim, mat_identity(f.cod.dim), f.cod.dim)
 
 
 def coordinate_map(dom: VectObj, cod: VectObj, assignment: dict[str, str]) -> LinMap:

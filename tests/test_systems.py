@@ -90,6 +90,13 @@ def test_make_morphism_behavior_escapes():
         make_morphism(src, dst, finset.identity(FinObj(("a", "b"))))
 
 
+def test_make_morphism_behavior_escapes_names_the_point():
+    src = fin_system("abc", "abc")
+    dst = fin_system("abc", "ac")
+    with pytest.raises(BehaviorEscapes, match="behavior point 'b' lies outside"):
+        make_morphism(src, dst, finset.identity(FinObj(("a", "b", "c"))))
+
+
 # -- the worked morphisms ------------------------------------------------------
 
 def sc_into_s():
