@@ -411,10 +411,8 @@ def _glue_compiled(
     )
     f1, f2 = k1.rep.f1, k2.rep.f1
     row_names = tuple(f"L:{n}" for n in f1.cod.vars) + tuple(f"R:{n}" for n in f2.cod.vars)
-    stacked = LinMap(
-        glued,
-        VectObj(row_names),
-        tuple(carriers.compose(f1, lift1).matrix) + tuple(carriers.compose(f2, lift2).matrix),
+    stacked = LinMap.from_rows(
+        glued, VectObj(row_names), carriers.compose(f1, lift1).rows + carriers.compose(f2, lift2).rows
     )
 
     shared = VectObj(tuple(m for _, _, m in pairs))
@@ -445,10 +443,10 @@ def _glue_compiled(
     closed_names: tuple[str, ...] = ()
     if close:
         ext_names, ext_rows, closed_names = _close_rows(k1.circuit, k2.circuit, pairs, glued)
-        stacked = LinMap(
+        stacked = LinMap.from_rows(
             glued,
             VectObj(tuple(stacked.cod.vars) + ext_names),
-            tuple(stacked.matrix) + ext_rows,
+            stacked.rows + vect.to_sparse(ext_rows),
         )
         rep = kernel_rep(stacked)
         system = arr_eq(rep)

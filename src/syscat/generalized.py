@@ -137,22 +137,26 @@ def _equalizers(e: GenEquation) -> tuple[EqualizerResult, EqualizerResult]:
     )
 
 
-def obj_eq(e: GenEquation) -> GeneralizedSystem:
-    """Componentwise equalizer of a parallel pair of morphisms."""
-    ec, eu = _equalizers(e)
+def _obj_eq_of(e: GenEquation, eqs) -> GeneralizedSystem:
+    """obj_eq(e), for eqs = _equalizers(e)."""
+    ec, eu = eqs
     # the structure map carries agreeing points to agreeing points
     induced = carriers.equalizer_mediate(eu, carriers.compose(e.src.arrow, ec.arrow))
     return GeneralizedSystem(induced)
 
 
+def obj_eq(e: GenEquation) -> GeneralizedSystem:
+    """Componentwise equalizer of a parallel pair of morphisms."""
+    return _obj_eq_of(e, _equalizers(e))
+
+
 def obj_eq_morphism(t: GenEquationMorphism) -> GenSystemMorphism:
     """Functor action on equation morphisms, by mediation into the equalizers."""
-    src_sys = obj_eq(t.src)
-    dst_ec, dst_eu = _equalizers(t.dst)
-    src_ec, src_eu = _equalizers(t.src)
+    src_eqs, dst_eqs = _equalizers(t.src), _equalizers(t.dst)
+    (src_ec, src_eu), (dst_ec, dst_eu) = src_eqs, dst_eqs
     phi_c = carriers.equalizer_mediate(dst_ec, carriers.compose(t.tau1, src_ec.arrow))
     phi_u = carriers.equalizer_mediate(dst_eu, carriers.compose(t.tau2, src_eu.arrow))
-    return GenSystemMorphism(src_sys, obj_eq(t.dst), phi_c, phi_u)
+    return GenSystemMorphism(_obj_eq_of(t.src, src_eqs), _obj_eq_of(t.dst, dst_eqs), phi_c, phi_u)
 
 
 def diagonal(g: GeneralizedSystem) -> GenEquation:
@@ -331,7 +335,8 @@ def adjunction_check(
     """
     _require_finset_small(g.domain, g.codomain, e.src.domain, e.src.codomain,
                           e.dst.domain, e.dst.codomain)
-    eqs, target = _equalizers(e), obj_eq(e)
+    eqs = _equalizers(e)
+    target = _obj_eq_of(e, eqs)
     lhs = homs_from_diagonal(g, e)
     rhs = gen_system_homs(g, target)
     bijection_ok = len(lhs) == len(rhs)

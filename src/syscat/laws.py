@@ -134,9 +134,9 @@ def _linmap(rng: random.Random, dom: VectObj, cod: VectObj) -> LinMap:
 def _epi_linmap(rng: random.Random, dom: VectObj, cod: VectObj) -> LinMap:
     # assumes dom.dim >= cod.dim; resamples until full row rank
     while True:
-        m = _matrix(rng, cod.dim, dom.dim)
-        if vect.rank_of(m, dom.dim) == cod.dim:
-            return LinMap(dom, cod, m)
+        f = _linmap(rng, dom, cod)
+        if vect.classify(f)[1]:
+            return f
 
 
 def _vect_equation_cospan(rng: random.Random) -> tuple[EquationMorphism, EquationMorphism]:
@@ -150,13 +150,12 @@ def _vect_equation_cospan(rng: random.Random) -> tuple[EquationMorphism, Equatio
         psi_u = _linmap(rng, u, uc)
         psi_e = _epi_linmap(rng, e, ec)
         right_inv = vect.right_inverse(psi_e)
-        kernel = vect.kernel_basis(psi_e.matrix, e.dim)
+        _, kernel = vect.equalizer(psi_e, vect.zero_map(e, ec))  # the kernel of psi_e
         maps = []
         for h in (shared.f1, shared.f2):
             target = carriers.compose(h, psi_u)  # u -> ec
-            base = vect.mat_mul(right_inv, target.matrix, ec.dim)
-            rows = [list(r) for r in base]
-            for kvec in kernel:
+            rows = [list(r) for r in vect.compose(right_inv, target).matrix]
+            for kvec in zip(*kernel.matrix):  # the kernel's basis vectors are its columns
                 coeffs = [Fraction(rng.randint(-1, 1)) for _ in range(u.dim)]
                 for i in range(e.dim):
                     for j in range(u.dim):

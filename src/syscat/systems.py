@@ -15,7 +15,7 @@ from . import carriers, vect
 from .carriers import CarrierMap, CarrierObj
 from .errors import BehaviorEscapes, MismatchError, NonInjectiveInclusion, NotEpi
 from .finset import FinMap, FinObj
-from .vect import LinMap, VectObj
+from .vect import VectObj
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,7 @@ def system_from_behavior(universum: CarrierObj, behavior) -> System:
     if sub.ambient != universum:
         raise MismatchError("subspace ambient differs from the universum")
     obj = VectObj(tuple(f"b{i}" for i in range(sub.dim)))
-    matrix = tuple(tuple(row[i] for row in sub.basis) for i in range(universum.dim))
-    return System(LinMap(obj, universum, matrix))
+    return System(vect.basis_map(obj, sub))
 
 
 def canonical(s: System) -> System:
@@ -154,13 +153,18 @@ def make_morphism(src: System, dst: System, phi_u: CarrierMap) -> SystemMorphism
     """Restrict phi_u to the behaviors; fails if the image escapes dst's behavior."""
     if phi_u.dom != src.universum or phi_u.cod != dst.universum:
         raise MismatchError("phi_u must map the source universum to the target universum")
-    phi_b = carriers.lift((dst.inclusion,), (carriers.compose(phi_u, src.inclusion),))
+    moved = carriers.compose(phi_u, src.inclusion)
+    phi_b = carriers.lift((dst.inclusion,), (moved,))
     if phi_b is None and isinstance(phi_u, FinMap):
         image = set(dst.inclusion.table.values())
-        b = next(b for b in src.behavior if phi_u(src.inclusion(b)) not in image)
+        b = next(b for b in src.behavior if moved(b) not in image)
         raise BehaviorEscapes(f"image of behavior point {b!r} lies outside the target behavior")
     if phi_b is None:
-        raise BehaviorEscapes("image of the behavior lies outside the target behavior")
+        # the first basis vector of the source behavior whose image escapes
+        image = behavior_image(dst)
+        j = next(j for j in range(moved.dom.dim) if not image.contains(moved.column(j)))
+        vec = ", ".join(map(str, src.inclusion.column(j)))
+        raise BehaviorEscapes(f"image of behavior vector [{vec}] lies outside the target behavior")
     return SystemMorphism(src, dst, phi_b, phi_u)
 
 

@@ -1,22 +1,29 @@
 """Finite-dimensional vector spaces over Q with exact linear maps.
 
-Matrices are tuples of row tuples of ``fractions.Fraction``, ``cod.dim`` rows
-by ``dom.dim`` columns, so a map's columns are the images of the domain basis
-vectors. Floats are rejected at construction; nothing in this module rounds.
-Computed subobjects (kernels, images, pullback objects) come back with
-generated ``k<i>`` coordinate names and reduced row-echelon bases, which makes
-subspace equality a plain ``==`` on representations.
+The module has one matrix format. A row is a canonical sparse int row
+``(d, {col: n})``: the row whose entry in each listed column is n/d and zero
+elsewhere, with d > 0, no zero n, and gcd(d, *n) == 1, so two equal rational
+rows are equal Python values; the zero row is ``(1, {})``. A ``LinMap`` keeps
+one row over ``dom.dim`` columns per codomain coordinate, so a map's columns
+are the images of the domain basis vectors. A ``Subspace`` keeps the rows of
+its reduced row-echelon basis, which makes subspace equality a plain ``==``.
+Rows are shared between values and never mutated.
 
 The exact kernels (``rref``, ``rank_of``, ``kernel_basis``, ``solve_matrix``,
-``mat_mul``) compute on Python ints; ``Fraction``s exist only at their
-boundary. Each input row is scaled by the lcm of its denominators into a
-sparse row of int nonzeros by column, the matrices the constructions produce
-being mostly zeros. One fraction-free Gauss-Jordan elimination,
-``_eliminate``, serves the first four; ``mat_mul`` multiplies the nonzeros of
-the scaled rows and divides once per nonzero result entry. Results are the
-same dense tuples of ``Fraction`` as before, equal entry for entry to plain
-``Fraction`` loops, since the reduced row-echelon form is unique; zero and
-small integers among them are shared ``Fraction`` objects. ``frac`` passes a
+``mat_mul``) take and return rows; they read any row ``(d, m)`` with d > 0
+and return canonical rows. One fraction-free Gauss-Jordan elimination,
+``_eliminate``, serves the first four; ``mat_mul`` multiplies nonzeros over a
+common denominator and divides by one gcd per result row. Identities, zero
+maps, product projections and coordinate maps are built as rows directly.
+Computed subobjects (kernels, images, pullback objects) come back with
+generated ``k<i>`` coordinate names.
+
+``Fraction``s exist only at the boundary. The dense constructors
+``LinMap(dom, cod, matrix)`` and ``Subspace(ambient, basis)`` take rows of
+ints, ``Fraction``s or ``'p/q'`` strings and reject floats; nothing in this
+module rounds. The dense views ``LinMap.matrix`` and ``Subspace.basis`` are
+tuples of ``Fraction`` rows, computed on first read and kept. ``to_sparse``
+and ``to_dense`` convert between the two forms; ``frac`` passes a
 ``Fraction`` through unchanged and converts anything else.
 """
 
@@ -24,14 +31,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
 from operator import attrgetter
 
 from .errors import MismatchError
 
+Row = tuple[int, dict[int, int]]
+Rows = tuple[Row, ...]
 Vec = tuple[Fraction, ...]
-Rows = tuple[Vec, ...]
+Dense = tuple[Vec, ...]
 
 
 def frac(x) -> Fraction:
@@ -52,6 +62,100 @@ def _vec(row) -> Vec:
 
 def _kernel_names(n: int) -> tuple[str, ...]:
     return tuple(f"k{i}" for i in range(n))
+
+
+# -- the boundary: dense Fraction rows <-> canonical sparse rows --------------
+
+# Fractions are immutable, so dense views may share these.
+_SMALL_MAX = 64
+_SMALL = {n: Fraction(n) for n in range(-_SMALL_MAX, _SMALL_MAX + 1)}
+_ZERO = _SMALL[0]
+_NUM = attrgetter("numerator")
+
+
+def _q(n: int, d: int) -> Fraction:
+    """The Fraction n/d for d > 0, sharing zero and small integers."""
+    if not n:
+        return _ZERO
+    if d == 1 or not n % d:
+        n //= d
+        return _SMALL[n] if -_SMALL_MAX <= n <= _SMALL_MAX else Fraction(n)
+    return Fraction(n, d)
+
+
+def _int_row(row: Vec) -> Row:
+    """The canonical row of a dense row of Fractions.
+
+    d is the lcm of the denominators. It makes the row primitive: the highest
+    power of a prime in d divides some denominator exactly, and so not that
+    entry's scaled numerator.
+    """
+    nums = tuple(map(_NUM, row))
+    cols = tuple(compress(range(len(nums)), nums))
+    dens = [row[j].denominator for j in cols]
+    d = lcm(*dens)
+    if d == 1:
+        return 1, {j: nums[j] for j in cols}
+    return d, {j: nums[j] * (d // q) for j, q in zip(cols, dens)}
+
+
+def to_sparse(matrix) -> Rows:
+    """The canonical rows of a dense matrix of ints, Fractions or 'p/q' strings."""
+    return tuple(_int_row(_vec(row)) for row in matrix)
+
+
+def to_dense(rows, ncols: int) -> Dense:
+    """The dense matrix of rows over ncols columns, as tuples of Fractions."""
+    out = []
+    for d, m in rows:
+        v = [_ZERO] * ncols
+        for j, n in m.items():
+            v[j] = _q(n, d)
+        out.append(tuple(v))
+    return tuple(out)
+
+
+def _canon(d: int, m: dict[int, int]) -> Row:
+    """The canonical row of m/d, for d > 0 and m without zeros."""
+    g = gcd(d, *m.values())
+    if g == 1:
+        return d, m
+    return d // g, {j: x // g for j, x in m.items()}
+
+
+def _transpose(rows, ncols: int) -> Rows:
+    """The canonical rows of the transpose: row j holds column j of rows."""
+    cols: list[list[tuple[int, int, int]]] = [[] for _ in range(ncols)]
+    for i, (d, m) in enumerate(rows):
+        for j, n in m.items():
+            cols[j].append((i, n, d))
+    out = []
+    for col in cols:
+        d = lcm(*(q for _, _, q in col))
+        if d == 1:
+            out.append((1, {i: n for i, n, _ in col}))
+        else:
+            out.append(_canon(d, {i: n * (d // q) for i, n, q in col}))
+    return tuple(out)
+
+
+def _unit_rows(cols) -> Rows:
+    """Row i has a single 1, in column cols[i]."""
+    return tuple((1, {j: 1}) for j in cols)
+
+
+def _zero_rows(n: int) -> Rows:
+    return tuple((1, {}) for _ in range(n))
+
+
+def _check_columns(rows, ncols: int, what: str):
+    for _, m in rows:
+        if m and (max(m) >= ncols or min(m) < 0):
+            raise MismatchError(f"{what} has a column outside dimension {ncols}")
+
+
+def _row_hash(rows) -> int:
+    return hash(tuple((d, frozenset(m.items())) for d, m in rows))
 
 
 @dataclass(frozen=True)
@@ -78,24 +182,52 @@ class VectObj:
 ZERO_SPACE = VectObj(())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinMap:
+    """A linear map dom -> cod: one canonical row over dom.dim columns per coordinate of cod."""
+
     dom: VectObj
     cod: VectObj
-    matrix: Rows
+    rows: Rows
+
+    def __init__(self, dom: VectObj, cod: VectObj, matrix):
+        """The map with a dense matrix: cod.dim rows of dom.dim ints, Fractions or 'p/q' strings."""
+        dense = tuple(map(_vec, matrix))
+        for row in dense:
+            if len(row) != dom.dim:
+                raise MismatchError(
+                    f"matrix row length {len(row)} != domain dimension {dom.dim}"
+                )
+        object.__setattr__(self, "matrix", dense)
+        self._set(dom, cod, tuple(map(_int_row, dense)))
+
+    @classmethod
+    def from_rows(cls, dom: VectObj, cod: VectObj, rows: Rows) -> LinMap:
+        """The map with the given canonical rows."""
+        f = cls.__new__(cls)
+        f._set(dom, cod, rows)
+        return f
+
+    def _set(self, dom: VectObj, cod: VectObj, rows: Rows):
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
-        rows = tuple(map(_vec, self.matrix))
-        if len(rows) != self.cod.dim:
+        if len(self.rows) != self.cod.dim:
             raise MismatchError(
-                f"matrix has {len(rows)} rows, codomain dimension is {self.cod.dim}"
+                f"matrix has {len(self.rows)} rows, codomain dimension is {self.cod.dim}"
             )
-        for row in rows:
-            if len(row) != self.dom.dim:
-                raise MismatchError(
-                    f"matrix row length {len(row)} != domain dimension {self.dom.dim}"
-                )
-        object.__setattr__(self, "matrix", rows)
+        _check_columns(self.rows, self.dom.dim, "a matrix row")
+
+    def __hash__(self):
+        return hash((self.dom, self.cod, _row_hash(self.rows)))
+
+    @cached_property
+    def matrix(self) -> Dense:
+        """The dense matrix: cod.dim rows of dom.dim Fractions."""
+        return to_dense(self.rows, self.dom.dim)
 
     def apply(self, vec) -> Vec:
         v = tuple(frac(x) for x in vec)
@@ -116,39 +248,34 @@ class LinMap:
 
 # -- exact matrix kernels ---------------------------------------------------
 #
-# Scaling a row by the lcm of its denominators keeps its row space and, for a
-# row of an augmented matrix [A | B], the solutions of A X = B.
+# Scaling a row by a positive integer keeps its row space and, for a row of an
+# augmented matrix [A | B], the solutions of A X = B; elimination reads only
+# the int part of each row.
 
-# Fractions are immutable, so results may share these.
-_SMALL_MAX = 64
-_SMALL = {n: Fraction(n) for n in range(-_SMALL_MAX, _SMALL_MAX + 1)}
-_ZERO, _ONE = _SMALL[0], _SMALL[1]
-_NUM = attrgetter("numerator")
-
-
-def _q(n: int, d: int) -> Fraction:
-    """The Fraction n/d for d > 0, sharing zero and small integers."""
-    if not n:
-        return _ZERO
-    if d == 1 or not n % d:
-        n //= d
-        return _SMALL[n] if -_SMALL_MAX <= n <= _SMALL_MAX else Fraction(n)
-    return Fraction(n, d)
+def _ints(rows) -> list[dict[int, int]]:
+    """Fresh int rows proportional to rows, for elimination in place."""
+    return [m.copy() for _, m in rows]
 
 
-def _int_row(row) -> tuple[int, dict[int, int]]:
-    """(d, the nonzeros of row * d by column) for d the lcm of the row's denominators."""
-    nums = tuple(map(_NUM, row))
-    cols = tuple(compress(range(len(nums)), nums))
-    dens = [row[j].denominator for j in cols]
-    d = lcm(*dens)
-    if d == 1:
-        return 1, {j: nums[j] for j in cols}
-    return d, {j: nums[j] * (d // q) for j, q in zip(cols, dens)}
+def _stack(a_rows, b_rows, shift: int, sign: int) -> list[dict[int, int]]:
+    """Fresh int rows proportional to those of A + sign * B, B's columns moved right by shift.
 
-
-def _int_rows(rows) -> list[dict[int, int]]:
-    return [_int_row(row)[1] for row in rows]
+    shift = the column count of A sets the two side by side, [A | sign B].
+    """
+    out = []
+    for (da, ma), (db, mb) in zip(a_rows, b_rows):
+        d = lcm(da, db)
+        sa, sb = d // da, sign * (d // db)
+        row = {j: x * sa for j, x in ma.items()}
+        for j, y in mb.items():
+            j += shift
+            x = row.get(j, 0) + y * sb
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        out.append(row)
+    return out
 
 
 def _eliminate(m: list[dict[int, int]], ncols: int) -> list[int]:
@@ -205,32 +332,25 @@ def _eliminate(m: list[dict[int, int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _reduced(m: list[dict[int, int]], pivots, ncols: int) -> Rows:
-    """The RREF rows of eliminated int rows: each kept row over its pivot."""
-    out = []
-    for row, c in zip(m, pivots):
-        p = row[c]
-        v = [_ZERO] * ncols
-        for j, x in row.items():
-            v[j] = _q(x, p)
-        out.append(tuple(v))
-    return tuple(out)
+def _reduced(m: list[dict[int, int]], pivots) -> Rows:
+    """The canonical RREF rows of eliminated int rows: each kept row over its pivot."""
+    return tuple(_canon(row[c], row) for row, c in zip(m, pivots))
 
 
 def rref(rows, ncols: int) -> tuple[Rows, tuple[int, ...]]:
     """Reduced row-echelon form; returns the nonzero rows and pivot columns."""
-    m = _int_rows(rows)
+    m = _ints(rows)
     pivots = _eliminate(m, ncols)
-    return _reduced(m, pivots, ncols), tuple(pivots)
+    return _reduced(m, pivots), tuple(pivots)
 
 
 def rank_of(rows, ncols: int) -> int:
-    return len(_eliminate(_int_rows(rows), ncols))
+    return len(_eliminate(_ints(rows), ncols))
 
 
 def kernel_basis(rows, ncols: int) -> Rows:
     """Canonical basis of the right kernel (itself in row-echelon form)."""
-    m = _int_rows(rows)
+    m = _ints(rows)
     pivots = _eliminate(m, ncols)
     pivot_set = set(pivots)
     basis = []
@@ -244,77 +364,63 @@ def kernel_basis(rows, ncols: int) -> Rows:
         for f, p, pc in used:
             v[pc] = -f * (scale // p)
         basis.append(v)
-    return _reduced(basis, _eliminate(basis, ncols), ncols)
+    return _reduced(basis, _eliminate(basis, ncols))
 
 
-def solve_matrix(a_rows, ncols: int, b_rows, bcols: int):
-    """One exact solution X of A @ X = B, or None if inconsistent.
+def solve_matrix(a_rows, ncols: int, b_rows, bcols: int) -> Rows | None:
+    """The rows of one exact solution X of A @ X = B, or None if inconsistent.
 
     Free coordinates are set to zero, so the solution is unique exactly when A
     has full column rank (the only case the callers rely on).
     """
-    m = _int_rows(tuple(ar) + tuple(br) for ar, br in zip(a_rows, b_rows))
+    m = _stack(a_rows, b_rows, ncols, 1)
     pivots = _eliminate(m, ncols + bcols)
     if pivots and pivots[-1] >= ncols:
         return None
-    x = [(_ZERO,) * bcols] * ncols
+    x = list(_zero_rows(ncols))
     for row, p in zip(m, pivots):
-        d = row[p]
-        x[p] = tuple(_q(row.get(j, 0), d) for j in range(ncols, ncols + bcols))
+        x[p] = _canon(row[p], {j - ncols: y for j, y in row.items() if j >= ncols})
     return tuple(x)
 
 
-def mat_mul(a_rows, b_rows, inner: int) -> Rows:
+def mat_mul(a_rows, b_rows) -> Rows:
     """A @ B, computed as (A d_i) @ (B e) over the ints, then divided by d_i e.
 
-    d_i is the lcm of the denominators in row i of A, e that of all of B.
+    d_i is the denominator of row i of A, e the lcm of those of B.
     """
-    # inner >= 1; callers special-case degenerate shapes.
-    ncols = len(b_rows[0])
-    scaled = [_int_row(row) for row in b_rows[:inner]]
-    e = lcm(*(d for d, _ in scaled))
-    b_support = [[(j, y * (e // d)) for j, y in row.items()] for d, row in scaled]
+    e = lcm(*(d for d, _ in b_rows))
+    b_items = [
+        tuple(m.items()) if d == e else tuple((j, y * (e // d)) for j, y in m.items())
+        for d, m in b_rows
+    ]
     out = []
-    for row in a_rows:
-        d, a = _int_row(row)
-        acc = [0] * ncols
+    for d, a in a_rows:
+        acc: dict[int, int] = {}
         for k, x in a.items():
-            for j, y in b_support[k]:
-                acc[j] += x * y
-        d *= e
-        v = [_ZERO] * ncols
-        for j in compress(range(ncols), acc):
-            v[j] = _q(acc[j], d)
-        out.append(tuple(v))
+            for j, y in b_items[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        if 0 in acc.values():
+            acc = {j: v for j, v in acc.items() if v}
+        out.append(_canon(d * e, acc))
     return tuple(out)
-
-
-def mat_identity(n: int) -> Rows:
-    return tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
-    )
-
-
-def mat_transpose(rows, ncols: int) -> Rows:
-    return tuple(tuple(row[j] for row in rows) for j in range(ncols))
 
 
 # -- categorical operations -------------------------------------------------
 
 def identity(obj: VectObj) -> LinMap:
-    return LinMap(obj, obj, mat_identity(obj.dim))
+    return LinMap.from_rows(obj, obj, _unit_rows(range(obj.dim)))
 
 
 def zero_map(dom: VectObj, cod: VectObj) -> LinMap:
-    return LinMap(dom, cod, ((_ZERO,) * dom.dim,) * cod.dim)
+    return LinMap.from_rows(dom, cod, _zero_rows(cod.dim))
 
 
 def compose(g: LinMap, f: LinMap) -> LinMap:
     if f.cod != g.dom:
         raise MismatchError("compose: codomain of f must equal domain of g")
     if f.cod.dim == 0 or f.dom.dim == 0 or g.cod.dim == 0:
-        return zero_map(f.dom, g.cod)
-    return LinMap(f.dom, g.cod, mat_mul(g.matrix, f.matrix, f.cod.dim))
+        return zero_map(f.dom, g.cod)  # nothing to multiply
+    return LinMap.from_rows(f.dom, g.cod, mat_mul(g.rows, f.rows))
 
 
 def terminal_obj() -> VectObj:
@@ -327,69 +433,53 @@ def terminal_map(obj: VectObj) -> LinMap:
 
 def classify(f: LinMap) -> tuple[bool, bool]:
     """(mono, epi) from one rank: full column rank and full row rank."""
-    r = rank_of(f.matrix, f.dom.dim)
+    r = rank_of(f.rows, f.dom.dim)
     return r == f.dom.dim, r == f.cod.dim
 
 
 def product(x: VectObj, y: VectObj) -> tuple[VectObj, LinMap, LinMap]:
     # Side tags keep the disjoint union of names collision-free.
     obj = VectObj(tuple("L." + v for v in x.vars) + tuple("R." + v for v in y.vars))
-    p1 = tuple(
-        tuple(_ONE if j == i else _ZERO for j in range(obj.dim)) for i in range(x.dim)
-    )
-    p2 = tuple(
-        tuple(_ONE if j == x.dim + i else _ZERO for j in range(obj.dim))
-        for i in range(y.dim)
-    )
-    return obj, LinMap(obj, x, p1), LinMap(obj, y, p2)
+    p1 = LinMap.from_rows(obj, x, _unit_rows(range(x.dim)))
+    p2 = LinMap.from_rows(obj, y, _unit_rows(range(x.dim, obj.dim)))
+    return obj, p1, p2
 
 
 def product_map(f: LinMap, g: LinMap) -> LinMap:
     dom, _, _ = product(f.dom, g.dom)
     cod, _, _ = product(f.cod, g.cod)
-    rows = []
-    for row in f.matrix:
-        rows.append(tuple(row) + (_ZERO,) * g.dom.dim)
-    for row in g.matrix:
-        rows.append((_ZERO,) * f.dom.dim + tuple(row))
-    return LinMap(dom, cod, tuple(rows))
+    shift = f.dom.dim
+    shifted = tuple((d, {j + shift: n for j, n in m.items()}) for d, m in g.rows)
+    return LinMap.from_rows(dom, cod, f.rows + shifted)
 
 
 def pullback(f1: LinMap, f2: LinMap) -> tuple[VectObj, LinMap, LinMap]:
     if f1.cod != f2.cod:
         raise MismatchError("pullback: maps must share their codomain")
     d1, d2 = f1.dom.dim, f2.dom.dim
-    rows = [tuple(r1) + tuple(-x for x in r2) for r1, r2 in zip(f1.matrix, f2.matrix)]
+    rows = [(1, m) for m in _stack(f1.rows, f2.rows, d1, -1)]
     basis = kernel_basis(rows, d1 + d2)
     obj = VectObj(_kernel_names(len(basis)))
-    p1 = LinMap(obj, f1.dom, tuple(tuple(b[i] for b in basis) for i in range(d1)))
-    p2 = LinMap(obj, f2.dom, tuple(tuple(b[d1 + i] for b in basis) for i in range(d2)))
-    return obj, p1, p2
+    cols = _transpose(basis, d1 + d2)
+    return obj, LinMap.from_rows(obj, f1.dom, cols[:d1]), LinMap.from_rows(obj, f2.dom, cols[d1:])
 
 
 def equalizer(f: LinMap, g: LinMap) -> tuple[VectObj, LinMap]:
     if f.dom != g.dom or f.cod != g.cod:
         raise MismatchError("equalizer: maps must be a parallel pair")
-    rows = [
-        tuple(a - b if b else a for a, b in zip(rf, rg)) for rf, rg in zip(f.matrix, g.matrix)
-    ]
+    rows = [(1, m) for m in _stack(f.rows, g.rows, 0, -1)]
     basis = kernel_basis(rows, f.dom.dim)
     obj = VectObj(_kernel_names(len(basis)))
-    arrow = LinMap(obj, f.dom, tuple(tuple(b[i] for b in basis) for i in range(f.dom.dim)))
-    return obj, arrow
+    return obj, LinMap.from_rows(obj, f.dom, _transpose(basis, f.dom.dim))
 
 
 def image_factorize(f: LinMap) -> tuple[LinMap, LinMap]:
-    cols_as_rows = mat_transpose(f.matrix, f.dom.dim)
-    basis, pivots = rref(cols_as_rows, f.cod.dim)
+    basis, pivots = rref(_transpose(f.rows, f.dom.dim), f.cod.dim)
     mid = VectObj(_kernel_names(len(basis)))
-    inj = LinMap(mid, f.cod, tuple(tuple(b[i] for b in basis) for i in range(f.cod.dim)))
-    surj_rows = []
-    for i, p in enumerate(pivots):
-        # RREF pivots are unit coordinates, so the i-th image coordinate of a
-        # column is just its entry at pivot p.
-        surj_rows.append(tuple(f.matrix[p][j] for j in range(f.dom.dim)))
-    surj = LinMap(f.dom, mid, tuple(surj_rows))
+    inj = LinMap.from_rows(mid, f.cod, _transpose(basis, f.cod.dim))
+    # RREF pivots are unit coordinates, so the i-th image coordinate of a
+    # column is just its entry at pivot p.
+    surj = LinMap.from_rows(f.dom, mid, tuple(f.rows[p] for p in pivots))
     return surj, inj
 
 
@@ -398,27 +488,26 @@ def lift(ms, fs) -> LinMap | None:
 
     u solves [m_1; ...; m_k] u = [f_1; ...; f_k].
     """
-    a = [row for m in ms for row in m.matrix]
-    b = [row for f in fs for row in f.matrix]
+    a = [row for m in ms for row in m.rows]
+    b = [row for f in fs for row in f.rows]
     dom, apex = ms[0].dom, fs[0].dom
     sol = solve_matrix(a, dom.dim, b, apex.dim)
-    return None if sol is None else LinMap(apex, dom, sol)
+    return None if sol is None else LinMap.from_rows(apex, dom, sol)
 
 
-def right_inverse(f: LinMap) -> Rows | None:
-    """A matrix r with f . r = id (free coordinates zero), or None if f is not epi."""
-    return solve_matrix(f.matrix, f.dom.dim, mat_identity(f.cod.dim), f.cod.dim)
+def right_inverse(f: LinMap) -> LinMap | None:
+    """A map r with f . r = id (free coordinates zero), or None if f is not epi."""
+    sol = solve_matrix(f.rows, f.dom.dim, _unit_rows(range(f.cod.dim)), f.cod.dim)
+    return None if sol is None else LinMap.from_rows(f.cod, f.dom, sol)
 
 
 def coordinate_map(dom: VectObj, cod: VectObj, assignment: dict[str, str]) -> LinMap:
     """Send each assigned domain variable to its codomain variable, the rest to 0."""
+    rows: list[dict[int, int]] = [{} for _ in range(cod.dim)]
     for k, v in assignment.items():
-        dom.index(k)
-        cod.index(v)
-    rows = [[_ZERO] * dom.dim for _ in range(cod.dim)]
-    for k, v in assignment.items():
-        rows[cod.index(v)][dom.index(k)] = _ONE
-    return LinMap(dom, cod, tuple(tuple(r) for r in rows))
+        j = dom.index(k)
+        rows[cod.index(v)][j] = 1
+    return LinMap.from_rows(dom, cod, tuple((1, m) for m in rows))
 
 
 def projection_onto(dom: VectObj, names) -> LinMap:
@@ -428,68 +517,93 @@ def projection_onto(dom: VectObj, names) -> LinMap:
 
 # -- subspaces ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Subspace:
+    """A subspace of ambient: the canonical rows of its reduced row-echelon basis."""
+
     ambient: VectObj
-    basis: Rows
+    rows: Rows
+
+    def __init__(self, ambient: VectObj, basis):
+        """The span of dense vectors of ints, Fractions or 'p/q' strings."""
+        dense = tuple(map(_vec, basis))
+        for row in dense:
+            if len(row) != ambient.dim:
+                raise MismatchError("basis row length does not match the ambient dimension")
+        self._set(ambient, tuple(map(_int_row, dense)))
+
+    @classmethod
+    def from_rows(cls, ambient: VectObj, rows) -> Subspace:
+        """The span of rows (d, m) with d > 0, in any scale."""
+        s = cls.__new__(cls)
+        s._set(ambient, rows)
+        return s
+
+    def _set(self, ambient: VectObj, rows):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
-        rows = tuple(map(_vec, self.basis))
-        for row in rows:
-            if len(row) != self.ambient.dim:
-                raise MismatchError("basis row length does not match the ambient dimension")
-        canon, _ = rref(rows, self.ambient.dim)
-        object.__setattr__(self, "basis", canon)
+        _check_columns(self.rows, self.ambient.dim, "a basis row")
+        canon, _ = rref(self.rows, self.ambient.dim)
+        object.__setattr__(self, "rows", canon)
+
+    def __hash__(self):
+        return hash((self.ambient, _row_hash(self.rows)))
+
+    @cached_property
+    def basis(self) -> Dense:
+        """The canonical basis as dense rows of Fractions."""
+        return to_dense(self.rows, self.ambient.dim)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def coords(self, vec):
         """Coordinates of vec in the canonical basis, or None if outside."""
-        v = [frac(x) for x in vec]
+        v = tuple(frac(x) for x in vec)
         if len(v) != self.ambient.dim:
             raise MismatchError("vector length does not match the ambient dimension")
-        cs = []
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x != 0)
-            c = v[p]
-            cs.append(c)
-            v = [a - c * b for a, b in zip(v, row)]
-        if any(x != 0 for x in v):
+        d, m = _int_row(v)
+        # each basis row is 1 at its pivot, where the other rows are 0, so
+        # vec's coordinate along it is vec's entry there
+        cs = [m.get(min(b), 0) for _, b in self.rows]
+        e = lcm(*(q for q, _ in self.rows))
+        rest = {j: x * e for j, x in m.items()}
+        for c, (q, b) in zip(cs, self.rows):
+            for j, n in b.items():
+                rest[j] = rest.get(j, 0) - c * n * (e // q)
+        if any(rest.values()):
             return None
-        return tuple(cs)
+        return tuple(_q(c, d) for c in cs)
 
     def contains(self, vec) -> bool:
         return self.coords(vec) is not None
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return all(other.contains(row) for row in self.basis)
+        return rank_of(other.rows + self.rows, self.ambient.dim) == other.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         if self.dim == 0 or other.dim == 0:
-            return Subspace(self.ambient, ())
-        a, b = self.basis, other.basis
+            return Subspace.from_rows(self.ambient, ())
+        # Zassenhaus: reduce the rows (a | a) and (b | 0); the reduced rows whose
+        # first half is zero span the intersection in their second half.
         n = self.ambient.dim
-        # columns of [A^T | -B^T]; kernel vectors give coefficients of common points
-        rows = tuple(
-            tuple(a[i][r] for i in range(len(a))) + tuple(-b[j][r] for j in range(len(b)))
-            for r in range(n)
+        m = [a | {n + j: x for j, x in a.items()} for _, a in self.rows]
+        m += _ints(other.rows)
+        pivots = _eliminate(m, 2 * n)
+        common = tuple(
+            (1, {j - n: x for j, x in row.items()}) for row, c in zip(m, pivots) if c >= n
         )
-        span = []
-        for lam in kernel_basis(rows, len(a) + len(b)):
-            vec = [Fraction(0)] * n
-            for i in range(len(a)):
-                for r in range(n):
-                    vec[r] += lam[i] * a[i][r]
-            span.append(tuple(vec))
-        return Subspace(self.ambient, tuple(span))
+        return Subspace.from_rows(self.ambient, common)
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        return Subspace(self.ambient, self.basis + other.basis)
+        return Subspace.from_rows(self.ambient, self.rows + other.rows)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient != other.ambient:
@@ -504,4 +618,11 @@ class Subspace:
 
 
 def column_space(f: LinMap) -> Subspace:
-    return Subspace(f.cod, mat_transpose(f.matrix, f.dom.dim))
+    return Subspace.from_rows(f.cod, _transpose(f.rows, f.dom.dim))
+
+
+def basis_map(dom: VectObj, sub: Subspace) -> LinMap:
+    """The map dom -> sub.ambient sending the i-th coordinate to sub's i-th basis vector."""
+    if dom.dim != sub.dim:
+        raise MismatchError("the domain dimension must equal the subspace dimension")
+    return LinMap.from_rows(dom, sub.ambient, _transpose(sub.rows, sub.ambient.dim))

@@ -74,6 +74,18 @@ def test_obj_eq_of_diagonal_recovers_the_system():
     assert recovered.arrow == g.arrow
 
 
+def test_obj_eq_morphism_computes_each_equalizer_once(monkeypatch):
+    g = gen("12", "ab", {"1": "a", "2": "b"})
+    t = diagonal_morphism(identity_gen_morphism(g))
+    calls = []
+    equalizer = carriers.equalizer
+    monkeypatch.setattr(carriers, "equalizer", lambda f, h: calls.append(f) or equalizer(f, h))
+    m = obj_eq_morphism(t)
+    assert len(calls) == 4  # the two component equalizers of source and of target
+    monkeypatch.undo()
+    assert m == identity_gen_morphism(obj_eq(diagonal(g)))
+
+
 def test_obj_eq_componentwise_agreement():
     g = gen("123", "xyz", {"1": "x", "2": "y", "3": "z"})
     gp = gen("123", "xyz", {"1": "x", "2": "y", "3": "z"})

@@ -90,6 +90,21 @@ def test_make_morphism_behavior_escapes():
         make_morphism(src, dst, finset.identity(FinObj(("a", "b"))))
 
 
+def test_make_morphism_behavior_escapes_names_a_vect_basis_vector():
+    u = VectObj(("x", "y"))
+    x_axis = system_from_behavior(u, Subspace(u, ((1, 0),)))
+    # basis vectors (1, 0) and (0, 1): the second one leaves the x axis
+    with pytest.raises(BehaviorEscapes, match=r"behavior vector \[0, 1\] lies outside"):
+        make_morphism(full_system(u), x_axis, vect.identity(u))
+    # the witness is in source-universum coordinates, here of the diagonal
+    diagonal = system_from_behavior(u, Subspace(u, (("1/2", "1/2"),)))
+    with pytest.raises(BehaviorEscapes, match=r"behavior vector \[1, 1\] lies outside"):
+        make_morphism(diagonal, x_axis, vect.identity(u))
+    swap = LinMap(u, u, ((0, 1), (1, 0)))
+    with pytest.raises(BehaviorEscapes, match=r"behavior vector \[1, 0\] lies outside"):
+        make_morphism(x_axis, x_axis, swap)
+
+
 # -- the worked morphisms ------------------------------------------------------
 
 def sc_into_s():
@@ -282,9 +297,7 @@ def test_two_port_latent_elimination():
     pi = vect.projection_onto(p.universum, terminals)
     m, manifest = project_latent(p, pi)
     assert behavior_image(manifest).dim == 4  # frozen: projected-basis rank oracle
-    rows = tuple(
-        tuple(r) for r in vect.mat_mul(pi.matrix, p.inclusion.matrix, p.universum.dim)
-    )
+    rows = vect.compose(pi, p.inclusion).matrix
     assert oracles.rank(tuple(zip(*rows)), 8) == 4
     assert classify_morphism(m).subsystem
 

@@ -9,6 +9,7 @@ from syscat import carriers, vect
 from syscat.errors import MismatchError
 from syscat.vect import LinMap, Subspace, VectObj
 
+import dense_kernels
 import oracles
 
 Q1 = VectObj(("x",))
@@ -116,16 +117,16 @@ def test_classify_thin_column():
 def test_rref_multiply_back(int_rows):
     rows = tuple(tuple(Fraction(x) for x in row) for row in int_rows)
     n = 3
-    reduced, pivots = vect.rref(rows, n)
+    reduced, pivots = dense_kernels.rref(rows, n)
     # row-reduce [M | I]; the left block must be rref(M) and the right block
     # the witnessing transformation
     aug = [tuple(row) + tuple(Fraction(1 if i == j else 0) for j in range(len(rows)))
            for i, row in enumerate(rows)]
-    full_red, _ = vect.rref(aug, n + len(rows))
+    full_red, _ = dense_kernels.rref(aug, n + len(rows))
     left = tuple(r[:n] for r in full_red if any(x != 0 for x in r[:n]))
     assert left == reduced
     transform = tuple(r[n:] for r in full_red[: len(reduced)])
-    rebuilt = vect.mat_mul(transform, rows, len(rows)) if rows else ()
+    rebuilt = dense_kernels.mat_mul(transform, rows, len(rows)) if rows else ()
     assert rebuilt == reduced
     assert oracles.row_space_equal(rows, reduced, n)
 
@@ -134,7 +135,7 @@ def test_rref_multiply_back(int_rows):
 @given(st.lists(st.lists(SMALL_INT, min_size=4, max_size=4), min_size=1, max_size=3))
 def test_kernel_basis_matches_oracle(int_rows):
     rows = tuple(tuple(Fraction(x) for x in row) for row in int_rows)
-    basis = vect.kernel_basis(rows, 4)
+    basis = dense_kernels.kernel_basis(rows, 4)
     assert len(basis) == oracles.nullity(rows, 4)
     for vec in basis:
         for row in rows:
@@ -148,13 +149,13 @@ def test_solve_matrix_recovers_unique_solution():
         m = n + rng.randint(0, 2)
         while True:
             a = rand_matrix(rng, m, n)
-            if vect.rank_of(a, n) == n:
+            if dense_kernels.rank_of(a, n) == n:
                 break
         x0 = rand_matrix(rng, n, 2)
-        b = vect.mat_mul(a, x0, n)
-        assert vect.solve_matrix(a, n, b, 2) == x0
+        b = dense_kernels.mat_mul(a, x0, n)
+        assert dense_kernels.solve_matrix(a, n, b, 2) == x0
     # inconsistent system
-    assert vect.solve_matrix(((Fraction(1),), (Fraction(1),)), 1, ((Fraction(0),), (Fraction(1),)), 1) is None
+    assert dense_kernels.solve_matrix(((Fraction(1),), (Fraction(1),)), 1, ((Fraction(0),), (Fraction(1),)), 1) is None
 
 
 def test_subspace_canonical_equality():
@@ -186,7 +187,7 @@ def test_subspace_modular_law_randomized():
 
 def test_exact_fractions_survive_reduction():
     f = LinMap(Q2, Q1, ((Fraction(1, 3), Fraction(1, 6)),))
-    basis = vect.kernel_basis(f.matrix, 2)
+    basis = dense_kernels.kernel_basis(f.matrix, 2)
     assert basis == ((Fraction(1), Fraction(-2)),)
 
 
@@ -196,3 +197,47 @@ def test_coordinate_map_and_projection():
     assert pi.apply((1, 2, 3)) == (Fraction(3), Fraction(1))
     with pytest.raises(MismatchError):
         vect.projection_onto(Q3, ("nope",))
+
+
+# -- the canonical sparse format -------------------------------------------------
+
+def test_equal_maps_from_different_representations_are_equal():
+    a = LinMap(Q2, Q1, (("2/4", 3),))
+    b = LinMap(Q2, Q1, ((Fraction(1, 2), "6/2"),))
+    c = LinMap.from_rows(Q2, Q1, ((2, {0: 1, 1: 6}),))
+    assert a.rows == ((2, {0: 1, 1: 6}),)
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert a.matrix == b.matrix == c.matrix == ((Fraction(1, 2), Fraction(3)),)
+    assert a != LinMap(Q2, Q1, ((1, 3),))
+    # a kernel output: lifting 2 through 4 gives 1/2
+    half = vect.lift((LinMap(Q1, Q1, ((4,),)),), (LinMap(Q1, Q1, ((-2,),)),))
+    assert half == LinMap(Q1, Q1, (("-2/4",),))
+    assert hash(half) == hash(LinMap(Q1, Q1, ((Fraction(-1, 2),),)))
+    assert half.matrix == ((Fraction(-1, 2),),)
+    s = Subspace(Q2, ((2, 4), (3, 6)))
+    t = Subspace(Q2, (("1/3", "2/3"),))
+    assert s == t and hash(s) == hash(t)
+    assert s.rows == ((1, {0: 1, 1: 2}),)
+    assert s == vect.column_space(LinMap(Q1, Q2, (("1/7",), ("2/7",))))
+
+
+def test_kernel_outputs_keep_the_shape_check():
+    f = LinMap(Q2, Q2, ((1, 2), (2, 4)))
+    composed = vect.compose(f, f)
+    _, arrow = vect.equalizer(f, vect.zero_map(Q2, Q2))
+    surj, inj = vect.image_factorize(f)
+    for out in (composed, arrow, surj, inj):
+        assert LinMap.from_rows(out.dom, out.cod, out.rows) == out
+        with pytest.raises(MismatchError, match="rows, codomain dimension"):
+            LinMap.from_rows(out.dom, Q3, out.rows)
+    with pytest.raises(MismatchError, match="column outside"):
+        LinMap.from_rows(Q1, Q2, composed.rows)
+    with pytest.raises(MismatchError, match="column outside"):
+        LinMap.from_rows(vect.ZERO_SPACE, Q2, arrow.rows)
+    with pytest.raises(MismatchError, match="column outside"):
+        LinMap.from_rows(Q1, Q1, ((1, {-1: 1}),))
+    with pytest.raises(MismatchError, match="column outside"):
+        Subspace.from_rows(Q1, composed.rows)
+    with pytest.raises(MismatchError, match="row length"):
+        LinMap(Q2, Q1, ((1, 2, 3),))

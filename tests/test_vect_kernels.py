@@ -1,12 +1,15 @@
-"""Differential tests: the integer kernels in ``syscat.vect`` against dense ``Fraction`` loops.
+"""Differential tests: the sparse integer code in ``syscat.vect`` against dense ``Fraction`` loops.
 
 ``oracles.dense_rref`` and ``oracles.dense_mat_mul`` are plain dense loops over
-``Fraction``s. The kernels eliminate and multiply over the integers and build
-``Fraction``s only for their results, so results must agree entry for entry
-and every entry must be a ``Fraction``. Ranks and row spaces are refereed
-independently by sympy. Entries range from small rationals to numerators of
-10^30 over denominators of 10^12, so coefficient growth is exercised, and a
-strategy of negative entries gives negative pivots.
+``Fraction``s. The kernels eliminate and multiply sparse int rows; the
+``dense_kernels`` wrappers convert at the test's boundary, so results must
+agree entry for entry and every entry must be a ``Fraction``. The linear-map
+constructions (``compose``, ``pullback``, ``equalizer``, ``image_factorize``,
+``lift``, ``product_map``) are checked the same way through their dense
+``matrix`` views. Ranks and row spaces are refereed independently by sympy.
+Entries range from small rationals to numerators of 10^30 over denominators
+of 10^12, so coefficient growth is exercised, and a strategy of negative
+entries gives negative pivots.
 """
 
 from fractions import Fraction
@@ -15,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syscat import vect
+from syscat.vect import LinMap, VectObj
 
+import dense_kernels
 import oracles
 
 NONZERO = st.builds(
@@ -75,7 +80,7 @@ def assert_identical(got, want):
 @given(sparse_rows())
 def test_rref_matches_dense_reference(m):
     rows, ncols = m
-    got, pivots = vect.rref(rows, ncols)
+    got, pivots = dense_kernels.rref(rows, ncols)
     want, want_pivots = oracles.dense_rref(rows, ncols)
     assert_identical(got, want)
     assert pivots == want_pivots
@@ -86,14 +91,14 @@ def test_rref_matches_dense_reference(m):
 @given(sparse_rows())
 def test_rank_of_matches_dense_reference(m):
     rows, ncols = m
-    rank = vect.rank_of(rows, ncols)
+    rank = dense_kernels.rank_of(rows, ncols)
     assert rank == len(oracles.dense_rref(rows, ncols)[0])
     assert rank == oracles.rank(rows, ncols)
 
 
 def test_negative_pivots_are_normalized():
     rows = ((Fraction(-2), Fraction(4), Fraction(0)), (Fraction(0), Fraction(-3, 5), Fraction(-6)))
-    got, pivots = vect.rref(rows, 3)
+    got, pivots = dense_kernels.rref(rows, 3)
     assert_identical(got, oracles.dense_rref(rows, 3)[0])
     assert got == ((1, 0, 20), (0, 1, 10)) and pivots == (0, 1)
 
@@ -102,7 +107,7 @@ def test_negative_pivots_are_normalized():
 @given(sparse_rows())
 def test_kernel_basis_matches_dense_reference(m):
     rows, ncols = m
-    got = vect.kernel_basis(rows, ncols)
+    got = dense_kernels.kernel_basis(rows, ncols)
     assert_identical(got, oracles.dense_kernel_basis(rows, ncols))
     assert len(got) == oracles.nullity(rows, ncols)
 
@@ -124,7 +129,7 @@ def linear_systems(draw):
 @given(linear_systems())
 def test_solve_matrix_matches_dense_reference(system):
     a_rows, ncols, b_rows, bcols = system
-    got = vect.solve_matrix(a_rows, ncols, b_rows, bcols)
+    got = dense_kernels.solve_matrix(a_rows, ncols, b_rows, bcols)
     want = oracles.dense_solve_matrix(a_rows, ncols, b_rows, bcols)
     aug = [tuple(ar) + tuple(br) for ar, br in zip(a_rows, b_rows)]
     consistent = oracles.rank(a_rows, ncols) == oracles.rank(aug, ncols + bcols)
@@ -138,9 +143,9 @@ def test_solve_matrix_matches_dense_reference(system):
 def test_solve_matrix_consistent_and_inconsistent():
     a_rows = ((Fraction(2), Fraction(1)), (Fraction(4), Fraction(2)), (Fraction(0), Fraction(-3)))
     b_rows = ((Fraction(1, 2),), (Fraction(1),), (Fraction(3),))
-    assert_identical(vect.solve_matrix(a_rows, 2, b_rows, 1), ((Fraction(3, 4),), (Fraction(-1),)))
+    assert_identical(dense_kernels.solve_matrix(a_rows, 2, b_rows, 1), ((Fraction(3, 4),), (Fraction(-1),)))
     b_rows = ((Fraction(1, 2),), (Fraction(2),), (Fraction(3),))
-    assert vect.solve_matrix(a_rows, 2, b_rows, 1) is None
+    assert dense_kernels.solve_matrix(a_rows, 2, b_rows, 1) is None
 
 
 @st.composite
@@ -157,10 +162,130 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_mat_mul_matches_dense_reference(pair):
     a_rows, b_rows, inner = pair
-    assert_identical(vect.mat_mul(a_rows, b_rows, inner), oracles.dense_mat_mul(a_rows, b_rows, inner))
+    assert_identical(dense_kernels.mat_mul(a_rows, b_rows, inner), oracles.dense_mat_mul(a_rows, b_rows, inner))
 
 
 def test_frac_passes_fractions_through():
     x = Fraction(3, 7)
     assert vect.frac(x) is x
     assert type(vect.frac(2)) is Fraction and vect.frac("1/2") == Fraction(1, 2)
+
+
+# -- linear maps against dense references ------------------------------------------
+
+def _space(prefix, n):
+    return VectObj(tuple(f"{prefix}{i}" for i in range(n)))
+
+
+DIMS = st.integers(0, 6)
+
+
+@st.composite
+def linmaps(draw, dom, cod):
+    rows, _ = draw(sparse_rows(nrows=cod.dim, ncols=dom.dim))
+    return LinMap(dom, cod, rows)
+
+
+def assert_map(f, want):
+    """f's rows are canonical and its dense matrix is want, entry for entry."""
+    dense_kernels.canonical(f.rows)
+    assert_identical(f.matrix, want)
+
+
+def _columns(rows, ncols):
+    return tuple(tuple(row[j] for row in rows) for j in range(ncols))
+
+
+def _dense_product(a_rows, b_rows, ncols):
+    if not b_rows:
+        return tuple((Fraction(0),) * ncols for _ in a_rows)
+    return oracles.dense_mat_mul(a_rows, b_rows, len(b_rows))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_compose_matches_dense_reference(data):
+    x, y, z = (_space(p, data.draw(DIMS)) for p in "xyz")
+    f, g = data.draw(linmaps(x, y)), data.draw(linmaps(y, z))
+    want = _dense_product(g.matrix, f.matrix, x.dim)
+    got = vect.compose(g, f)
+    assert_map(got, want)
+    assert got == LinMap(x, z, want)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_pullback_matches_dense_reference(data):
+    x1, x2, z = _space("a", data.draw(DIMS)), _space("b", data.draw(DIMS)), _space("z", data.draw(DIMS))
+    f1, f2 = data.draw(linmaps(x1, z)), data.draw(linmaps(x2, z))
+    stacked = [r1 + tuple(-v for v in r2) for r1, r2 in zip(f1.matrix, f2.matrix)]
+    basis = oracles.dense_kernel_basis(stacked, x1.dim + x2.dim)
+    k, p1, p2 = vect.pullback(f1, f2)
+    assert k.dim == len(basis)
+    assert_map(p1, _columns(tuple(b[:x1.dim] for b in basis), x1.dim))
+    assert_map(p2, _columns(tuple(b[x1.dim:] for b in basis), x2.dim))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_equalizer_matches_dense_reference(data):
+    x, z = _space("x", data.draw(DIMS)), _space("z", data.draw(DIMS))
+    f = data.draw(linmaps(x, z))
+    g = data.draw(st.one_of(linmaps(x, z), st.just(f)))
+    diff = [tuple(a - b for a, b in zip(rf, rg)) for rf, rg in zip(f.matrix, g.matrix)]
+    basis = oracles.dense_kernel_basis(diff, x.dim)
+    k, arrow = vect.equalizer(f, g)
+    assert k.dim == len(basis)
+    assert_map(arrow, _columns(basis, x.dim))
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_image_factorize_matches_dense_reference(data):
+    x, z = _space("x", data.draw(DIMS)), _space("z", data.draw(DIMS))
+    f = data.draw(linmaps(x, z))
+    basis, pivots = oracles.dense_rref(_columns(f.matrix, x.dim), z.dim)
+    surj, inj = vect.image_factorize(f)
+    assert_map(inj, _columns(basis, z.dim))
+    assert_map(surj, tuple(f.matrix[p] for p in pivots))
+    assert vect.compose(inj, surj) == f
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_lift_matches_dense_reference(data):
+    # jointly mono families: pullback projections or an equalizer's arrow
+    x1, x2, z = _space("a", data.draw(DIMS)), _space("b", data.draw(DIMS)), _space("z", data.draw(DIMS))
+    f1 = data.draw(linmaps(x1, z))
+    if data.draw(st.booleans()):
+        _, p1, p2 = vect.pullback(f1, data.draw(linmaps(x2, z)))
+        ms = (p1, p2)
+    else:
+        ms = (vect.equalizer(f1, data.draw(linmaps(x1, z)))[1],)
+    dom, apex = ms[0].dom, _space("h", data.draw(st.integers(0, 4)))
+    if data.draw(st.booleans()):
+        u0 = data.draw(linmaps(apex, dom))
+        fs = tuple(vect.compose(m, u0) for m in ms)
+    else:
+        fs = tuple(data.draw(linmaps(apex, m.cod)) for m in ms)
+    a = [row for m in ms for row in m.matrix]
+    b = [row for f in fs for row in f.matrix]
+    want = oracles.dense_solve_matrix(a, dom.dim, b, apex.dim)
+    got = vect.lift(ms, fs)
+    if want is None:
+        assert got is None
+    else:
+        assert_map(got, want)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_product_map_matches_dense_reference(data):
+    x1, y1, x2, y2 = (_space(p, data.draw(DIMS)) for p in ("a", "b", "c", "d"))
+    f, g = data.draw(linmaps(x1, y1)), data.draw(linmaps(x2, y2))
+    want = tuple(row + (Fraction(0),) * x2.dim for row in f.matrix) + tuple(
+        (Fraction(0),) * x1.dim + row for row in g.matrix
+    )
+    got = vect.product_map(f, g)
+    assert_map(got, want)
+    assert got == LinMap(got.dom, got.cod, want)
