@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import product as _iterproduct
 from typing import Iterator
 
+from . import finset
 from .errors import InvalidHom, MismatchError
 from .finset import FinMap, FinObj
 from .systems import System, SystemMorphism, behavior_image, pullback_systems
@@ -78,13 +79,6 @@ class BoolHom:
             if mask >> i & 1:
                 out |= self.atom_image[t]
         return out
-
-    def to_json(self) -> dict:
-        return {
-            "src": list(self.src.base.elements),
-            "dst": list(self.dst.base.elements),
-            "atoms": {t: list(self.dst.labels_of(m)) for t, m in sorted(self.atom_image.items())},
-        }
 
 
 def identity_hom(pl: PowerLattice) -> BoolHom:
@@ -154,8 +148,6 @@ class DualityReport:
 
 
 def duality_classify(f: FinMap) -> DualityReport:
-    from . import finset
-
     phi = functor_F(f)
     return DualityReport(
         map_mono=finset.is_injective(f),
@@ -183,11 +175,6 @@ class BoolSystem:
     def behavior_obj(self) -> FinObj:
         return FinObj(PowerLattice(self.universum).labels_of(self.behavior_mask))
 
-    def restrict(self, mask: int) -> int:
-        lat = PowerLattice(self.universum)
-        beh = PowerLattice(self.behavior_obj)
-        return beh.mask_of(set(lat.labels_of(mask)) & set(lat.labels_of(self.behavior_mask)))
-
     def restriction_hom(self) -> BoolHom:
         lat = PowerLattice(self.universum)
         beh = PowerLattice(self.behavior_obj)
@@ -195,12 +182,6 @@ class BoolSystem:
         for u in self.universum:
             images[u] = beh.mask_of((u,)) if lat.atom(u) & self.behavior_mask else 0
         return BoolHom(lat, beh, images)
-
-    def to_json(self) -> dict:
-        return {
-            "universum": list(self.universum.elements),
-            "behavior": list(self.behavior_obj.elements),
-        }
 
 
 def bool_system_of(s: System) -> BoolSystem:
@@ -211,8 +192,7 @@ def bool_system_of(s: System) -> BoolSystem:
 
 def system_of_bool(b: BoolSystem) -> System:
     """G on system objects: the inclusion of the marked subset."""
-    obj = b.behavior_obj
-    return System(FinMap(obj, b.universum, {e: e for e in obj}))
+    return System(finset.subobject_map(b.universum, b.behavior_obj))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,16 @@ The two carriers, finite sets (``finset``) and rational vector spaces
 (``vect``), are modules with the same interface: ``identity``, ``compose``,
 ``product``, ``product_map``, ``pullback``, ``equalizer``,
 ``image_factorize``, ``classify`` (mono, epi), ``terminal_obj``,
-``terminal_map`` and ``lift``. One table picks the module from the type of the
-arguments, so each function here is one call into it and the rest of the
-library stays carrier-agnostic. Values of different carriers, or values that
-belong to no carrier, raise ``MismatchError``.
+``terminal_map``, ``lift``, ``image`` and ``subobject_map``. One table picks
+the module from the type of the arguments, so each function here is one call
+into it and the rest of the library stays carrier-agnostic. Values of
+different carriers, or values that belong to no carrier, raise
+``MismatchError``.
+
+A subobject is a value of its carrier: a frozenset of labels in FinSet, a
+canonical ``Subspace`` in Vect. ``image`` reads it off a map and
+``subobject_map`` turns it into the canonical inclusion, so
+``image(subobject_map(u, b)) == b``.
 
 Every universal property used by the library reduces to ``lift``: factor a
 cone through a jointly mono family (product and pullback projections, an
@@ -43,11 +49,6 @@ def _carrier(x, *rest):
         if _CARRIERS.get(type(y)) is not module:
             raise MismatchError("values live in different carriers")
     return module
-
-
-def carrier_of(x) -> str:
-    """The name of x's carrier: ``FINSET`` or ``VECT``."""
-    return FINSET if _carrier(x) is finset else VECT
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,16 @@ def image_factorize(f: CarrierMap) -> Factorization:
 
 def classify_map(f: CarrierMap) -> MapClass:
     return MapClass(*_carrier(f).classify(f))
+
+
+def image(f: CarrierMap):
+    """The subobject of f's codomain that f hits: a frozenset or a ``Subspace``."""
+    return _carrier(f).image(f)
+
+
+def subobject_map(universum: CarrierObj, behavior) -> CarrierMap:
+    """The canonical inclusion of a subobject of universum; ``MismatchError`` if it lies elsewhere."""
+    return _carrier(universum).subobject_map(universum, behavior)
 
 
 def terminal_obj(carrier: str) -> CarrierObj:

@@ -434,7 +434,7 @@ def _glue_compiled(
     alpha = carriers.lift((lift1, lift2), (epb.proj1.psi_u, epb.proj2.psi_u))
     if alpha is None:
         raise MismatchError("pullback universum does not match the merged universum")
-    transported = vect.column_space(carriers.compose(alpha, syntax_system.inclusion))
+    transported = carriers.image(carriers.compose(alpha, syntax_system.inclusion))
     rep = kernel_rep(stacked)
     system = arr_eq(rep)
     if transported != behavior_image(system):

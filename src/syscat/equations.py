@@ -23,8 +23,6 @@ class EquationRep:
     f2: CarrierMap
 
     def __post_init__(self):
-        if carriers.carrier_of(self.f1) != carriers.carrier_of(self.f2):
-            raise MismatchError("equation maps live in different carriers")
         if self.f1.dom != self.f2.dom or self.f1.cod != self.f2.cod:
             raise MismatchError("equation maps must be a parallel pair")
 
@@ -35,9 +33,6 @@ class EquationRep:
     @property
     def codomain(self):
         return self.f1.cod
-
-    def to_json(self) -> dict:
-        return {"f1": self.f1.to_json(), "f2": self.f2.to_json()}
 
 
 def kernel_rep(f: LinMap) -> EquationRep:
@@ -128,13 +123,6 @@ class PreservationReport:
     syntax_system: System
     semantics_system: System
     equal: bool
-
-    def to_json(self) -> dict:
-        return {
-            "equal": self.equal,
-            "syntax": self.syntax_system.to_json(),
-            "semantics": self.semantics_system.to_json(),
-        }
 
 
 def check_preservation(m: EquationMorphism, n: EquationMorphism) -> PreservationReport:

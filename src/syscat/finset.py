@@ -66,13 +66,6 @@ class FinMap:
         except KeyError:
             raise MismatchError(f"{x!r} is not in the domain") from None
 
-    def to_json(self) -> dict:
-        return {
-            "dom": list(self.dom.elements),
-            "cod": list(self.cod.elements),
-            "map": {k: self.table[k] for k in self.dom.elements},
-        }
-
 
 def identity(obj: FinObj) -> FinMap:
     return FinMap(obj, obj, {e: e for e in obj})
@@ -143,16 +136,28 @@ def pullback(f1: FinMap, f2: FinMap) -> tuple[FinObj, FinMap, FinMap]:
 def equalizer(f: FinMap, g: FinMap) -> tuple[FinObj, FinMap]:
     if f.dom != g.dom or f.cod != g.cod:
         raise MismatchError("equalizer: maps must be a parallel pair")
-    agree = tuple(x for x in f.dom if f(x) == g(x))
-    obj = FinObj(agree)
-    return obj, FinMap(obj, f.dom, {x: x for x in agree})
+    arrow = subobject_map(f.dom, [x for x in f.dom if f(x) == g(x)])
+    return arrow.dom, arrow
+
+
+def image(f: FinMap) -> frozenset[str]:
+    """The subset of f's codomain that f hits."""
+    return frozenset(f.table.values())
+
+
+def subobject_map(universum: FinObj, behavior) -> FinMap:
+    """The inclusion of a subset of universum, labelled by its own elements."""
+    labels = tuple(behavior)
+    for lab in labels:
+        if lab not in universum:
+            raise MismatchError(f"{lab!r} is not in the universum")
+    obj = FinObj(labels)
+    return FinMap(obj, universum, {e: e for e in obj})
 
 
 def image_factorize(f: FinMap) -> tuple[FinMap, FinMap]:
-    image = FinObj(tuple(set(f.table.values())))
-    surj = FinMap(f.dom, image, dict(f.table))
-    inj = FinMap(image, f.cod, {v: v for v in image})
-    return surj, inj
+    inj = subobject_map(f.cod, image(f))
+    return FinMap(f.dom, inj.dom, dict(f.table)), inj
 
 
 def lift(ms, fs) -> FinMap | None:

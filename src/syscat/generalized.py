@@ -33,10 +33,6 @@ class GeneralizedSystem:
     def codomain(self):
         return self.arrow.cod
 
-    @property
-    def carrier(self) -> str:
-        return carriers.carrier_of(self.arrow)
-
 
 @dataclass(frozen=True)
 class GenSystemMorphism:

@@ -10,9 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as _iterproduct
 
-from . import booldual, carriers, finset, generalized, vect
+from . import booldual, carriers, finset, vect
 from .equations import EquationMorphism, EquationRep, check_preservation
 from .finset import FinMap, FinObj
 from .generalized import GenEquation, GeneralizedSystem, GenSystemMorphism, adjunction_check

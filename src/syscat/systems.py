@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import carriers, vect
+from . import carriers
 from .carriers import CarrierMap, CarrierObj
 from .errors import BehaviorEscapes, MismatchError, NonInjectiveInclusion, NotEpi
-from .finset import FinMap, FinObj
-from .vect import VectObj
+from .finset import FinMap
 
 
 @dataclass(frozen=True)
@@ -34,24 +33,6 @@ class System:
     def universum(self) -> CarrierObj:
         return self.inclusion.cod
 
-    @property
-    def carrier(self) -> str:
-        return carriers.carrier_of(self.inclusion)
-
-    def to_json(self) -> dict:
-        if self.carrier == carriers.FINSET:
-            return {
-                "carrier": "finset",
-                "universum": list(self.universum.elements),
-                "behavior": sorted(behavior_image(self)),
-            }
-        sub = behavior_image(self)
-        return {
-            "carrier": "vect",
-            "universum": list(self.universum.vars),
-            "behavior": {"dim": sub.dim, "basis": [[str(x) for x in row] for row in sub.basis]},
-        }
-
 
 def full_system(universum: CarrierObj) -> System:
     return System(carriers.identity(universum))
@@ -62,40 +43,22 @@ def terminal_system(carrier: str) -> System:
 
 
 def behavior_image(s: System):
-    """The behavior as a subobject of the universum.
+    """The behavior as a subobject of the universum, the value ``carriers.image`` gives.
 
     FinSet systems yield a frozenset of labels, Vect systems a Subspace in
     canonical form; either way equality of behaviors is equality of values.
     """
-    if s.carrier == carriers.FINSET:
-        return frozenset(s.inclusion.table.values())
-    return vect.column_space(s.inclusion)
+    return carriers.image(s.inclusion)
 
 
 def system_from_behavior(universum: CarrierObj, behavior) -> System:
     """Canonical system for a subset (FinSet) or Subspace (Vect) of a universum."""
-    if isinstance(universum, FinObj):
-        labels = tuple(behavior)
-        for lab in labels:
-            if lab not in universum:
-                raise MismatchError(f"{lab!r} is not in the universum")
-        obj = FinObj(labels)
-        return System(FinMap(obj, universum, {e: e for e in obj}))
-    sub = behavior
-    if sub.ambient != universum:
-        raise MismatchError("subspace ambient differs from the universum")
-    obj = VectObj(tuple(f"b{i}" for i in range(sub.dim)))
-    return System(vect.basis_map(obj, sub))
-
-
-def canonical(s: System) -> System:
-    return system_from_behavior(s.universum, behavior_image(s))
+    return System(carriers.subobject_map(universum, behavior))
 
 
 def systems_equal(s1: System, s2: System) -> bool:
-    if s1.carrier != s2.carrier or s1.universum != s2.universum:
-        return False
-    return behavior_image(s1) == behavior_image(s2)
+    # a FinObj never equals a VectObj, so systems of different carriers differ
+    return s1.universum == s2.universum and behavior_image(s1) == behavior_image(s2)
 
 
 @dataclass(frozen=True)
@@ -155,13 +118,12 @@ def make_morphism(src: System, dst: System, phi_u: CarrierMap) -> SystemMorphism
         raise MismatchError("phi_u must map the source universum to the target universum")
     moved = carriers.compose(phi_u, src.inclusion)
     phi_b = carriers.lift((dst.inclusion,), (moved,))
-    if phi_b is None and isinstance(phi_u, FinMap):
-        image = set(dst.inclusion.table.values())
-        b = next(b for b in src.behavior if moved(b) not in image)
-        raise BehaviorEscapes(f"image of behavior point {b!r} lies outside the target behavior")
     if phi_b is None:
-        # the first basis vector of the source behavior whose image escapes
+        # name the first behavior point, or basis vector, whose image escapes
         image = behavior_image(dst)
+        if isinstance(phi_u, FinMap):
+            b = next(b for b in src.behavior if moved(b) not in image)
+            raise BehaviorEscapes(f"image of behavior point {b!r} lies outside the target behavior")
         j = next(j for j in range(moved.dom.dim) if not image.contains(moved.column(j)))
         vec = ", ".join(map(str, src.inclusion.column(j)))
         raise BehaviorEscapes(f"image of behavior vector [{vec}] lies outside the target behavior")
@@ -252,28 +214,20 @@ def factors_through(s: System, t: System):
 
 @dataclass(frozen=True)
 class BehaviorLattice:
-    """Behaviors over a fixed universum, ordered by inclusion."""
+    """Behaviors over a fixed universum, ordered by inclusion.
+
+    Operands are behavior values as ``behavior_image`` gives them: frozensets
+    of labels or ``Subspace``s.
+    """
 
     universum: CarrierObj
 
     def _check(self, b):
-        if isinstance(self.universum, FinObj):
-            for x in b:
-                if x not in self.universum:
-                    raise MismatchError(f"{x!r} is not in the universum")
-            return frozenset(b)
-        if b.ambient != self.universum:
-            raise MismatchError("subspace ambient differs from the lattice universum")
+        carriers.subobject_map(self.universum, b)
         return b
 
     def meet(self, b1, b2):
-        b1, b2 = self._check(b1), self._check(b2)
-        if isinstance(self.universum, FinObj):
-            return b1 & b2
-        return b1.intersect(b2)
+        return self._check(b1) & self._check(b2)
 
     def join(self, b1, b2):
-        b1, b2 = self._check(b1), self._check(b2)
-        if isinstance(self.universum, FinObj):
-            return b1 | b2
-        return b1.sum(b2)
+        return self._check(b1) | self._check(b2)

@@ -238,13 +238,6 @@ class LinMap:
     def column(self, j: int) -> Vec:
         return tuple(row[j] for row in self.matrix)
 
-    def to_json(self) -> dict:
-        return {
-            "dom": list(self.dom.vars),
-            "cod": list(self.cod.vars),
-            "matrix": [[str(x) for x in row] for row in self.matrix],
-        }
-
 
 # -- exact matrix kernels ---------------------------------------------------
 #
@@ -605,6 +598,12 @@ class Subspace:
         self._check_ambient(other)
         return Subspace.from_rows(self.ambient, self.rows + other.rows)
 
+    def __and__(self, other: "Subspace") -> "Subspace":
+        return self.intersect(other)
+
+    def __or__(self, other: "Subspace") -> "Subspace":
+        return self.sum(other)
+
     def _check_ambient(self, other: "Subspace"):
         if self.ambient != other.ambient:
             raise MismatchError("subspaces live in different ambient spaces")
@@ -617,12 +616,14 @@ class Subspace:
         }
 
 
-def column_space(f: LinMap) -> Subspace:
+def image(f: LinMap) -> Subspace:
+    """The column space of f, in canonical form."""
     return Subspace.from_rows(f.cod, _transpose(f.rows, f.dom.dim))
 
 
-def basis_map(dom: VectObj, sub: Subspace) -> LinMap:
-    """The map dom -> sub.ambient sending the i-th coordinate to sub's i-th basis vector."""
-    if dom.dim != sub.dim:
-        raise MismatchError("the domain dimension must equal the subspace dimension")
-    return LinMap.from_rows(dom, sub.ambient, _transpose(sub.rows, sub.ambient.dim))
+def subobject_map(universum: VectObj, behavior: Subspace) -> LinMap:
+    """The map b0..b{k-1} -> universum sending b_i to behavior's i-th canonical basis vector."""
+    if behavior.ambient != universum:
+        raise MismatchError("subspace ambient differs from the universum")
+    dom = VectObj(tuple(f"b{i}" for i in range(behavior.dim)))
+    return LinMap.from_rows(dom, universum, _transpose(behavior.rows, universum.dim))

@@ -154,10 +154,30 @@ def test_finset_equalizer_mediate_rejects_a_map_into_another_set():
         carriers.equalizer_mediate(eq, h)
 
 
+# -- subobjects ------------------------------------------------------------------
+
+def test_image_of_subobject_map_is_the_subobject():
+    rng = random.Random(13)
+    for _ in range(100):
+        u = _finobj(rng, "u", 0, 5)
+        b = frozenset(x for x in u if rng.random() < 0.5)
+        m = carriers.subobject_map(u, b)
+        assert carriers.classify_map(m).mono
+        assert carriers.image(m) == b
+        amb = VectObj(tuple(f"v{i}" for i in range(rng.randint(0, 5))))
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in amb.vars]
+                for _ in range(rng.randint(0, amb.dim + 1))]
+        sub = vect.Subspace(amb, rows)
+        m = carriers.subobject_map(amb, sub)
+        assert carriers.classify_map(m).mono and m.dom.dim == sub.dim
+        assert carriers.image(m) == sub
+
+
 # -- one dispatch: non-carrier and mixed-carrier values ---------------------------
 
 @pytest.mark.parametrize("op", [
     carriers.identity, carriers.terminal_map, carriers.classify_map, carriers.image_factorize,
+    carriers.image,
 ])
 def test_non_carrier_value_is_a_mismatch(op):
     with pytest.raises(MismatchError):

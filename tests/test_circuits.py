@@ -254,7 +254,7 @@ def test_orientation_reversal_changes_nothing_observable():
             for i in range(cf.universum.dim)
         ),
     )
-    flipped = vect.column_space(
+    flipped = vect.image(
         vect.compose(flip, cf.system.inclusion)
     )
     assert flipped == behavior_image(cr.system)

@@ -57,6 +57,30 @@ def test_non_utf8_input_is_usage_error(command, circuits_dir, tmp_path, capsys):
     assert str(bad) in err and "UTF-8" in err
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("ckt", ""),
+    ("ckt", "circuit T\nnode a b\nresistor r1 x\n"),
+    ("ckt", "circuit A\ncircuit B\nnode a b\nresistor r1 a b 1\n"),
+    ("glue", ""),
+    ("glue", "glue a\nglue b\nidentify v_c = v_e\n"),
+    ("glue", "glue g\nidentify v_c =\n"),
+], ids=["empty-netlist", "truncated-netlist", "duplicate-circuit-header",
+        "empty-glue", "duplicate-glue-header", "malformed-identify"])
+def test_malformed_file_is_usage_error(kind, text, circuits_dir, tmp_path, capsys):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text)
+    if kind == "ckt":
+        argv = ["behavior", str(bad)]
+    else:
+        argv = ["glue", str(circuits_dir / "S.ckt"), str(circuits_dir / "P.ckt"), str(bad)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_glue_text_output(circuits_dir, capsys):
     code, out, _ = run_cli(
         ["glue", str(circuits_dir / "S.ckt"), str(circuits_dir / "P.ckt"),

@@ -52,6 +52,12 @@ def test_rep_requires_parallel_pair():
     g = FinMap(cod, dom, {"a": "1", "b": "1"})
     with pytest.raises(MismatchError):
         EquationRep(f, g)
+    # a pair of mixed carriers is not parallel either
+    h = LinMap(VectObj(("x",)), VectObj(("e",)), ((1,),))
+    with pytest.raises(MismatchError):
+        EquationRep(f, h)
+    with pytest.raises(MismatchError):
+        EquationRep(h, f)
 
 
 def test_equal_pair_represents_the_full_behavior():

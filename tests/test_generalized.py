@@ -124,7 +124,7 @@ def test_embedded_kernel_rep_agrees_in_vect():
     ge = obj_eq(e)
     eu = carriers.equalizer(e.phi1.phi_u, e.phi2.phi_u)
     composite = carriers.compose(eu.arrow, ge.arrow)
-    assert vect.column_space(composite) == behavior_image(arr_eq(rep))
+    assert vect.image(composite) == behavior_image(arr_eq(rep))
 
 
 def test_diagonal_is_functorial():

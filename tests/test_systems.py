@@ -68,6 +68,12 @@ def test_full_system_and_vect_span():
     amb = VectObj(("v_a", "v_b"))
     sv = system_from_behavior(amb, Subspace(amb, ((1, 1),)))
     assert behavior_image(sv).dim == 1
+    # a FinObj never equals a VectObj, so systems of different carriers differ
+    assert not systems_equal(s, sv) and not systems_equal(sv, s)
+    with pytest.raises(MismatchError, match="'z' is not in the universum"):
+        system_from_behavior(u, {"a", "z"})
+    with pytest.raises(MismatchError, match="ambient differs"):
+        system_from_behavior(amb, Subspace(VectObj(("v_a", "v_c")), ((1, 1),)))
 
 
 def test_non_injective_inclusion_rejected():
@@ -336,6 +342,19 @@ def test_lattice_operations_and_modularity():
         b = Subspace(amb, tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
                                 for _ in range(rng.randint(0, 3))))
         assert a.dim + b.dim == lat.join(a, b).dim + lat.meet(a, b).dim
+    fin = BehaviorLattice(FinObj(("a", "b", "c")))
+    ab, bc = frozenset({"a", "b"}), frozenset({"b", "c"})
+    assert fin.meet(ab, bc) == {"b"} and type(fin.meet(ab, bc)) is frozenset
+    assert fin.join(ab, bc) == {"a", "b", "c"} and type(fin.join(ab, bc)) is frozenset
+    # an operand outside the universum is refused, also when both are
+    elsewhere = Subspace(VectObj(("x", "y")), ((1, 0),))
+    for op, good, bad in [
+        (lat.meet, e1, elsewhere), (lat.join, e1, elsewhere),
+        (fin.meet, ab, frozenset({"a", "z"})), (fin.join, ab, frozenset({"a", "z"})),
+    ]:
+        for args in ((good, bad), (bad, good), (bad, bad)):
+            with pytest.raises(MismatchError):
+                op(*args)
 
 
 def test_nary_interconnection_folds_associatively():

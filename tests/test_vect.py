@@ -219,7 +219,7 @@ def test_equal_maps_from_different_representations_are_equal():
     t = Subspace(Q2, (("1/3", "2/3"),))
     assert s == t and hash(s) == hash(t)
     assert s.rows == ((1, {0: 1, 1: 2}),)
-    assert s == vect.column_space(LinMap(Q1, Q2, (("1/7",), ("2/7",))))
+    assert s == vect.image(LinMap(Q1, Q2, (("1/7",), ("2/7",))))
 
 
 def test_kernel_outputs_keep_the_shape_check():
