@@ -2,7 +2,7 @@
 
 The two carriers, finite sets (``finset``) and rational vector spaces
 (``vect``), are modules with the same interface: ``identity``, ``compose``,
-``product``, ``product_map``, ``pullback``, ``equalizer``,
+``commutes``, ``product``, ``product_map``, ``pullback``, ``equalizer``,
 ``image_factorize``, ``classify`` (mono, epi), ``terminal_obj``,
 ``terminal_map``, ``lift``, ``image`` and ``subobject_map``. One table picks
 the module from the type of the arguments, so each function here is one call
@@ -93,6 +93,20 @@ def identity(obj: CarrierObj) -> CarrierMap:
 
 def compose(g: CarrierMap, f: CarrierMap) -> CarrierMap:
     return _carrier(g, f).compose(g, f)
+
+
+def commutes(a: CarrierMap, b: CarrierMap, c: CarrierMap, d: CarrierMap) -> bool:
+    """Whether a . b == c . d, decided without building either composite.
+
+    The four maps must form a square: b and d share a domain, a and c a
+    codomain, and a . b and c . d must compose; anything else raises
+    ``MismatchError``.
+    """
+    module = _carrier(a, b, c, d)
+    # tuple comparison skips __eq__ for identical objects, the common case
+    if (b.cod, d.cod, d.dom, c.cod) != (a.dom, c.dom, b.dom, a.cod):
+        raise MismatchError("the four maps do not form a square")
+    return module.commutes(a, b, c, d)
 
 
 def product(x: CarrierObj, y: CarrierObj) -> ProductResult:

@@ -61,7 +61,7 @@ class EquationMorphism:
         if self.psi_e.dom != self.src.codomain or self.psi_e.cod != self.dst.codomain:
             raise MismatchError("psi_e does not match the representations")
         for f, g in ((self.src.f1, self.dst.f1), (self.src.f2, self.dst.f2)):
-            if carriers.compose(self.psi_e, f) != carriers.compose(g, self.psi_u):
+            if not carriers.commutes(self.psi_e, f, g, self.psi_u):
                 raise MismatchError("equation morphism square does not commute")
 
 

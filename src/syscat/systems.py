@@ -73,9 +73,7 @@ class SystemMorphism:
             raise MismatchError("behavior component does not match the systems")
         if self.phi_u.dom != self.src.universum or self.phi_u.cod != self.dst.universum:
             raise MismatchError("universum component does not match the systems")
-        left = carriers.compose(self.phi_u, self.src.inclusion)
-        right = carriers.compose(self.dst.inclusion, self.phi_b)
-        if left != right:
+        if not carriers.commutes(self.phi_u, self.src.inclusion, self.dst.inclusion, self.phi_b):
             raise MismatchError("morphism square does not commute")
 
 

@@ -416,6 +416,15 @@ def compose(g: LinMap, f: LinMap) -> LinMap:
     return LinMap.from_rows(f.dom, g.cod, mat_mul(g.rows, f.rows))
 
 
+def commutes(a: LinMap, b: LinMap, c: LinMap, d: LinMap) -> bool:
+    """Whether a . b == c . d, for a square checked by ``carriers.commutes``.
+
+    ``mat_mul`` returns canonical rows, zero rows for an empty inner
+    dimension, so equal products are equal values.
+    """
+    return mat_mul(a.rows, b.rows) == mat_mul(c.rows, d.rows)
+
+
 def terminal_obj() -> VectObj:
     return ZERO_SPACE
 

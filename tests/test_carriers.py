@@ -8,10 +8,13 @@ the reference must find at most one factorization, and ``lift`` must return
 ``None`` exactly when it finds none.
 """
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from syscat import carriers, finset, vect
 from syscat.errors import MismatchError
@@ -120,6 +123,135 @@ def test_vect_lift_matches_sympy():
     assert 30 < found < 130  # both outcomes are exercised
 
 
+# -- commutes: a . b == c . d without building either composite --------------------
+#
+# A square is b : A -> B, a : B -> D, d : A -> C, c : C -> D. Half of the drawn
+# squares are built to commute, and some of those are then perturbed, so both
+# answers occur. The reference composes with plain dicts in FinSet and with
+# the dense Fraction product of ``oracles`` in Vect.
+
+def _table(draw, dom, cod):
+    return {x: draw(st.sampled_from(cod.elements)) for x in dom}
+
+
+@st.composite
+def fin_squares(draw):
+    def obj(prefix, lo):
+        return FinObj(tuple(f"{prefix}{i}" for i in range(draw(st.integers(lo, 3)))))
+
+    a_obj, b_obj, c_obj, d_obj = obj("a", 0), obj("b", 1), obj("c", 1), obj("d", 1)
+    b = FinMap(a_obj, b_obj, _table(draw, a_obj, b_obj))
+    a = FinMap(b_obj, d_obj, _table(draw, b_obj, d_obj))
+    c = FinMap(c_obj, d_obj, _table(draw, c_obj, d_obj))
+    if draw(st.booleans()):
+        # send x into c's fiber over a(b(x)) wherever it is inhabited
+        d_table = {}
+        for x in a_obj:
+            fiber = [y for y in c_obj if c.table[y] == a.table[b.table[x]]]
+            d_table[x] = draw(st.sampled_from(fiber or c_obj.elements))
+    else:
+        d_table = _table(draw, a_obj, c_obj)
+    return a, b, c, FinMap(a_obj, c_obj, d_table)
+
+
+ENTRY = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))  # zero, negative, rational
+DIM = st.integers(0, 3)
+
+
+def _dense(draw, nrows, ncols):
+    return tuple(tuple(draw(ENTRY) for _ in range(ncols)) for _ in range(nrows))
+
+
+@st.composite
+def vect_squares(draw):
+    a_obj, b_obj, d_obj = (_vectobj(p, draw(DIM)) for p in "abd")
+    b = LinMap(a_obj, b_obj, _dense(draw, b_obj.dim, a_obj.dim))
+    a = LinMap(b_obj, d_obj, _dense(draw, d_obj.dim, b_obj.dim))
+    if not draw(st.booleans()):
+        c_obj = _vectobj("c", draw(DIM))
+        c = LinMap(c_obj, d_obj, _dense(draw, d_obj.dim, c_obj.dim))
+        return a, b, c, LinMap(a_obj, c_obj, _dense(draw, c_obj.dim, a_obj.dim))
+    # c = (a | k) and d = (b ; m) with k m = 0, so c . d = a . b
+    extra = draw(DIM)
+    k, m = _dense(draw, d_obj.dim, extra), _dense(draw, extra, a_obj.dim)
+    if draw(st.booleans()):
+        k = tuple(tuple(Fraction(0) for _ in row) for row in k)
+    else:
+        m = tuple(tuple(Fraction(0) for _ in row) for row in m)
+    c_obj = _vectobj("c", b_obj.dim + extra)
+    c_rows = tuple(ar + kr for ar, kr in zip(a.matrix, k))
+    d_rows = [list(row) for row in b.matrix + m]
+    if d_rows and d_rows[0] and draw(st.booleans()):
+        d_rows[0][0] += 1
+    return a, b, LinMap(c_obj, d_obj, c_rows), LinMap(a_obj, c_obj, d_rows)
+
+
+def _reference_compose(g, f):
+    if isinstance(f, FinMap):
+        return {x: g.table[f.table[x]] for x in f.dom}
+    if f.cod.dim == 0:
+        return tuple(tuple(Fraction(0) for _ in f.dom.vars) for _ in g.cod.vars)
+    return oracles.dense_mat_mul(g.matrix, f.matrix, f.cod.dim)
+
+
+SQUARES = st.one_of(fin_squares(), vect_squares())
+
+
+@settings(deadline=None, max_examples=200)
+@given(SQUARES)
+def test_commutes_matches_the_composites(square):
+    a, b, c, d = square
+    want = _reference_compose(a, b) == _reference_compose(c, d)
+    assert carriers.commutes(a, b, c, d) is want
+    assert (carriers.compose(a, b) == carriers.compose(c, d)) is want
+
+
+def test_commutes_on_fixed_squares():
+    x = FinObj(("1", "2"))
+    swap = FinMap(x, x, {"1": "2", "2": "1"})
+    ident = finset.identity(x)
+    assert carriers.commutes(swap, swap, ident, ident)
+    assert not carriers.commutes(swap, ident, ident, ident)
+    line = VectObj(("x",))
+    half, two, one = (LinMap(line, line, ((q,),)) for q in ("1/2", 2, 1))
+    assert carriers.commutes(half, two, one, one)
+    assert not carriers.commutes(half, half, one, one)
+
+
+def _relabelled(f, end):
+    """f between other objects: its domain (end "dom") or codomain (end "cod") renamed."""
+    def z(label):
+        return f"z{label}"
+
+    if isinstance(f, FinMap):
+        if end == "dom":
+            return FinMap(FinObj(map(z, f.dom)), f.cod, {z(x): y for x, y in f.table.items()})
+        return FinMap(f.dom, FinObj(map(z, f.cod)), {x: z(y) for x, y in f.table.items()})
+    if end == "dom":
+        return LinMap.from_rows(VectObj(tuple(map(z, f.dom.vars))), f.cod, f.rows)
+    return LinMap.from_rows(f.dom, VectObj(tuple(map(z, f.cod.vars))), f.rows)
+
+
+@settings(deadline=None, max_examples=100)
+@given(SQUARES, st.integers(0, 3), st.sampled_from(("dom", "cod")))
+def test_commutes_refuses_a_non_square(square, i, end):
+    f = square[i]
+    obj = getattr(f, end)
+    # renaming an empty object changes nothing
+    assume(len(obj) if isinstance(obj, FinObj) else obj.dim)
+    broken = list(square)
+    broken[i] = _relabelled(f, end)
+    with pytest.raises(MismatchError, match="do not form a square"):
+        carriers.commutes(*broken)
+
+
+def test_commutes_refuses_mixed_carriers():
+    ident = finset.identity(FinObj(("a",)))
+    lin = vect.identity(VectObj(("x",)))
+    with pytest.raises(MismatchError):
+        carriers.commutes(ident, ident, lin, lin)
+
+
 # -- mediators check the cone against the family ---------------------------------
 
 QXY = VectObj(("x", "y"))
@@ -177,11 +309,11 @@ def test_image_of_subobject_map_is_the_subobject():
 
 @pytest.mark.parametrize("op", [
     carriers.identity, carriers.terminal_map, carriers.classify_map, carriers.image_factorize,
-    carriers.image,
+    carriers.image, carriers.commutes,
 ])
 def test_non_carrier_value_is_a_mismatch(op):
     with pytest.raises(MismatchError):
-        op("x")
+        op(*["x"] * len(inspect.signature(op).parameters))
 
 
 def _finset_and_vect_cones():

@@ -95,6 +95,26 @@ def test_arr_eq_on_resistor_rep():
         assert -row[0] + row[1] + 2 * row[2] == 0
 
 
+def test_equation_morphism_squares_are_checked():
+    rep = finset_rep()
+    u, e = rep.universum, rep.codomain
+    swap_e = FinMap(e, e, {"a": "b", "b": "a"})
+    with pytest.raises(MismatchError, match="does not commute"):
+        EquationMorphism(rep, rep, finset.identity(u), swap_e)
+    # the f1 squares commute and the f2 squares do not
+    other = EquationRep(rep.f1, FinMap(u, e, {"1": "b", "2": "b", "3": "b"}))
+    with pytest.raises(MismatchError, match="does not commute"):
+        EquationMorphism(rep, other, finset.identity(u), finset.identity(e))
+    with pytest.raises(MismatchError, match="does not commute"):
+        EquationMorphism(other, rep, finset.identity(u), finset.identity(e))
+    # v_b - v_a = i_ab is not v_b - v_a = 2 i_ab
+    one, two = resistor_rep(1), resistor_rep(2)
+    with pytest.raises(MismatchError, match="does not commute"):
+        EquationMorphism(one, two, vect.identity(one.universum), vect.identity(one.codomain))
+    half = LinMap(one.universum, one.universum, ((1, 0, 0), (0, 1, 0), (0, 0, "1/2")))
+    assert EquationMorphism(one, two, half, vect.identity(one.codomain))
+
+
 def test_arr_eq_morphism_identity_and_composite():
     rep = finset_rep()
     ident = arr_eq_morphism(identity_equation_morphism(rep))

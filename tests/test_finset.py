@@ -28,10 +28,47 @@ def test_objects_are_canonically_sorted():
 
 def test_map_table_must_be_total_and_land_in_cod():
     dom, cod = FinObj(("x", "y")), FinObj(("a",))
-    with pytest.raises(MismatchError):
-        FinMap(dom, cod, {"x": "a"})
-    with pytest.raises(MismatchError):
-        FinMap(dom, cod, {"x": "a", "y": "q"})
+    # from_table skips only the str() relabelling, so it refuses what the constructor refuses
+    for build in (FinMap, FinMap.from_table):
+        with pytest.raises(MismatchError, match="defined on exactly the domain"):
+            build(dom, cod, {"x": "a"})
+        with pytest.raises(MismatchError, match="defined on exactly the domain"):
+            build(dom, cod, {"x": "a", "y": "a", "z": "a"})
+        with pytest.raises(MismatchError, match="image 'q' of 'y' is not in the codomain"):
+            build(dom, cod, {"x": "a", "y": "q"})
+
+
+@settings(deadline=None, max_examples=50)
+@given(obj_and_map(), obj_and_map())
+def test_constructions_equal_the_checked_constructor(f, g):
+    """Every map finset builds with from_table is the map the constructor builds from its table."""
+    built = [
+        finset.identity(f.dom), finset.terminal_map(f.dom), finset.product_map(f, g),
+        *finset.product(f.dom, g.dom)[1:], *finset.image_factorize(f),
+        finset.subobject_map(f.cod, finset.image(f)), finset.equalizer(f, f)[1],
+        finset.lift(finset.image_factorize(f)[1:], (f,)),
+        *finset.all_maps(f.dom, g.dom),
+    ]
+    if f.cod == g.dom:
+        built.append(finset.compose(g, f))
+    if f.cod == g.cod:
+        built.extend(finset.pullback(f, g)[1:])
+    for m in built:
+        checked = FinMap(m.dom, m.cod, m.table)
+        assert m == checked and hash(m) == hash(checked)
+        assert all(type(x) is str and type(y) is str for x, y in m.table.items())
+
+
+def test_equal_maps_hash_equally():
+    f = FinMap(FinObj(("1", "2")), FinObj(("a", "b")), {"1": "a", "2": "b"})
+    relabelled = FinMap(FinObj((2, 1)), FinObj(("b", "a")), {1: "a", 2: "b"})
+    composed = finset.compose(finset.identity(f.cod), f)
+    assert f == relabelled == composed
+    assert hash(f) == hash(relabelled) == hash(composed)
+    assert len({f, relabelled, composed}) == 1
+    one = FinObj(("a",))
+    assert hash(finset.identity(one)) == hash(FinMap(one, one, {"a": "a"}))
+    assert f != FinMap(f.dom, f.cod, {"1": "b", "2": "a"})
 
 
 @settings(deadline=None, max_examples=50)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -138,13 +139,58 @@ def test_diagonal_is_functorial():
     assert obj_eq_morphism(dm).phi_u == m.phi_u
 
 
+def test_gen_system_morphism_square_is_checked():
+    g = gen("12", "ab", {"1": "a", "2": "b"})
+    swap = FinMap(g.domain, g.domain, {"1": "2", "2": "1"})
+    with pytest.raises(MismatchError, match="does not commute"):
+        GenSystemMorphism(g, g, swap, finset.identity(g.codomain))
+    assert GenSystemMorphism(g, g, swap, FinMap(g.codomain, g.codomain, {"a": "b", "b": "a"}))
+
+
+def _first_failing_face(e, taus):
+    """The first face of e => e with components taus that fails to commute, by dict composition."""
+    tau1, tau2, tau3, tau4 = (t.table for t in taus)
+    g, gp = e.src.arrow.table, e.dst.arrow.table
+
+    def square(a, b, c, d):  # a . b == c . d
+        return all(a[b[x]] == c[d[x]] for x in b)
+
+    faces = [("top", g, tau1, tau2, g), ("bottom", gp, tau3, tau4, gp)]
+    for i, phi in enumerate((e.phi1, e.phi2), start=1):
+        faces.append((f"left{i}", phi.phi_c.table, tau1, tau3, phi.phi_c.table))
+        faces.append((f"right{i}", phi.phi_u.table, tau2, tau4, phi.phi_u.table))
+    return next((face for face, *maps in faces if not square(*maps)), None)
+
+
 def test_equation_morphism_faces_are_checked():
     g = gen("12", "ab", {"1": "a", "2": "b"})
     e = diagonal(g)
     bad = FinMap(g.domain, g.domain, {"1": "2", "2": "1"})
     good = finset.identity(g.codomain)
-    with pytest.raises(MismatchError):
+    with pytest.raises(MismatchError, match="face top does not commute"):
         GenEquationMorphism(e, e, bad, good, finset.identity(g.domain), good)
+    # phi1 collapses the domain and phi2 does not, and c lies outside h's image
+    # where the two disagree, so each of the six faces fails first for some
+    # endomorphism of eq (a search over all candidate pairs found this one)
+    h = gen("12", "abc", {"1": "a", "2": "b"})
+    hp = gen("pq", "st", {"p": "s", "q": "t"})
+    phi1 = GenSystemMorphism(h, hp, FinMap(h.domain, hp.domain, {"1": "p", "2": "p"}),
+                             FinMap(h.codomain, hp.codomain, {"a": "s", "b": "s", "c": "t"}))
+    phi2 = GenSystemMorphism(h, hp, FinMap(h.domain, hp.domain, {"1": "p", "2": "q"}),
+                             FinMap(h.codomain, hp.codomain, {"a": "s", "b": "t", "c": "s"}))
+    eq = GenEquation(phi1, phi2)
+    seen = set()
+    for taus in itertools.product(*(
+        list(finset.all_maps(obj, obj)) for obj in (h.domain, h.codomain, hp.domain, hp.codomain)
+    )):
+        face = _first_failing_face(eq, taus)
+        seen.add(face)
+        if face is None:
+            GenEquationMorphism(eq, eq, *taus)
+            continue
+        with pytest.raises(MismatchError, match=f"face {face} does not commute"):
+            GenEquationMorphism(eq, eq, *taus)
+    assert seen == {None, "top", "bottom", "left1", "right1", "left2", "right2"}
 
 
 def test_obj_eq_preserves_pullbacks_on_embedded_cospans():

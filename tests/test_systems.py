@@ -11,6 +11,7 @@ from syscat.finset import FinMap, FinObj
 from syscat.systems import (
     BehaviorLattice,
     System,
+    SystemMorphism,
     behavior_image,
     classify_morphism,
     compose_morphisms,
@@ -74,6 +75,10 @@ def test_full_system_and_vect_span():
         system_from_behavior(u, {"a", "z"})
     with pytest.raises(MismatchError, match="ambient differs"):
         system_from_behavior(amb, Subspace(VectObj(("v_a", "v_c")), ((1, 1),)))
+    # equal systems hash equally in both carriers
+    assert s == system_from_behavior(u, frozenset({"a", "b"}))
+    assert hash(s) == hash(system_from_behavior(u, frozenset({"a", "b"})))
+    assert hash(sv) == hash(system_from_behavior(amb, Subspace(amb, ((2, 2),))))
 
 
 def test_non_injective_inclusion_rejected():
@@ -381,3 +386,13 @@ def test_morphism_composition_checks_squares():
     assert compose_morphisms(identity_morphism(t), m).phi_u == m.phi_u
     with pytest.raises(MismatchError):
         compose_morphisms(m, m)
+    # the shapes fit, but phi_u moves the behavior point a to b and phi_b keeps it at a
+    swap = FinMap(s.universum, t.universum, {"a": "b", "b": "a"})
+    with pytest.raises(MismatchError, match="does not commute"):
+        SystemMorphism(s, t, m.phi_b, swap)
+    # the line spanned by (1, 0) into the plane: phi_b sends its basis vector to (0, 1)
+    u = VectObj(("x", "y"))
+    line, plane = system_from_behavior(u, Subspace(u, [(1, 0)])), full_system(u)
+    with pytest.raises(MismatchError, match="does not commute"):
+        SystemMorphism(line, plane, LinMap(line.behavior, u, ((0,), (1,))), vect.identity(u))
+    assert SystemMorphism(line, plane, LinMap(line.behavior, u, ((1,), (0,))), vect.identity(u))
