@@ -2,10 +2,8 @@
 
 Element labels are plain strings and objects keep them sorted, so equality of
 objects (and of computed subobjects such as equalizers, images, and pullbacks)
-is ordinary ``==``. ``FinMap(dom, cod, table)`` converts every label with
-``str()`` and checks the table; the constructions here build tables from
-labels they already hold and use ``FinMap.from_table``, which runs the same
-checks without the conversion.
+is ordinary ``==``. ``FinMap(dom, cod, table)`` keeps a copy of the table and
+checks it; labels that are not ``str`` are converted with ``str()`` first.
 """
 
 from __future__ import annotations
@@ -63,19 +61,14 @@ class FinMap:
     table: dict[str, str]
 
     def __post_init__(self):
-        table = {str(k): str(v) for k, v in self.table.items()}
-        _check(self.dom, self.cod, table)
+        table = dict(self.table)
+        try:
+            _check(self.dom, self.cod, table)
+        except MismatchError:
+            # a label that is not a str matches no element, so only a failed table is relabelled
+            table = {str(k): str(v) for k, v in table.items()}
+            _check(self.dom, self.cod, table)
         object.__setattr__(self, "table", table)
-
-    @classmethod
-    def from_table(cls, dom: FinObj, cod: FinObj, table: dict[str, str]) -> FinMap:
-        """The map with a table whose labels are already ``str``: checked, not converted."""
-        _check(dom, cod, table)
-        f = cls.__new__(cls)
-        object.__setattr__(f, "dom", dom)
-        object.__setattr__(f, "cod", cod)
-        object.__setattr__(f, "table", table)
-        return f
 
     def __hash__(self):
         return hash((self.dom, self.cod, frozenset(self.table.items())))
@@ -88,13 +81,13 @@ class FinMap:
 
 
 def identity(obj: FinObj) -> FinMap:
-    return FinMap.from_table(obj, obj, {e: e for e in obj})
+    return FinMap(obj, obj, {e: e for e in obj})
 
 
 def compose(g: FinMap, f: FinMap) -> FinMap:
     if f.cod != g.dom:
         raise MismatchError("compose: codomain of f must equal domain of g")
-    return FinMap.from_table(f.dom, g.cod, {x: g.table[f.table[x]] for x in f.dom})
+    return FinMap(f.dom, g.cod, {x: g.table[f.table[x]] for x in f.dom})
 
 
 def commutes(a: FinMap, b: FinMap, c: FinMap, d: FinMap) -> bool:
@@ -109,7 +102,7 @@ def terminal_obj() -> FinObj:
 
 def terminal_map(obj: FinObj) -> FinMap:
     point = terminal_obj()
-    return FinMap.from_table(obj, point, {e: "*" for e in obj})
+    return FinMap(obj, point, {e: "*" for e in obj})
 
 
 def is_injective(f: FinMap) -> bool:
@@ -134,14 +127,14 @@ def product(x: FinObj, y: FinObj) -> tuple[FinObj, FinMap, FinMap]:
             t1[lab] = a
             t2[lab] = b
     obj = FinObj(tuple(labels))
-    return obj, FinMap.from_table(obj, x, t1), FinMap.from_table(obj, y, t2)
+    return obj, FinMap(obj, x, t1), FinMap(obj, y, t2)
 
 
 def product_map(f: FinMap, g: FinMap) -> FinMap:
     dom, pd1, pd2 = product(f.dom, g.dom)
     cod, _, _ = product(f.cod, g.cod)
     table = {p: pair_label(f(pd1(p)), g(pd2(p))) for p in dom}
-    return FinMap.from_table(dom, cod, table)
+    return FinMap(dom, cod, table)
 
 
 def pullback(f1: FinMap, f2: FinMap) -> tuple[FinObj, FinMap, FinMap]:
@@ -156,7 +149,7 @@ def pullback(f1: FinMap, f2: FinMap) -> tuple[FinObj, FinMap, FinMap]:
                 t1[lab] = a1
                 t2[lab] = a2
     obj = FinObj(tuple(labels))
-    return obj, FinMap.from_table(obj, f1.dom, t1), FinMap.from_table(obj, f2.dom, t2)
+    return obj, FinMap(obj, f1.dom, t1), FinMap(obj, f2.dom, t2)
 
 
 def equalizer(f: FinMap, g: FinMap) -> tuple[FinObj, FinMap]:
@@ -178,12 +171,12 @@ def subobject_map(universum: FinObj, behavior) -> FinMap:
         if lab not in universum:
             raise MismatchError(f"{lab!r} is not in the universum")
     obj = FinObj(labels)
-    return FinMap.from_table(obj, universum, {e: e for e in obj})
+    return FinMap(obj, universum, {e: e for e in obj})
 
 
 def image_factorize(f: FinMap) -> tuple[FinMap, FinMap]:
     inj = subobject_map(f.cod, image(f))
-    return FinMap.from_table(f.dom, inj.dom, dict(f.table)), inj
+    return FinMap(f.dom, inj.dom, f.table), inj
 
 
 def lift(ms, fs) -> FinMap | None:
@@ -200,15 +193,15 @@ def lift(ms, fs) -> FinMap | None:
         if p is None:
             return None
         table[x] = p
-    return FinMap.from_table(apex, dom, table)
+    return FinMap(apex, dom, table)
 
 
 def all_maps(dom: FinObj, cod: FinObj) -> Iterator[FinMap]:
     """Every total function dom -> cod. Exponential; keep domains small."""
     if len(dom) == 0:
-        yield FinMap.from_table(dom, cod, {})
+        yield FinMap(dom, cod, {})
         return
     if len(cod) == 0:
         return
     for images in _iterproduct(cod.elements, repeat=len(dom)):
-        yield FinMap.from_table(dom, cod, dict(zip(dom.elements, images)))
+        yield FinMap(dom, cod, dict(zip(dom.elements, images)))

@@ -28,20 +28,37 @@ def test_objects_are_canonically_sorted():
 
 def test_map_table_must_be_total_and_land_in_cod():
     dom, cod = FinObj(("x", "y")), FinObj(("a",))
-    # from_table skips only the str() relabelling, so it refuses what the constructor refuses
-    for build in (FinMap, FinMap.from_table):
-        with pytest.raises(MismatchError, match="defined on exactly the domain"):
-            build(dom, cod, {"x": "a"})
-        with pytest.raises(MismatchError, match="defined on exactly the domain"):
-            build(dom, cod, {"x": "a", "y": "a", "z": "a"})
-        with pytest.raises(MismatchError, match="image 'q' of 'y' is not in the codomain"):
-            build(dom, cod, {"x": "a", "y": "q"})
+    with pytest.raises(MismatchError, match="defined on exactly the domain"):
+        FinMap(dom, cod, {"x": "a"})
+    with pytest.raises(MismatchError, match="defined on exactly the domain"):
+        FinMap(dom, cod, {"x": "a", "y": "a", "z": "a"})
+    with pytest.raises(MismatchError, match="image 'q' of 'y' is not in the codomain"):
+        FinMap(dom, cod, {"x": "a", "y": "q"})
+    # a table with labels that are not str is relabelled, then refused with the same messages
+    dom, cod = FinObj(("1", "2")), FinObj(("3",))
+    with pytest.raises(MismatchError, match="defined on exactly the domain"):
+        FinMap(dom, cod, {1: 3})
+    with pytest.raises(MismatchError, match="defined on exactly the domain"):
+        FinMap(dom, cod, {1: 3, 2: 3, 4: 3})
+    with pytest.raises(MismatchError, match="image '5' of '2' is not in the codomain"):
+        FinMap(dom, cod, {1: 3, 2: 5})
+    assert FinMap(dom, cod, {1: 3, "2": 3}).table == {"1": "3", "2": "3"}
+
+
+def test_map_keeps_its_own_copy_of_the_table():
+    dom, cod = FinObj(("x", "y")), FinObj(("a", "b"))
+    table = {"x": "a", "y": "b"}
+    f = FinMap(dom, cod, table)
+    before = hash(f)
+    table["x"] = "q"
+    del table["y"]
+    assert f.table == {"x": "a", "y": "b"} and hash(f) == before
 
 
 @settings(deadline=None, max_examples=50)
 @given(obj_and_map(), obj_and_map())
 def test_constructions_equal_the_checked_constructor(f, g):
-    """Every map finset builds with from_table is the map the constructor builds from its table."""
+    """Every map finset builds has str labels and is the map the constructor builds from its table."""
     built = [
         finset.identity(f.dom), finset.terminal_map(f.dom), finset.product_map(f, g),
         *finset.product(f.dom, g.dom)[1:], *finset.image_factorize(f),
