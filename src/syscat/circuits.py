@@ -23,7 +23,9 @@ touches an element; terminals are left open to the environment.
 Gluing identifies variables across two circuits. It computes the
 interconnection three ways — stacked equations over the merged names, the
 syntax-side pullback, and the semantics-side pullback — and reports whether
-interpretation commuted with the gluing (it must, up to a bug). With
+interpretation commuted with the gluing (it must, up to a bug). The syntax and
+semantics routes are ``check_preservation`` over the two compiled
+representations, and its report is the result's ``preservation``. With
 ``close_dangling`` the glued circuit's degree-<=1 terminals get
 zero-external-current rows before the result is reported.
 """
@@ -38,13 +40,13 @@ from . import carriers, vect
 from .equations import (
     EquationMorphism,
     EquationRep,
+    PreservationReport,
     arr_eq,
-    arr_eq_morphism,
+    check_preservation,
     kernel_rep,
-    pullback_equations,
 )
 from .errors import GlueError, MismatchError, ParseError
-from .systems import System, behavior_image, project_latent, pullback_systems, systems_equal
+from .systems import System, behavior_image, project_latent
 from .vect import LinMap, Subspace, VectObj
 
 _NAME = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -215,7 +217,10 @@ def parse_glue(text: str) -> GlueSpec:
 class CompiledCircuit:
     circuit: Circuit
     rep: EquationRep
-    system: System
+
+    @property
+    def system(self) -> System:
+        return arr_eq(self.rep)
 
     @property
     def universum(self) -> VectObj:
@@ -223,34 +228,30 @@ class CompiledCircuit:
 
 
 def _equation_rows(circuit: Circuit, universum: VectObj):
+    """Row names and canonical rows: each element's law, then KCL at internal nodes."""
     idx = {v: i for i, v in enumerate(universum.vars)}
     names, rows = [], []
-
-    def blank():
-        return [Fraction(0)] * universum.dim
-
     for e in circuit.elements:
-        row = blank()
-        row[idx[voltage_var(e.n1)]] = Fraction(1)
-        row[idx[voltage_var(e.n2)]] = Fraction(-1)
+        v1, v2 = idx[voltage_var(e.n1)], idx[voltage_var(e.n2)]
         if isinstance(e, Resistor):
-            row[idx[current_var(e.ident)]] = -e.resistance
+            # v1 - v2 - (p/q) i, times q
+            p, q = e.resistance.numerator, e.resistance.denominator
+            rows.append((q, {v1: q, v2: -q, idx[current_var(e.ident)]: -p}))
+        else:
+            rows.append((1, {v1: 1, v2: -1}))
         names.append(f"law:{e.ident}")
-        rows.append(tuple(row))
-    internal = [n for n in circuit.nodes if n not in set(circuit.terminals)]
-    for n in internal:
-        row = blank()
-        touched = False
-        for e in circuit.elements:
-            if e.n1 == n:
-                row[idx[current_var(e.ident)]] += Fraction(1)
-                touched = True
-            if e.n2 == n:
-                row[idx[current_var(e.ident)]] -= Fraction(1)
-                touched = True
-        if touched:
+    terminals = set(circuit.terminals)
+    kcl = {n: {} for n in circuit.nodes if n not in terminals}
+    for e in circuit.elements:
+        # no self-loops, so each element enters a node's balance once, as +-1
+        j = idx[current_var(e.ident)]
+        for node, sign in ((e.n1, 1), (e.n2, -1)):
+            if node in kcl:
+                kcl[node][j] = sign
+    for n, row in kcl.items():
+        if row:
             names.append(f"kcl:{n}")
-            rows.append(tuple(row))
+            rows.append((1, row))
     return tuple(names), tuple(rows)
 
 
@@ -261,9 +262,7 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
         + tuple(current_var(e.ident) for e in circuit.elements)
     )
     names, rows = _equation_rows(circuit, universum)
-    f = LinMap(universum, VectObj(names), rows)
-    rep = kernel_rep(f)
-    return CompiledCircuit(circuit, rep, arr_eq(rep))
+    return CompiledCircuit(circuit, kernel_rep(LinMap.from_rows(universum, VectObj(names), rows)))
 
 
 # -- gluing -------------------------------------------------------------------
@@ -282,9 +281,7 @@ class GlueResult:
     system: System
     universum: VectObj
     merged: tuple[tuple[str, str, str], ...]  # (left, right, merged name)
-    syntax_system: System
-    semantics_system: System
-    preservation_equal: bool
+    preservation: PreservationReport
     close_dangling: bool
     closed_terminals: tuple[str, ...]
 
@@ -294,6 +291,9 @@ class GlueResult:
 
 
 def _merged_names(spec: GlueSpec, left: VectObj, right: VectObj):
+    """The (left, right, merged) pairs, the merged universum, and each side's
+    assignment of merged names to its own variables.
+    """
     pairs = []
     seen_left, seen_right = set(), set()
     for l, r in spec.identifications:
@@ -308,17 +308,18 @@ def _merged_names(spec: GlueSpec, left: VectObj, right: VectObj):
         seen_left.add(l)
         seen_right.add(r)
         pairs.append((l, r, l if l == r else f"{l}={r}"))
-    glued: list[str] = []
     by_left = {l: m for l, _, m in pairs}
-    for v in left.vars:
-        glued.append(by_left.get(v, v))
+    glued = [by_left.get(v, v) for v in left.vars]
+    from_left = dict(zip(glued, left.vars))
+    from_right = {m: r for _, r, m in pairs}
     for v in right.vars:
         if v not in seen_right:
             glued.append(v)
+            from_right[v] = v
     if len(set(glued)) != len(glued):
         dupes = sorted({v for v in glued if glued.count(v) > 1})
         raise GlueError(f"name collision after merge: {', '.join(dupes)}")
-    return tuple(pairs), VectObj(tuple(glued))
+    return tuple(pairs), VectObj(tuple(glued)), from_left, from_right
 
 
 def _close_rows(c1: Circuit, c2: Circuit, pairs, universum: VectObj):
@@ -350,7 +351,8 @@ def _close_rows(c1: Circuit, c2: Circuit, pairs, universum: VectObj):
             return merged_of_left.get(name, name)
         return merged_of_right.get(name, name)
 
-    degree: dict[tuple[str, str], int] = {}
+    # each merged node's element ends, with their current variables; the
+    # node's degree is their count
     incident: dict[tuple[str, str], list[tuple[str, int]]] = {}
     terminal: dict[tuple[str, str], bool] = {}
     for tag, c in sides:
@@ -358,25 +360,20 @@ def _close_rows(c1: Circuit, c2: Circuit, pairs, universum: VectObj):
         for n in c.nodes:
             root = find((tag, n))
             terminal[root] = terminal.get(root, False) or n in terms
-            degree.setdefault(root, 0)
             incident.setdefault(root, [])
         for e in c.elements:
             for node, sign in ((e.n1, 1), (e.n2, -1)):
-                root = find((tag, node))
-                degree[root] = degree.get(root, 0) + 1
-                incident.setdefault(root, []).append((cur_var(tag, e.ident), sign))
+                incident[find((tag, node))].append((cur_var(tag, e.ident), sign))
 
     idx = {v: i for i, v in enumerate(universum.vars)}
     names, rows, closed = [], [], []
     for root in sorted(set(find(k) for k in parent)):
-        if not terminal.get(root, False) or degree.get(root, 0) > 1:
+        if not terminal[root] or len(incident[root]) > 1:
             continue
-        row = [Fraction(0)] * universum.dim
-        for var, sign in incident.get(root, []):
-            row[idx[var]] += Fraction(sign)
+        # at most one incident current, so the row is canonical as it stands
+        rows.append((1, {idx[var]: sign for var, sign in incident[root]}))
         label = f"{root[0]}.{root[1]}"
         names.append(f"ext:{label}")
-        rows.append(tuple(row))
         closed.append(label)
     return tuple(names), tuple(rows), tuple(closed)
 
@@ -387,8 +384,8 @@ def glue(
     """Interconnect two circuits by identifying variables.
 
     Returns the stacked representation and system over the merged-name
-    universum, together with the syntax- and semantics-side pullbacks and the
-    verdict of comparing them.
+    universum, together with the preservation report: the syntax- and
+    semantics-side pullbacks and the verdict of comparing them.
     """
     return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec, close_dangling)
 
@@ -397,18 +394,9 @@ def _glue_compiled(
     k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec, close_dangling: bool | None
 ) -> GlueResult:
     close = spec.close_dangling if close_dangling is None else close_dangling
-    pairs, glued = _merged_names(spec, k1.universum, k2.universum)
-
-    lift1 = vect.coordinate_map(
-        glued, k1.universum, {m: l for l, _, m in pairs} | {
-            v: v for v in k1.universum.vars if v not in {l for l, _, _ in pairs}
-        }
-    )
-    lift2 = vect.coordinate_map(
-        glued, k2.universum, {m: r for _, r, m in pairs} | {
-            v: v for v in k2.universum.vars if v not in {r for _, r, _ in pairs}
-        }
-    )
+    pairs, glued, from_left, from_right = _merged_names(spec, k1.universum, k2.universum)
+    lift1 = vect.coordinate_map(glued, k1.universum, from_left)
+    lift2 = vect.coordinate_map(glued, k2.universum, from_right)
     f1, f2 = k1.rep.f1, k2.rep.f1
     row_names = tuple(f"L:{n}" for n in f1.cod.vars) + tuple(f"R:{n}" for n in f2.cod.vars)
     stacked = LinMap.from_rows(
@@ -424,17 +412,15 @@ def _glue_compiled(
     m1 = EquationMorphism(k1.rep, e_shared, psi1, vect.zero_map(f1.cod, vect.ZERO_SPACE))
     m2 = EquationMorphism(k2.rep, e_shared, psi2, vect.zero_map(f2.cod, vect.ZERO_SPACE))
 
-    epb = pullback_equations(m1, m2)
-    syntax_system = arr_eq(epb.rep)
-    semantics_system = pullback_systems(arr_eq_morphism(m1), arr_eq_morphism(m2)).system
-    preserved = systems_equal(syntax_system, semantics_system)
+    preservation = check_preservation(m1, m2)
 
     # transport the pullback behavior onto the merged names and cross-check
     # against the stacked equations
+    epb = preservation.pullback
     alpha = carriers.lift((lift1, lift2), (epb.proj1.psi_u, epb.proj2.psi_u))
     if alpha is None:
         raise MismatchError("pullback universum does not match the merged universum")
-    transported = carriers.image(carriers.compose(alpha, syntax_system.inclusion))
+    transported = carriers.image(carriers.compose(alpha, preservation.syntax_system.inclusion))
     rep = kernel_rep(stacked)
     system = arr_eq(rep)
     if transported != behavior_image(system):
@@ -446,7 +432,7 @@ def _glue_compiled(
         stacked = LinMap.from_rows(
             glued,
             VectObj(tuple(stacked.cod.vars) + ext_names),
-            stacked.rows + vect.to_sparse(ext_rows),
+            stacked.rows + ext_rows,
         )
         rep = kernel_rep(stacked)
         system = arr_eq(rep)
@@ -455,9 +441,7 @@ def _glue_compiled(
         system=system,
         universum=glued,
         merged=pairs,
-        syntax_system=syntax_system,
-        semantics_system=semantics_system,
-        preservation_equal=preserved,
+        preservation=preservation,
         close_dangling=close,
         closed_terminals=closed_names,
     )

@@ -75,9 +75,9 @@ def cmd_glue(args, out) -> int:
             "identify": [[l, r] for l, r, _ in result.merged],
             "universum": {"vars": list(result.universum.vars), "dim": result.universum.dim},
             "behavior": sub.to_json(),
-            "syntax_dim": behavior_image(result.syntax_system).dim,
-            "semantics_dim": behavior_image(result.semantics_system).dim,
-            "preservation_equal": result.preservation_equal,
+            "syntax_dim": behavior_image(result.preservation.syntax_system).dim,
+            "semantics_dim": behavior_image(result.preservation.semantics_system).dim,
+            "preservation_equal": result.preservation.equal,
             "closed_terminals": list(result.closed_terminals),
         }
         out.write(json.dumps(report, indent=2) + "\n")
@@ -85,9 +85,9 @@ def cmd_glue(args, out) -> int:
     out.write(
         f"glued universum: dim={result.universum.dim}\n"
         f"behavior: dim={sub.dim}\n"
-        f"syntax dim={behavior_image(result.syntax_system).dim} "
-        f"semantics dim={behavior_image(result.semantics_system).dim} "
-        f"syntax==semantics: {str(result.preservation_equal).lower()}\n"
+        f"syntax dim={behavior_image(result.preservation.syntax_system).dim} "
+        f"semantics dim={behavior_image(result.preservation.semantics_system).dim} "
+        f"syntax==semantics: {str(result.preservation.equal).lower()}\n"
     )
     if result.close_dangling:
         out.write("closed terminals: " + " ".join(result.closed_terminals) + "\n")

@@ -1,19 +1,23 @@
 """The syntax category: parallel pairs whose equalizer is a behavior.
 
 An equation representation is a pair f1, f2 : U -> E; the system it describes
-has the equalizer of the pair as its inclusion. Pullbacks here stack equations
-while identifying shared variables, and the interpretation into systems
-preserves them — `check_preservation` computes both routes and compares.
+has the equalizer of the pair as its inclusion. Each representation is
+interpreted once: ``EquationRep.system`` computes the equalizer on first read
+and keeps it, so ``arr_eq`` and ``arr_eq_morphism`` reuse it. Pullbacks here
+stack equations while identifying shared variables, and the interpretation
+into systems preserves them — `check_preservation` computes both routes and
+compares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import carriers, vect
 from .carriers import CarrierMap
 from .errors import MismatchError
-from .systems import System, SystemMorphism, pullback_systems, systems_equal
+from .systems import System, SystemMorphism, make_morphism, pullback_systems, systems_equal
 from .vect import LinMap
 
 
@@ -34,6 +38,11 @@ class EquationRep:
     def codomain(self):
         return self.f1.cod
 
+    @cached_property
+    def system(self) -> System:
+        """The system the pair's equalizer carves out, computed on first read and kept."""
+        return System(carriers.equalizer(self.f1, self.f2).arrow)
+
 
 def kernel_rep(f: LinMap) -> EquationRep:
     """The pair (f, 0); its behavior is the kernel of f."""
@@ -44,8 +53,7 @@ def kernel_rep(f: LinMap) -> EquationRep:
 
 def arr_eq(rep: EquationRep) -> System:
     """Interpret a representation as the system its equalizer carves out."""
-    eq = carriers.equalizer(rep.f1, rep.f2)
-    return System(eq.arrow)
+    return rep.system
 
 
 @dataclass(frozen=True)
@@ -81,12 +89,8 @@ def compose_equation_morphisms(b: EquationMorphism, a: EquationMorphism) -> Equa
 
 def arr_eq_morphism(m: EquationMorphism) -> SystemMorphism:
     """The unique system morphism whose universum component is psi_u."""
-    src_sys = arr_eq(m.src)
-    dst_eq = carriers.equalizer(m.dst.f1, m.dst.f2)
-    dst_sys = System(dst_eq.arrow)
     # psi_u . e equalizes the target pair, so it factors through the equalizer.
-    phi_b = carriers.equalizer_mediate(dst_eq, carriers.compose(m.psi_u, src_sys.inclusion))
-    return SystemMorphism(src_sys, dst_sys, phi_b, m.psi_u)
+    return make_morphism(arr_eq(m.src), arr_eq(m.dst), m.psi_u)
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,7 @@ def pullback_equations(m: EquationMorphism, n: EquationMorphism) -> EquationPull
 
 @dataclass(frozen=True)
 class PreservationReport:
+    pullback: EquationPullback
     syntax_system: System
     semantics_system: System
     equal: bool
@@ -127,8 +132,9 @@ class PreservationReport:
 
 def check_preservation(m: EquationMorphism, n: EquationMorphism) -> PreservationReport:
     """Interpret-then-pull-back versus pull-back-then-interpret, compared exactly."""
-    syntax_side = arr_eq(pullback_equations(m, n).rep)
+    pullback = pullback_equations(m, n)
+    syntax_side = arr_eq(pullback.rep)
     semantics_side = pullback_systems(arr_eq_morphism(m), arr_eq_morphism(n)).system
     return PreservationReport(
-        syntax_side, semantics_side, systems_equal(syntax_side, semantics_side)
+        pullback, syntax_side, semantics_side, systems_equal(syntax_side, semantics_side)
     )

@@ -102,3 +102,40 @@ def dense_solve_matrix(a_rows, ncols: int, b_rows, bcols: int):
         for j in range(bcols):
             x[p][j] = rr[i][ncols + j]
     return tuple(tuple(row) for row in x)
+
+
+# The equation rows of a compiled circuit as dense ``Fraction`` rows, as
+# ``circuits._equation_rows`` built them before it emitted canonical rows.
+
+def dense_equation_rows(circuit, universum):
+    from syscat.circuits import Resistor, current_var, voltage_var
+
+    idx = {v: i for i, v in enumerate(universum.vars)}
+    names, rows = [], []
+
+    def blank():
+        return [Fraction(0)] * universum.dim
+
+    for e in circuit.elements:
+        row = blank()
+        row[idx[voltage_var(e.n1)]] = Fraction(1)
+        row[idx[voltage_var(e.n2)]] = Fraction(-1)
+        if isinstance(e, Resistor):
+            row[idx[current_var(e.ident)]] = -e.resistance
+        names.append(f"law:{e.ident}")
+        rows.append(tuple(row))
+    internal = [n for n in circuit.nodes if n not in set(circuit.terminals)]
+    for n in internal:
+        row = blank()
+        touched = False
+        for e in circuit.elements:
+            if e.n1 == n:
+                row[idx[current_var(e.ident)]] += Fraction(1)
+                touched = True
+            if e.n2 == n:
+                row[idx[current_var(e.ident)]] -= Fraction(1)
+                touched = True
+        if touched:
+            names.append(f"kcl:{n}")
+            rows.append(tuple(row))
+    return tuple(names), tuple(rows)

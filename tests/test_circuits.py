@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from syscat import vect
+from syscat import carriers, vect
 from syscat.circuits import (
+    Circuit,
     GlueSpec,
     Resistor,
     Wire,
@@ -17,7 +20,7 @@ from syscat.circuits import (
 )
 from syscat.errors import GlueError, MismatchError, ParseError
 from syscat.systems import behavior_image, product_systems
-from syscat.vect import Subspace, VectObj
+from syscat.vect import LinMap, Subspace, VectObj
 
 S_TEXT = """\
 circuit S
@@ -158,6 +161,48 @@ def test_compile_is_deterministic():
     assert a.universum.vars == b.universum.vars
 
 
+@st.composite
+def ladders_and_grids(draw):
+    """A ladder or a grid whose edges are rational resistors or wires, each in a
+    random orientation, with random terminals and one isolated node."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        nodes = [f"n{i}" for i in range(n + 1)] + [f"g{i}" for i in range(n + 1)]
+        edges = [
+            edge
+            for i in range(n)
+            for edge in ((f"r{i}", f"n{i}", f"n{i + 1}"), (f"w{i}", f"g{i}", f"g{i + 1}"),
+                         (f"s{i}", f"n{i + 1}", f"g{i + 1}"))
+        ]
+    else:
+        k = draw(st.integers(2, 4))
+        nodes = [f"x{x}y{y}" for y in range(k) for x in range(k)]
+        edges = [
+            (f"{tag}{x}_{y}", f"x{x}y{y}", f"x{x2}y{y2}")
+            for y in range(k) for x in range(k)
+            for tag, x2, y2 in (("h", x + 1, y), ("v", x, y + 1))
+            if x2 < k and y2 < k
+        ]
+    nodes.append("z")
+    resistance = st.builds(Fraction, st.integers(1, 12), st.integers(1, 12))
+    elements = []
+    for ident, a, b in edges:
+        if draw(st.booleans()):
+            a, b = b, a
+        r = draw(st.none() | resistance)
+        elements.append(Wire(ident, a, b) if r is None else Resistor(ident, a, b, r))
+    terminals = draw(st.lists(st.sampled_from(nodes), unique=True, max_size=4))
+    return Circuit("c", tuple(nodes), tuple(terminals), tuple(elements))
+
+
+@settings(max_examples=80, deadline=None)
+@given(ladders_and_grids())
+def test_compiled_rows_match_the_dense_reference(circuit):
+    compiled = compile_circuit(circuit)
+    names, rows = oracles.dense_equation_rows(circuit, compiled.universum)
+    assert compiled.rep.f1 == LinMap(compiled.universum, VectObj(names), rows)
+
+
 # -- gluing ---------------------------------------------------------------------
 
 def test_glue_series_parallel_dimensions():
@@ -166,9 +211,22 @@ def test_glue_series_parallel_dimensions():
     assert res.universum.dim == 6 + 11 - 4
     assert res.behavior.dim == 4
     assert oracles.nullity(res.rep.f1.matrix, 13) == 4
-    assert res.preservation_equal
-    assert behavior_image(res.syntax_system).dim == 4
-    assert behavior_image(res.semantics_system).dim == 4
+    assert res.preservation.equal
+    assert behavior_image(res.preservation.syntax_system).dim == 4
+    assert behavior_image(res.preservation.semantics_system).dim == 4
+
+
+@pytest.mark.parametrize("close, calls", [(False, 5), (True, 6)])
+def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, close, calls):
+    left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
+    spec = parse_glue((circuits_dir / "SP.glue").read_text())
+    seen = []
+    equalizer = carriers.equalizer
+    monkeypatch.setattr(carriers, "equalizer", lambda f, g: seen.append(f) or equalizer(f, g))
+    glue(left, right, spec, close_dangling=close)
+    # left, right, the syntax pullback, the shared representation and the
+    # stacked equations; with closing, the closed equations too
+    assert len(seen) == calls
 
 
 def test_glue_close_dangling_collapses_to_a_line():

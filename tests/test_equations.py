@@ -19,7 +19,7 @@ from syscat.equations import (
 from syscat.errors import MismatchError
 from syscat.finset import FinMap, FinObj
 from syscat.laws import _finset_equation_cospan, _vect_equation_cospan
-from syscat.systems import behavior_image, systems_equal
+from syscat.systems import System, SystemMorphism, behavior_image, systems_equal
 from syscat.vect import LinMap, VectObj
 
 
@@ -82,8 +82,10 @@ def test_kernel_rep_examples():
 
 
 def test_arr_eq_on_finset_rep():
-    s = arr_eq(finset_rep())
+    rep = finset_rep()
+    s = arr_eq(rep)
     assert behavior_image(s) == frozenset({"1", "3"})
+    assert arr_eq(rep) is s  # interpreted once and kept
 
 
 def test_arr_eq_on_resistor_rep():
@@ -124,6 +126,19 @@ def test_arr_eq_morphism_identity_and_composite():
     m, n = _finset_equation_cospan(random.Random(4))
     composed = compose_equation_morphisms(identity_equation_morphism(m.dst), m)
     assert arr_eq_morphism(composed).phi_u == arr_eq_morphism(m).phi_u
+
+
+@pytest.mark.parametrize("cospan, seed", [(_finset_equation_cospan, 11), (_vect_equation_cospan, 12)])
+def test_arr_eq_morphism_is_mediation_into_the_target_equalizer(cospan, seed):
+    rng = random.Random(seed)
+    for _ in range(30):
+        m, n = cospan(rng)
+        pb = pullback_equations(m, n)
+        for k in (m, n, pb.proj1, pb.proj2):
+            src = System(carriers.equalizer(k.src.f1, k.src.f2).arrow)
+            dst_eq = carriers.equalizer(k.dst.f1, k.dst.f2)
+            phi_b = carriers.equalizer_mediate(dst_eq, carriers.compose(k.psi_u, src.inclusion))
+            assert arr_eq_morphism(k) == SystemMorphism(src, System(dst_eq.arrow), phi_b, k.psi_u)
 
 
 def test_functor_respects_composition():
@@ -194,6 +209,18 @@ def test_check_preservation_diagonal():
     rep = finset_rep()
     ident = identity_equation_morphism(rep)
     report = check_preservation(ident, ident)
+    assert report.equal
+
+
+def test_check_preservation_interprets_each_representation_once(monkeypatch):
+    m, n = _finset_equation_cospan(random.Random(4))
+    calls = []
+    equalizer = carriers.equalizer
+    monkeypatch.setattr(carriers, "equalizer", lambda f, g: calls.append(f) or equalizer(f, g))
+    report = check_preservation(m, n)
+    assert len(calls) == 4  # the two legs, the shared representation, the syntax pullback
+    assert report.syntax_system is report.pullback.rep.system
+    monkeypatch.undo()
     assert report.equal
 
 
