@@ -118,6 +118,8 @@ def _parse_rational(tok: str, line: int) -> Fraction:
         return Fraction(tok)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {tok!r}", line) from None
+    except ValueError:  # more digits than int() converts from a string
+        raise ParseError(f"too many digits in the value {tok[:20]}...", line) from None
 
 
 def _directive_lines(text: str):

@@ -11,10 +11,17 @@ Rows are shared between values and never mutated.
 
 The exact kernels (``rref``, ``rank_of``, ``kernel_basis``, ``solve_matrix``,
 ``mat_mul``) take and return rows; they read any row ``(d, m)`` with d > 0
-and return canonical rows. One fraction-free Gauss-Jordan elimination,
-``_eliminate``, serves the first four; ``mat_mul`` multiplies nonzeros over a
-common denominator and divides by one gcd per result row. Identities, zero
-maps, product projections and coordinate maps are built as rows directly.
+and return canonical rows. Two fraction-free Gauss-Jordan eliminations share
+one arithmetic. ``_eliminate`` pivots on the leftmost remaining column and
+serves ``rref``, ``rank_of``, ``solve_matrix`` and ``Subspace``; each needs
+that order, for the unique RREF, for the solution with free coordinates zero,
+and for Zassenhaus's first-half-first intersection. ``kernel_basis`` alone uses
+``_eliminate_min_degree``, which pivots on the column in the fewest rows to
+keep the fill down: only the kernel's span matters there, and ``_eliminate``
+then canonicalizes the basis read from it, so the output is the same.
+``mat_mul`` multiplies nonzeros over a common denominator and divides by one
+gcd per result row. Identities, zero maps, product projections and coordinate
+maps are built as rows directly.
 Computed subobjects (kernels, images, pullback objects) come back with
 generated ``k<i>`` coordinate names.
 
@@ -32,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd, lcm
 from operator import attrgetter
@@ -325,6 +333,93 @@ def _eliminate(m: list[dict[int, int]], ncols: int) -> list[int]:
     return pivots
 
 
+def _eliminate_min_degree(m: list[dict[int, int]]) -> tuple[dict[int, int], dict[int, set[int]]]:
+    """``_eliminate``'s Gauss-Jordan and arithmetic, in place, in min-degree order.
+
+    Each step pivots on the column that appears in the fewest rows, in the
+    shortest non-pivot row that contains it (ties to the lower row index), so
+    the fill stays small on sparse input such as circuit equations (Markowitz
+    1957; Tinney and Walker 1967). The column index ``where`` holds the rows
+    each column appears in. A lazy heap of (row count, column) finds the next
+    pivot: an entry whose count is stale, or whose column lies only in pivot
+    rows, is dropped, and each step pushes a fresh entry for every column
+    whose count it changed by fill-in or cancellation.
+
+    Returns each pivot row's pivot column, and the index. Afterwards a pivot
+    row has a positive entry at its pivot column and no other pivot column,
+    and the other rows are empty; with pivots out of column order this is not
+    an RREF.
+    """
+    where: dict[int, set[int]] = {}
+    for i, row in enumerate(m):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    heap = [(len(rs), j) for j, rs in where.items()]
+    heapify(heap)
+    pivot_of: dict[int, int] = {}
+    n = len(m)
+    while heap and len(pivot_of) < n:
+        count, c = heappop(heap)
+        rs = where[c]
+        if count != len(rs):
+            continue
+        if count == 1:
+            (r,) = rs
+            if r in pivot_of:
+                continue
+        else:
+            _, r = min(((len(m[i]), i) for i in rs if i not in pivot_of), default=(0, None))
+            if r is None:
+                continue
+        prow = m[r]
+        g = gcd(*prow.values())
+        if prow[c] < 0:
+            g = -g
+        if g != 1:
+            for j in prow:
+                prow[j] //= g
+        p = prow[c]
+        pivot_of[r] = c
+        if count == 1:  # no other row holds c
+            continue
+        entries = tuple((j, y) for j, y in prow.items() if j != c)
+        touched = set()
+        # inline here and in _eliminate: a shared per-row helper slows laws' thousands of tiny eliminations
+        for i in rs:
+            if i == r:
+                continue
+            row = m[i]
+            f = row.pop(c)
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, y in entries:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -b * y
+                    where[j].add(i)
+                    touched.add(j)
+                else:
+                    x -= b * y
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+                        touched.add(j)
+            if a != 1:
+                g = gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+        where[c] = {r}
+        for j in touched:
+            heappush(heap, (len(where[j]), j))
+    return pivot_of, where
+
+
 def _reduced(m: list[dict[int, int]], pivots) -> Rows:
     """The canonical RREF rows of eliminated int rows: each kept row over its pivot."""
     return tuple(_canon(row[c], row) for row, c in zip(m, pivots))
@@ -342,16 +437,25 @@ def rank_of(rows, ncols: int) -> int:
 
 
 def kernel_basis(rows, ncols: int) -> Rows:
-    """Canonical basis of the right kernel (itself in row-echelon form)."""
+    """Canonical basis of the right kernel (itself in row-echelon form).
+
+    The rows are eliminated in min-degree order; the kernel's RREF is unique,
+    so canonicalizing the basis read from them gives the same rows as any
+    other pivot order would.
+    """
     m = _ints(rows)
-    pivots = _eliminate(m, ncols)
-    pivot_set = set(pivots)
+    pivot_of, where = _eliminate_min_degree(m)
+    pivot_cols = set(pivot_of.values())
     basis = []
     for fc in range(ncols):
-        if fc in pivot_set:
+        if fc in pivot_cols:
+            continue
+        holders = where.get(fc)
+        if not holders:
+            basis.append({fc: 1})
             continue
         # x[fc] = 1 and x[pc] = -row[fc] / row[pc], scaled by the lcm of those pivots
-        used = [(row[fc], row[pc], pc) for row, pc in zip(m, pivots) if fc in row]
+        used = [(m[i][fc], m[i][pivot_of[i]], pivot_of[i]) for i in holders]
         scale = lcm(*(p for _, p, _ in used))
         v = {fc: scale}
         for f, p, pc in used:

@@ -201,6 +201,29 @@ def test_compiled_rows_match_the_dense_reference(circuit):
     compiled = compile_circuit(circuit)
     names, rows = oracles.dense_equation_rows(circuit, compiled.universum)
     assert compiled.rep.f1 == LinMap(compiled.universum, VectObj(names), rows)
+    dim = compiled.universum.dim
+    assert vect.kernel_basis(compiled.rep.f1.rows, dim) == vect.to_sparse(oracles.dense_kernel_basis(rows, dim))
+
+
+def test_long_chain_behavior_is_exact():
+    # 500 unit resistors in series: a common potential, and one current through
+    # every resistor with the voltages falling by 1 across each
+    n = 500
+    nodes = tuple(f"n{k}" for k in range(n + 1))
+    elements = tuple(Resistor(f"r{k}", f"n{k}", f"n{k + 1}", Fraction(1)) for k in range(n))
+    compiled = compile_circuit(Circuit("chain", nodes, ("n0", f"n{n}"), elements))
+    behavior = behavior_image(compiled.system)
+    assert behavior.dim == 2
+
+    def point(voltage, current):
+        """voltage(k) at each node n<k>, and current through each resistor."""
+        return [
+            voltage(int(v.removeprefix("v_n"))) if v.startswith("v_") else current
+            for v in compiled.universum.vars
+        ]
+
+    assert behavior.contains(point(lambda k: 1, 0))
+    assert behavior.contains(point(lambda k: n - k, 1))
 
 
 # -- gluing ---------------------------------------------------------------------

@@ -1,9 +1,15 @@
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from syscat.cli import main
+
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
 
 def run_cli(args, capsys):
@@ -64,8 +70,9 @@ def test_non_utf8_input_is_usage_error(command, circuits_dir, tmp_path, capsys):
     ("glue", ""),
     ("glue", "glue a\nglue b\nidentify v_c = v_e\n"),
     ("glue", "glue g\nidentify v_c =\n"),
+    ("ckt", "circuit T\nnode a b\nresistor r1 a b 1/" + "7" * 5000 + "\n"),
 ], ids=["empty-netlist", "truncated-netlist", "duplicate-circuit-header",
-        "empty-glue", "duplicate-glue-header", "malformed-identify"])
+        "empty-glue", "duplicate-glue-header", "malformed-identify", "overlong-value"])
 def test_malformed_file_is_usage_error(kind, text, circuits_dir, tmp_path, capsys):
     bad = tmp_path / f"bad.{kind}"
     bad.write_text(text)
@@ -193,3 +200,67 @@ def test_outputs_are_deterministic(circuits_dir, capsys):
     _, first, _ = run_cli(args, capsys)
     _, second, _ = run_cli(args, capsys)
     assert first == second
+
+
+# -- parser fuzzing ---------------------------------------------------------------
+
+# (left netlist, right netlist, glue spec): each triple glues as it stands
+TRIPLES = (("S.ckt", "P.ckt", "SP.glue"), ("R1.ckt", "R2.ckt", "RR.glue"),
+           ("S_aug.ckt", "P_aug.ckt", "SP_aug.glue"))
+VALUES = ("1e3", "-1", "0", "1/0", "9" * 5000)
+NON_ASCII = ("ñ", "Ω1", "节点", "a\u00a0b", "é=é")  # str.split() splits at the no-break space
+
+
+@st.composite
+def mutated(draw, text):
+    """text with one directive line changed: a token dropped, duplicated, or
+    replaced by an odd value or a non-ASCII name."""
+    lines = text.splitlines()
+    line = draw(st.sampled_from([i for i, l in enumerate(lines) if l.split("#", 1)[0].split()]))
+    toks = lines[line].split("#", 1)[0].split()
+    k = draw(st.integers(0, len(toks) - 1))
+    how = draw(st.sampled_from(("drop", "duplicate", "value", "name")))
+    if how == "drop":
+        del toks[k]
+    elif how == "duplicate":
+        toks.insert(k, toks[k])
+    else:
+        toks[k] = draw(st.sampled_from(VALUES if how == "value" else NON_ASCII))
+    lines[line] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+def fuzzed(text):
+    return st.one_of(st.just(text), mutated(text), st.text(max_size=200))
+
+
+@st.composite
+def fuzzed_triples(draw):
+    names = draw(st.sampled_from(TRIPLES))
+    texts = [(CIRCUITS / n).read_text(encoding="utf-8") for n in names]
+    which = draw(st.integers(0, 2))
+    texts[which] = draw(fuzzed(texts[which]))
+    return names, texts
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_triples())
+def test_fuzzed_inputs_exit_cleanly(tmp_path, triple):
+    names, texts = triple
+    for name, text in zip(names, texts):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    paths = [str(tmp_path / n) for n in names]
+    for argv in (["behavior", paths[0]], ["behavior", paths[1]], ["glue", *paths]):
+        code, err = run_quietly(argv)
+        assert code in (0, 1, 2)
+        if code:
+            assert err.count("\n") == 1 and err.startswith("error: ")
+        else:
+            assert err == ""

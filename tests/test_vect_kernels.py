@@ -103,8 +103,12 @@ def test_negative_pivots_are_normalized():
     assert got == ((1, 0, 20), (0, 1, 10)) and pivots == (0, 1)
 
 
+# the shape of a pullback of coordinate maps: few rows, many columns
+WIDE = st.integers(1, 2).flatmap(lambda n: sparse_rows(nrows=n, max_cols=40))
+
+
 @settings(deadline=None, max_examples=60)
-@given(sparse_rows())
+@given(sparse_rows() | WIDE)
 def test_kernel_basis_matches_dense_reference(m):
     rows, ncols = m
     got = dense_kernels.kernel_basis(rows, ncols)
