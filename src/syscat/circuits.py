@@ -16,18 +16,25 @@ Glue format::
 
 Compilation produces a kernel representation over the free rational space on
 one voltage variable ``v_<node>`` per node and one oriented current variable
-``i_<element>`` per element. Equation rows are Ohm's law / wire equality per
-element and a current-balance row at every internal (non-terminal) node that
-touches an element; terminals are left open to the environment.
+``i_<element>`` per element, together with the circuit's node graph: each
+node's voltage variable keys a ``Node`` holding its label, whether it is a
+terminal, and its element ends (current variable, +1 at n1 / -1 at n2).
+Equation rows are Ohm's law / wire equality per element and a current-balance
+row at every internal (non-terminal) node that touches an element; terminals
+are left open to the environment.
 
-Gluing identifies variables across two circuits. It computes the
+Gluing identifies variables across two compiled circuits and returns a
+compiled circuit again: a ``GlueResult`` is a ``CompiledCircuit`` whose node
+graph is both graphs renamed to the merged names, labels prefixed ``L.``/``R.``,
+with each identified voltage joining two nodes into one. It computes the
 interconnection three ways — stacked equations over the merged names, the
 syntax-side pullback, and the semantics-side pullback — and reports whether
 interpretation commuted with the gluing (it must, up to a bug). The syntax and
 semantics routes are ``check_preservation`` over the two compiled
 representations, and its report is the result's ``preservation``. With
-``close_dangling`` the glued circuit's degree-<=1 terminals get
-zero-external-current rows before the result is reported.
+``close_dangling`` the glued graph's terminals of at most one element end get
+zero-external-current rows, built like the current-balance rows, before the
+result is reported.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import carriers, vect
 from .equations import (
@@ -112,7 +120,7 @@ def _check_name(tok: str, what: str, line: int) -> str:
 
 
 def _parse_rational(tok: str, line: int) -> Fraction:
-    if not re.match(r"^[+-]?\d+(/\d+)?$", tok):
+    if not re.match(r"^[+-]?[0-9]+(/[0-9]+)?$", tok):
         raise ParseError(f"expected an exact rational (int or p/q), got {tok!r}", line)
     try:
         return Fraction(tok)
@@ -215,10 +223,20 @@ def parse_glue(text: str) -> GlueSpec:
 
 # -- compilation --------------------------------------------------------------
 
+class Node(NamedTuple):
+    """A node: its label, whether it is a terminal, and its element ends
+    ``(current variable, +1 at n1 / -1 at n2)`` in element order."""
+
+    label: str
+    terminal: bool
+    ends: tuple[tuple[str, int], ...]
+
+
 @dataclass(frozen=True)
 class CompiledCircuit:
-    circuit: Circuit
+    name: str
     rep: EquationRep
+    nodes: dict[str, Node]  # voltage variable -> node
 
     @property
     def system(self) -> System:
@@ -228,73 +246,65 @@ class CompiledCircuit:
     def universum(self) -> VectObj:
         return self.rep.universum
 
-
-def _equation_rows(circuit: Circuit, universum: VectObj):
-    """Row names and canonical rows: each element's law, then KCL at internal nodes."""
-    idx = {v: i for i, v in enumerate(universum.vars)}
-    names, rows = [], []
-    for e in circuit.elements:
-        v1, v2 = idx[voltage_var(e.n1)], idx[voltage_var(e.n2)]
-        if isinstance(e, Resistor):
-            # v1 - v2 - (p/q) i, times q
-            p, q = e.resistance.numerator, e.resistance.denominator
-            rows.append((q, {v1: q, v2: -q, idx[current_var(e.ident)]: -p}))
-        else:
-            rows.append((1, {v1: 1, v2: -1}))
-        names.append(f"law:{e.ident}")
-    terminals = set(circuit.terminals)
-    kcl = {n: {} for n in circuit.nodes if n not in terminals}
-    for e in circuit.elements:
-        # no self-loops, so each element enters a node's balance once, as +-1
-        j = idx[current_var(e.ident)]
-        for node, sign in ((e.n1, 1), (e.n2, -1)):
-            if node in kcl:
-                kcl[node][j] = sign
-    for n, row in kcl.items():
-        if row:
-            names.append(f"kcl:{n}")
-            rows.append((1, row))
-    return tuple(names), tuple(rows)
-
-
-def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Deterministic translation of a circuit into a kernel representation."""
-    universum = VectObj(
-        tuple(voltage_var(n) for n in circuit.nodes)
-        + tuple(current_var(e.ident) for e in circuit.elements)
-    )
-    names, rows = _equation_rows(circuit, universum)
-    return CompiledCircuit(circuit, kernel_rep(LinMap.from_rows(universum, VectObj(names), rows)))
-
-
-# -- gluing -------------------------------------------------------------------
-
-def _var_kind(name: str) -> str:
-    if name.startswith("v_"):
-        return "voltage"
-    if name.startswith("i_"):
-        return "current"
-    return "other"
-
-
-@dataclass(frozen=True)
-class GlueResult:
-    rep: EquationRep
-    system: System
-    universum: VectObj
-    merged: tuple[tuple[str, str, str], ...]  # (left, right, merged name)
-    preservation: PreservationReport
-    close_dangling: bool
-    closed_terminals: tuple[str, ...]
-
     @property
     def behavior(self) -> Subspace:
         return behavior_image(self.system)
 
 
+def _node_rows(kind: str, nodes, idx):
+    """The row ``<kind>:<label>`` of each node: the signed sum of its ends' currents.
+    Callers pass nodes whose ends have distinct currents, so each row is canonical."""
+    return (
+        tuple(f"{kind}:{n.label}" for n in nodes),
+        tuple((1, {idx[var]: sign for var, sign in n.ends}) for n in nodes),
+    )
+
+
+def compile_circuit(circuit: Circuit) -> CompiledCircuit:
+    """Deterministic translation of a circuit into a kernel representation:
+    each element's law, then KCL at internal nodes that touch an element."""
+    voltages = [voltage_var(n) for n in circuit.nodes]
+    currents = [current_var(e.ident) for e in circuit.elements]
+    universum = VectObj(tuple(voltages) + tuple(currents))
+    idx = {v: i for i, v in enumerate(universum.vars)}
+    ends = {n: [] for n in circuit.nodes}
+    names, rows = [], []
+    for e, i in zip(circuit.elements, currents):
+        v1, v2 = idx[voltage_var(e.n1)], idx[voltage_var(e.n2)]
+        if isinstance(e, Resistor):
+            # v1 - v2 - (p/q) i, times q
+            p, q = e.resistance.numerator, e.resistance.denominator
+            rows.append((q, {v1: q, v2: -q, idx[i]: -p}))
+        else:
+            rows.append((1, {v1: 1, v2: -1}))
+        names.append(f"law:{e.ident}")
+        # no self-loops, so an element has one end at each of two nodes
+        ends[e.n1].append((i, 1))
+        ends[e.n2].append((i, -1))
+    terminals = set(circuit.terminals)
+    nodes = {v: Node(n, n in terminals, tuple(ends[n])) for v, n in zip(voltages, circuit.nodes)}
+    kcl_names, kcl_rows = _node_rows(
+        "kcl", [n for n in nodes.values() if not n.terminal and n.ends], idx
+    )
+    f = LinMap.from_rows(universum, VectObj(tuple(names) + kcl_names), tuple(rows) + kcl_rows)
+    return CompiledCircuit(circuit.name, kernel_rep(f), nodes)
+
+
+# -- gluing -------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GlueResult(CompiledCircuit):
+    """The glued circuit, itself a compiled circuit, with how it was glued."""
+
+    merged: tuple[tuple[str, str, str], ...]  # (left, right, merged name)
+    preservation: PreservationReport
+    close_dangling: bool
+    closed_terminals: tuple[str, ...]
+
+
 def _merged_names(spec: GlueSpec, left: VectObj, right: VectObj):
     """The (left, right, merged) pairs, the merged universum, and each side's
-    assignment of merged names to its own variables.
+    map from its own variables to their merged names.
     """
     pairs = []
     seen_left, seen_right = set(), set()
@@ -303,7 +313,7 @@ def _merged_names(spec: GlueSpec, left: VectObj, right: VectObj):
             raise GlueError(f"{l!r} is not a variable of the left circuit")
         if r not in right.vars:
             raise GlueError(f"{r!r} is not a variable of the right circuit")
-        if _var_kind(l) != _var_kind(r):
+        if l.startswith("v_") != r.startswith("v_"):  # every variable is v_ or i_
             raise GlueError(f"cannot identify {l!r} with {r!r}: different kinds")
         if l in seen_left or r in seen_right:
             raise GlueError(f"variable identified twice in {l!r} = {r!r}")
@@ -311,73 +321,36 @@ def _merged_names(spec: GlueSpec, left: VectObj, right: VectObj):
         seen_right.add(r)
         pairs.append((l, r, l if l == r else f"{l}={r}"))
     by_left = {l: m for l, _, m in pairs}
-    glued = [by_left.get(v, v) for v in left.vars]
-    from_left = dict(zip(glued, left.vars))
-    from_right = {m: r for _, r, m in pairs}
-    for v in right.vars:
-        if v not in seen_right:
-            glued.append(v)
-            from_right[v] = v
+    by_right = {r: m for _, r, m in pairs}
+    rename1 = {v: by_left.get(v, v) for v in left.vars}
+    rename2 = {v: by_right.get(v, v) for v in right.vars}
+    glued = list(rename1.values()) + [v for v in right.vars if v not in seen_right]
     if len(set(glued)) != len(glued):
         dupes = sorted({v for v in glued if glued.count(v) > 1})
         raise GlueError(f"name collision after merge: {', '.join(dupes)}")
-    return tuple(pairs), VectObj(tuple(glued)), from_left, from_right
+    return tuple(pairs), VectObj(tuple(glued)), rename1, rename2
 
 
-def _close_rows(c1: Circuit, c2: Circuit, pairs, universum: VectObj):
-    """Zero-external-current rows at the glued circuit's dangling terminals."""
-    parent: dict[tuple[str, str], tuple[str, str]] = {}
+def _merged_nodes(k1: CompiledCircuit, k2: CompiledCircuit, rename1, rename2):
+    """Both node graphs over the merged names, labels prefixed ``L.``/``R.``.
 
-    def find(x):
-        while parent.get(x, x) != x:
-            x = parent[x]
-        return x
+    An identified voltage joins its two nodes into one, which keeps the right
+    label; the merged names do not collide, so they key the joined graph.
+    """
+    def renamed(k, rename, tag):
+        return {
+            rename[v]: Node(
+                f"{tag}.{n.label}", n.terminal, tuple((rename[i], s) for i, s in n.ends)
+            )
+            for v, n in k.nodes.items()
+        }
 
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    sides = (("L", c1), ("R", c2))
-    for tag, c in sides:
-        for n in c.nodes:
-            parent.setdefault((tag, n), (tag, n))
-    for l, r, _ in pairs:
-        if _var_kind(l) == "voltage":
-            union(("L", l[2:]), ("R", r[2:]))
-
-    # current variable of each element, after merging
-    merged_of_left = {l: m for l, _, m in pairs}
-    merged_of_right = {r: m for _, r, m in pairs}
-    def cur_var(tag, ident):
-        name = current_var(ident)
-        if tag == "L":
-            return merged_of_left.get(name, name)
-        return merged_of_right.get(name, name)
-
-    # each merged node's element ends, with their current variables; the
-    # node's degree is their count
-    incident: dict[tuple[str, str], list[tuple[str, int]]] = {}
-    terminal: dict[tuple[str, str], bool] = {}
-    for tag, c in sides:
-        terms = set(c.terminals)
-        for n in c.nodes:
-            root = find((tag, n))
-            terminal[root] = terminal.get(root, False) or n in terms
-            incident.setdefault(root, [])
-        for e in c.elements:
-            for node, sign in ((e.n1, 1), (e.n2, -1)):
-                incident[find((tag, node))].append((cur_var(tag, e.ident), sign))
-
-    idx = {v: i for i, v in enumerate(universum.vars)}
-    names, rows, closed = [], [], []
-    for root in sorted(set(find(k) for k in parent)):
-        if not terminal[root] or len(incident[root]) > 1:
-            continue
-        # at most one incident current, so the row is canonical as it stands
-        rows.append((1, {idx[var]: sign for var, sign in incident[root]}))
-        label = f"{root[0]}.{root[1]}"
-        names.append(f"ext:{label}")
-        closed.append(label)
-    return tuple(names), tuple(rows), tuple(closed)
+    nodes = renamed(k1, rename1, "L")
+    for v, n in renamed(k2, rename2, "R").items():
+        if v in nodes:
+            n = Node(n.label, nodes[v].terminal or n.terminal, nodes[v].ends + n.ends)
+        nodes[v] = n
+    return nodes
 
 
 def glue(
@@ -385,9 +358,10 @@ def glue(
 ) -> GlueResult:
     """Interconnect two circuits by identifying variables.
 
-    Returns the stacked representation and system over the merged-name
-    universum, together with the preservation report: the syntax- and
-    semantics-side pullbacks and the verdict of comparing them.
+    Returns the glued circuit: the stacked representation over the
+    merged-name universum and the merged node graph, together with the
+    preservation report: the syntax- and semantics-side pullbacks and the
+    verdict of comparing them.
     """
     return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec, close_dangling)
 
@@ -396,9 +370,9 @@ def _glue_compiled(
     k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec, close_dangling: bool | None
 ) -> GlueResult:
     close = spec.close_dangling if close_dangling is None else close_dangling
-    pairs, glued, from_left, from_right = _merged_names(spec, k1.universum, k2.universum)
-    lift1 = vect.coordinate_map(glued, k1.universum, from_left)
-    lift2 = vect.coordinate_map(glued, k2.universum, from_right)
+    pairs, glued, rename1, rename2 = _merged_names(spec, k1.universum, k2.universum)
+    lift1 = vect.coordinate_map(glued, k1.universum, {m: v for v, m in rename1.items()})
+    lift2 = vect.coordinate_map(glued, k2.universum, {m: v for v, m in rename2.items()})
     f1, f2 = k1.rep.f1, k2.rep.f1
     row_names = tuple(f"L:{n}" for n in f1.cod.vars) + tuple(f"R:{n}" for n in f2.cod.vars)
     stacked = LinMap.from_rows(
@@ -424,28 +398,29 @@ def _glue_compiled(
         raise MismatchError("pullback universum does not match the merged universum")
     transported = carriers.image(carriers.compose(alpha, preservation.syntax_system.inclusion))
     rep = kernel_rep(stacked)
-    system = arr_eq(rep)
-    if transported != behavior_image(system):
+    if transported != behavior_image(arr_eq(rep)):
         raise MismatchError("stacked equations disagree with the pullback route")
 
-    closed_names: tuple[str, ...] = ()
+    nodes = _merged_nodes(k1, k2, rename1, rename2)
+    closed: list[Node] = []
     if close:
-        ext_names, ext_rows, closed_names = _close_rows(k1.circuit, k2.circuit, pairs, glued)
-        stacked = LinMap.from_rows(
-            glued,
-            VectObj(tuple(stacked.cod.vars) + ext_names),
-            stacked.rows + ext_rows,
+        # zero external current at each terminal with at most one element end
+        closed = sorted(
+            (n for n in nodes.values() if n.terminal and len(n.ends) <= 1), key=lambda n: n.label
         )
-        rep = kernel_rep(stacked)
-        system = arr_eq(rep)
+        idx = {v: i for i, v in enumerate(glued.vars)}
+        ext_names, ext_rows = _node_rows("ext", closed, idx)
+        rep = kernel_rep(
+            LinMap.from_rows(glued, VectObj(row_names + ext_names), stacked.rows + ext_rows)
+        )
     return GlueResult(
+        name=spec.name,
         rep=rep,
-        system=system,
-        universum=glued,
+        nodes=nodes,
         merged=pairs,
         preservation=preservation,
         close_dangling=close,
-        closed_terminals=closed_names,
+        closed_terminals=tuple(n.label for n in closed),
     )
 
 

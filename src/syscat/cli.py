@@ -35,30 +35,43 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _print_basis(sub, out):
-    for row in sub.basis:
-        out.write("  [" + ", ".join(str(x) for x in row) + "]\n")
+def _behavior_json(sub) -> dict:
+    """The behavior with every entry formatted, before anything is written."""
+    try:
+        basis = [[str(x) for x in row] for row in sub.basis]
+    except ValueError:  # an int past Python's int-to-text conversion limit
+        raise DomainError(
+            f"a behavior entry has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit for printing an integer"
+        ) from None
+    return {"ambient": list(sub.ambient.vars), "dim": sub.dim, "basis": basis}
+
+
+def _print_basis(behavior: dict, out):
+    for row in behavior["basis"]:
+        out.write("  [" + ", ".join(row) + "]\n")
 
 
 def cmd_behavior(args, out) -> int:
     compiled = compile_circuit(parse_netlist(_read(args.netlist)))
-    sub = behavior_image(compiled.system)
+    sub = compiled.behavior
+    behavior = _behavior_json(sub)
     if args.json:
         report = {
-            "circuit": compiled.circuit.name,
+            "circuit": compiled.name,
             "universum": {"vars": list(compiled.universum.vars), "dim": compiled.universum.dim},
             "equations": {
                 "count": compiled.rep.codomain.dim,
                 "names": list(compiled.rep.codomain.vars),
             },
-            "behavior": sub.to_json(),
+            "behavior": behavior,
         }
         out.write(json.dumps(report, indent=2) + "\n")
         return 0
-    out.write(f"circuit {compiled.circuit.name}: dim(U)={compiled.universum.dim} dim(B)={sub.dim}\n")
+    out.write(f"circuit {compiled.name}: dim(U)={compiled.universum.dim} dim(B)={sub.dim}\n")
     out.write("universum: " + " ".join(compiled.universum.vars) + "\n")
     out.write("basis:\n")
-    _print_basis(sub, out)
+    _print_basis(behavior, out)
     return 0
 
 
@@ -68,13 +81,14 @@ def cmd_glue(args, out) -> int:
     spec = parse_glue(_read(args.glue))
     result = glue(left, right, spec, close_dangling=True if args.close_dangling else None)
     sub = result.behavior
+    behavior = _behavior_json(sub)
     if args.json:
         report = {
             "glue": spec.name,
             "close_dangling": result.close_dangling,
             "identify": [[l, r] for l, r, _ in result.merged],
             "universum": {"vars": list(result.universum.vars), "dim": result.universum.dim},
-            "behavior": sub.to_json(),
+            "behavior": behavior,
             "syntax_dim": behavior_image(result.preservation.syntax_system).dim,
             "semantics_dim": behavior_image(result.preservation.semantics_system).dim,
             "preservation_equal": result.preservation.equal,
@@ -92,7 +106,7 @@ def cmd_glue(args, out) -> int:
     if result.close_dangling:
         out.write("closed terminals: " + " ".join(result.closed_terminals) + "\n")
     out.write("basis:\n")
-    _print_basis(sub, out)
+    _print_basis(behavior, out)
     return 0
 
 

@@ -667,26 +667,11 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def coords(self, vec):
-        """Coordinates of vec in the canonical basis, or None if outside."""
+    def contains(self, vec) -> bool:
         v = tuple(frac(x) for x in vec)
         if len(v) != self.ambient.dim:
             raise MismatchError("vector length does not match the ambient dimension")
-        d, m = _int_row(v)
-        # each basis row is 1 at its pivot, where the other rows are 0, so
-        # vec's coordinate along it is vec's entry there
-        cs = [m.get(min(b), 0) for _, b in self.rows]
-        e = lcm(*(q for q, _ in self.rows))
-        rest = {j: x * e for j, x in m.items()}
-        for c, (q, b) in zip(cs, self.rows):
-            for j, n in b.items():
-                rest[j] = rest.get(j, 0) - c * n * (e // q)
-        if any(rest.values()):
-            return None
-        return tuple(_q(c, d) for c in cs)
-
-    def contains(self, vec) -> bool:
-        return self.coords(vec) is not None
+        return rank_of(self.rows + (_int_row(v),), self.ambient.dim) == self.dim
 
     def leq(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -720,13 +705,6 @@ class Subspace:
     def _check_ambient(self, other: "Subspace"):
         if self.ambient != other.ambient:
             raise MismatchError("subspaces live in different ambient spaces")
-
-    def to_json(self) -> dict:
-        return {
-            "ambient": list(self.ambient.vars),
-            "dim": self.dim,
-            "basis": [[str(x) for x in row] for row in self.basis],
-        }
 
 
 def image(f: LinMap) -> Subspace:

@@ -105,7 +105,7 @@ def dense_solve_matrix(a_rows, ncols: int, b_rows, bcols: int):
 
 
 # The equation rows of a compiled circuit as dense ``Fraction`` rows, as
-# ``circuits._equation_rows`` built them before it emitted canonical rows.
+# ``circuits.compile_circuit`` built them before it emitted canonical rows.
 
 def dense_equation_rows(circuit, universum):
     from syscat.circuits import Resistor, current_var, voltage_var
@@ -139,3 +139,76 @@ def dense_equation_rows(circuit, universum):
             names.append(f"kcl:{n}")
             rows.append(tuple(row))
     return tuple(names), tuple(rows)
+
+
+# How ``syscat.circuits`` closed a glued circuit's dangling terminals before
+# compiled circuits carried their node graph: it rebuilt node identity from both
+# parsed netlists with a union-find. The reference the graph-based closing must
+# match name for name, row for row and label for label.
+
+from syscat.circuits import Circuit, current_var  # noqa: E402
+from syscat.vect import VectObj  # noqa: E402
+
+
+def _var_kind(name: str) -> str:
+    if name.startswith("v_"):
+        return "voltage"
+    if name.startswith("i_"):
+        return "current"
+    return "other"
+
+
+def _close_rows(c1: Circuit, c2: Circuit, pairs, universum: VectObj):
+    """Zero-external-current rows at the glued circuit's dangling terminals."""
+    parent: dict[tuple[str, str], tuple[str, str]] = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        parent[find(a)] = find(b)
+
+    sides = (("L", c1), ("R", c2))
+    for tag, c in sides:
+        for n in c.nodes:
+            parent.setdefault((tag, n), (tag, n))
+    for l, r, _ in pairs:
+        if _var_kind(l) == "voltage":
+            union(("L", l[2:]), ("R", r[2:]))
+
+    # current variable of each element, after merging
+    merged_of_left = {l: m for l, _, m in pairs}
+    merged_of_right = {r: m for _, r, m in pairs}
+    def cur_var(tag, ident):
+        name = current_var(ident)
+        if tag == "L":
+            return merged_of_left.get(name, name)
+        return merged_of_right.get(name, name)
+
+    # each merged node's element ends, with their current variables; the
+    # node's degree is their count
+    incident: dict[tuple[str, str], list[tuple[str, int]]] = {}
+    terminal: dict[tuple[str, str], bool] = {}
+    for tag, c in sides:
+        terms = set(c.terminals)
+        for n in c.nodes:
+            root = find((tag, n))
+            terminal[root] = terminal.get(root, False) or n in terms
+            incident.setdefault(root, [])
+        for e in c.elements:
+            for node, sign in ((e.n1, 1), (e.n2, -1)):
+                incident[find((tag, node))].append((cur_var(tag, e.ident), sign))
+
+    idx = {v: i for i, v in enumerate(universum.vars)}
+    names, rows, closed = [], [], []
+    for root in sorted(set(find(k) for k in parent)):
+        if not terminal[root] or len(incident[root]) > 1:
+            continue
+        # at most one incident current, so the row is canonical as it stands
+        rows.append((1, {idx[var]: sign for var, sign in incident[root]}))
+        label = f"{root[0]}.{root[1]}"
+        names.append(f"ext:{label}")
+        closed.append(label)
+    return tuple(names), tuple(rows), tuple(closed)

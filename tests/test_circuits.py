@@ -1,7 +1,9 @@
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -11,12 +13,15 @@ from syscat.circuits import (
     GlueSpec,
     Resistor,
     Wire,
+    _glue_compiled,
     compile_circuit,
+    current_var,
     emergence_report,
     glue,
     parse_glue,
     parse_netlist,
     phenome,
+    voltage_var,
 )
 from syscat.errors import GlueError, MismatchError, ParseError
 from syscat.systems import behavior_image, product_systems
@@ -246,9 +251,9 @@ def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, clo
     seen = []
     equalizer = carriers.equalizer
     monkeypatch.setattr(carriers, "equalizer", lambda f, g: seen.append(f) or equalizer(f, g))
-    glue(left, right, spec, close_dangling=close)
+    glue(left, right, spec, close_dangling=close).system
     # left, right, the syntax pullback, the shared representation and the
-    # stacked equations; with closing, the closed equations too
+    # stacked equations; with closing, the closed equations too, on first read
     assert len(seen) == calls
 
 
@@ -264,6 +269,95 @@ def test_glue_close_dangling_collapses_to_a_line():
     volts = {v for k, v in vec.items() if k.startswith("v_")}
     amps = {v for k, v in vec.items() if k.startswith("i_")}
     assert len(volts) == 1 and amps == {0}
+
+
+def prefixed(c: Circuit, p: str) -> Circuit:
+    """c with every node and element id prefixed by p."""
+    return Circuit(
+        c.name,
+        tuple(p + n for n in c.nodes),
+        tuple(p + t for t in c.terminals),
+        tuple(replace(e, ident=p + e.ident, n1=p + e.n1, n2=p + e.n2) for e in c.elements),
+    )
+
+
+@st.composite
+def glued_pairs(draw):
+    """Two ladders or grids and a glue of random voltages and currents; often
+    the first merged node joins two nodes of at most one end each (closing may
+    close the join), and often it also identifies a current at each half."""
+    c1, c2 = draw(ladders_and_grids()), prefixed(draw(ladders_and_grids()), "q")
+
+    def matched(xs, ys):
+        k = draw(st.integers(0, min(len(xs), len(ys), 3)))
+        return list(zip(draw(st.permutations(xs))[:k], draw(st.permutations(ys))[:k]))
+
+    def dangling(c):
+        """The nodes of one end or, if there are none, the isolated ones."""
+        ends = Counter(n for e in c.elements for n in (e.n1, e.n2))
+        return [n for n in c.nodes if ends[n] == 1] or [n for n in c.nodes if not ends[n]]
+
+    volts = []
+    if draw(st.booleans()):
+        volts.append((draw(st.sampled_from(dangling(c1))), draw(st.sampled_from(dangling(c2)))))
+    used = {x for pair in volts for x in pair}
+    volts += matched([n for n in c1.nodes if n not in used], [n for n in c2.nodes if n not in used])
+    currents = []
+    if volts and draw(st.booleans()):
+        a, b = volts[0]
+        at_a = [e.ident for e in c1.elements if a in (e.n1, e.n2)]
+        at_b = [e.ident for e in c2.elements if b in (e.n1, e.n2)]
+        if at_a and at_b:
+            currents.append((draw(st.sampled_from(at_a)), draw(st.sampled_from(at_b))))
+    used = {x for pair in currents for x in pair}
+    currents += matched(
+        [e.ident for e in c1.elements if e.ident not in used],
+        [e.ident for e in c2.elements if e.ident not in used],
+    )
+    spec = GlueSpec(
+        "g",
+        tuple((voltage_var(a), voltage_var(b)) for a, b in volts)
+        + tuple((current_var(a), current_var(b)) for a, b in currents),
+    )
+    return c1, c2, spec
+
+
+LADDER1 = parse_netlist(
+    "circuit c\nnode n0 n1 g0 g1 z\nterminal n0 z\n"
+    "resistor r0 n0 n1 1\nwire w0 g0 g1\nresistor s0 n1 g1 2\n"
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(glued_pairs())
+# n0=qn0 holds i_r0=i_qr0 at two ends and stays open; z=qz has none and is
+# closed under the right label
+@example((LADDER1, prefixed(LADDER1, "q"),
+          GlueSpec("g", (("v_n0", "v_qn0"), ("v_z", "v_qz"), ("i_r0", "i_qr0")))))
+def test_closing_matches_the_union_find_reference(pair):
+    c1, c2, spec = pair
+    res = glue(c1, c2, spec, close_dangling=True)
+    names, rows, closed = oracles._close_rows(c1, c2, res.merged, res.universum)
+    assert res.closed_terminals == closed
+    n = res.rep.codomain.dim - len(names)
+    assert res.rep.codomain.vars[n:] == names
+    assert res.rep.f1.rows[n:] == rows
+    assert not any(v.startswith("ext:") for v in res.rep.codomain.vars[:n])
+
+
+def test_glue_result_glues_again():
+    r1 = parse_netlist("circuit R1\nnode a b\nterminal a b\nresistor ab a b 1\n")
+    r2 = parse_netlist("circuit R2\nnode c d\nterminal c d\nresistor cd c d 2\n")
+    r3 = compile_circuit(parse_netlist("circuit R3\nnode e f\nterminal e f\nresistor ef e f 3\n"))
+    first = glue(r1, r2, parse_glue("glue RR\nidentify v_b = v_c\nidentify i_ab = i_cd\n"))
+    spec = GlueSpec("RRR", (("v_d", "v_e"), ("i_ab=i_cd", "i_ef")))
+    for close, closed in ((False, ()), (True, ("L.L.a", "R.f"))):
+        res = _glue_compiled(first, r3, spec, close)
+        assert res.preservation.equal
+        assert res.behavior.dim == oracles.nullity(res.rep.f1.matrix, res.universum.dim)
+        assert res.closed_terminals == closed
+    # closing both ends of the series chain stops its current
+    assert res.behavior.dim == 1
 
 
 def test_two_resistors_in_series():

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -71,8 +72,10 @@ def test_non_utf8_input_is_usage_error(command, circuits_dir, tmp_path, capsys):
     ("glue", "glue a\nglue b\nidentify v_c = v_e\n"),
     ("glue", "glue g\nidentify v_c =\n"),
     ("ckt", "circuit T\nnode a b\nresistor r1 a b 1/" + "7" * 5000 + "\n"),
+    ("ckt", "circuit T\nnode a b\nresistor r1 a b \u0661\u0662\n"),
 ], ids=["empty-netlist", "truncated-netlist", "duplicate-circuit-header",
-        "empty-glue", "duplicate-glue-header", "malformed-identify", "overlong-value"])
+        "empty-glue", "duplicate-glue-header", "malformed-identify", "overlong-value",
+        "non-ascii-digits"])
 def test_malformed_file_is_usage_error(kind, text, circuits_dir, tmp_path, capsys):
     bad = tmp_path / f"bad.{kind}"
     bad.write_text(text)
@@ -86,6 +89,20 @@ def test_malformed_file_is_usage_error(kind, text, circuits_dir, tmp_path, capsy
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_unprintable_behavior_entry_is_domain_error(flags, tmp_path, capsys):
+    # the behavior holds r/s, an integer past Python's int-to-text digit limit
+    net = tmp_path / "big.ckt"
+    net.write_text("circuit big\nnode a b c\nterminal a c\nresistor r a b " + "7" * 4000
+                   + "\nresistor s b c 1/" + "3" * 4000 + "\n")
+    code, out, err = run_cli(["behavior", str(net), *flags], capsys)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"{sys.get_int_max_str_digits()} digits" in lines[0]
 
 
 def test_glue_text_output(circuits_dir, capsys):
@@ -207,7 +224,7 @@ def test_outputs_are_deterministic(circuits_dir, capsys):
 # (left netlist, right netlist, glue spec): each triple glues as it stands
 TRIPLES = (("S.ckt", "P.ckt", "SP.glue"), ("R1.ckt", "R2.ckt", "RR.glue"),
            ("S_aug.ckt", "P_aug.ckt", "SP_aug.glue"))
-VALUES = ("1e3", "-1", "0", "1/0", "9" * 5000)
+VALUES = ("1e3", "-1", "0", "1/0", "9" * 5000, "\u0661\u0662")  # the last: Arabic-Indic 12
 NON_ASCII = ("ñ", "Ω1", "节点", "a\u00a0b", "é=é")  # str.split() splits at the no-break space
 
 
