@@ -14,6 +14,9 @@ Glue format::
     identify <leftVar> = <rightVar>
     option close_dangling
 
+A glued circuit's merged variables are named ``<left>=<right>``; to identify
+one, write the ``=`` between the two sides as a token of its own.
+
 Compilation produces a kernel representation over the free rational space on
 one voltage variable ``v_<node>`` per node and one oriented current variable
 ``i_<element>`` per element, together with the circuit's node graph: each
@@ -26,7 +29,8 @@ are left open to the environment.
 Gluing identifies variables across two compiled circuits and returns a
 compiled circuit again: a ``GlueResult`` is a ``CompiledCircuit`` whose node
 graph is both graphs renamed to the merged names, labels prefixed ``L.``/``R.``,
-with each identified voltage joining two nodes into one. It computes the
+with each identified voltage joining two nodes into one; the graph is built
+on its first read, which only closing and a further glue make. It computes the
 interconnection three ways — stacked equations over the merged names, the
 syntax-side pullback, and the semantics-side pullback — and reports whether
 interpretation commuted with the gluing (it must, up to a bug). The syntax and
@@ -40,8 +44,10 @@ result is reported.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from . import carriers, vect
@@ -203,8 +209,12 @@ def parse_glue(text: str) -> GlueSpec:
         if name is None:
             raise ParseError("the first directive must be 'glue <name>'", lineno)
         if kind == "identify":
-            rest = " ".join(toks[1:])
-            sides = [s.strip() for s in rest.split("=")]
+            args = toks[1:]
+            if len(args) == 3 and args[1] == "=" and args.count("=") == 1:
+                # a lone "=" token: either side may be a merged name holding "="
+                sides = [args[0], args[2]]
+            else:
+                sides = [s.strip() for s in " ".join(args).split("=")]
             if len(sides) != 2 or not all(sides):
                 raise ParseError("identify takes: <leftVar> = <rightVar>", lineno)
             if any(" " in s for s in sides):
@@ -236,7 +246,7 @@ class Node(NamedTuple):
 class CompiledCircuit:
     name: str
     rep: EquationRep
-    nodes: dict[str, Node]  # voltage variable -> node
+    nodes: Mapping[str, Node]  # voltage variable -> node
 
     @property
     def system(self) -> System:
@@ -353,6 +363,26 @@ def _merged_nodes(k1: CompiledCircuit, k2: CompiledCircuit, rename1, rename2):
     return nodes
 
 
+class _MergedNodes(Mapping):
+    """``_merged_nodes`` of two compiled circuits, built on first read."""
+
+    def __init__(self, *sides):
+        self._sides = sides
+
+    @cached_property
+    def _nodes(self) -> dict[str, Node]:
+        return _merged_nodes(*self._sides)
+
+    def __getitem__(self, var: str) -> Node:
+        return self._nodes[var]
+
+    def __iter__(self):
+        return iter(self._nodes)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+
 def glue(
     c1: Circuit, c2: Circuit, spec: GlueSpec, close_dangling: bool | None = None
 ) -> GlueResult:
@@ -401,7 +431,7 @@ def _glue_compiled(
     if transported != behavior_image(arr_eq(rep)):
         raise MismatchError("stacked equations disagree with the pullback route")
 
-    nodes = _merged_nodes(k1, k2, rename1, rename2)
+    nodes = _MergedNodes(k1, k2, rename1, rename2)
     closed: list[Node] = []
     if close:
         # zero external current at each terminal with at most one element end

@@ -22,6 +22,28 @@ then canonicalizes the basis read from it, so the output is the same.
 ``mat_mul`` multiplies nonzeros over a common denominator and divides by one
 gcd per result row. Identities, zero maps, product projections and coordinate
 maps are built as rows directly.
+
+Most maps an interconnection builds only re-index variables. Equalizer
+arrows, pullback projections and subobject inclusions are transposed RREF
+bases, so each holds the unit row ``(1, {j: 1})`` for every coordinate j of
+its domain; coordinate maps often do too. Four exact shortcuts test such
+structure in one pass over the nonzeros and eliminate only when it is absent:
+
+- ``lift``: a unit row per domain coordinate in the stacked family proves it
+  jointly mono and leaves one candidate for row j of the mediating map, the
+  cone's row beside the unit row of j. One ``mat_mul`` checks the candidate
+  against every row of the cone; if any differs, no map exists. Otherwise
+  ``solve_matrix``.
+- ``classify``: the same unit rows prove the rank is dom.dim, so the map is
+  mono and epi exactly when dom.dim == cod.dim. Otherwise ``rank_of``.
+- ``kernel_basis``: rows whose supports are pairwise disjoint constrain
+  disjoint columns, and ``_disjoint_kernel`` writes the kernel's RREF
+  directly; this covers every pullback of coordinate maps and every kernel
+  of zero maps. Otherwise min-degree elimination and the canonicalizing pass.
+- ``Subspace``: rows that already are canonical RREF (each nonzero and
+  primitive, its pivot its first column with value 1, pivots increasing, no
+  row touching another's pivot) are kept as given. Otherwise ``rref``.
+
 Computed subobjects (kernels, images, pullback objects) come back with
 generated ``k<i>`` coordinate names.
 
@@ -436,13 +458,66 @@ def rank_of(rows, ncols: int) -> int:
     return len(_eliminate(_ints(rows), ncols))
 
 
+def _unit_cover(rows, ncols: int) -> list[int] | None:
+    """For each column j, the index of a row equal to the unit row ``(1, {j: 1})``,
+    or None if some column has none.
+
+    A cover proves that the rows have full column rank: the covering rows alone
+    are the rows of the identity.
+    """
+    at: dict[int, int] = {}
+    for i, (d, m) in enumerate(rows):
+        if d == 1 and len(m) == 1:
+            for j, x in m.items():
+                if x == 1:
+                    at.setdefault(j, i)
+    if len(at) < ncols:
+        return None
+    return [at[j] for j in range(ncols)]
+
+
+def _disjoint_kernel(rows, ncols: int) -> Rows | None:
+    """The canonical kernel basis of rows no two of which share a column, or
+    None if two do.
+
+    Each row then constrains only its own columns. For a row with last column
+    c, each other column j of it gives e_j - (a_j / a_c) e_c; a column in no
+    row gives e_j. Each such j is the first column of its vector and lies in no
+    other vector, so these vectors in order of j are the kernel's RREF.
+    """
+    seen: set[int] = set()
+    for _, m in rows:
+        if not seen.isdisjoint(m):
+            return None
+        seen.update(m)
+    tied: dict[int, Row] = {}
+    for _, m in rows:
+        if len(m) > 1:
+            c = max(m)
+            ac = m[c]
+            for j, aj in m.items():
+                if j != c:
+                    g = gcd(aj, ac)
+                    p, q = aj // g, ac // g
+                    if q < 0:
+                        p, q = -p, -q
+                    tied[j] = (q, {j: q, c: -p})
+    return tuple(
+        tied[j] if j in tied else (1, {j: 1}) for j in range(ncols) if j in tied or j not in seen
+    )
+
+
 def kernel_basis(rows, ncols: int) -> Rows:
     """Canonical basis of the right kernel (itself in row-echelon form).
 
-    The rows are eliminated in min-degree order; the kernel's RREF is unique,
+    Rows with pairwise disjoint supports give their kernel directly. Otherwise
+    the rows are eliminated in min-degree order; the kernel's RREF is unique,
     so canonicalizing the basis read from them gives the same rows as any
     other pivot order would.
     """
+    direct = _disjoint_kernel(rows, ncols)
+    if direct is not None:
+        return direct
     m = _ints(rows)
     pivot_of, where = _eliminate_min_degree(m)
     pivot_cols = set(pivot_of.values())
@@ -538,7 +613,12 @@ def terminal_map(obj: VectObj) -> LinMap:
 
 
 def classify(f: LinMap) -> tuple[bool, bool]:
-    """(mono, epi) from one rank: full column rank and full row rank."""
+    """(mono, epi) from one rank: full column rank and full row rank.
+
+    A unit-row cover proves the rank is dom.dim without elimination.
+    """
+    if _unit_cover(f.rows, f.dom.dim) is not None:
+        return True, f.dom.dim == f.cod.dim
     r = rank_of(f.rows, f.dom.dim)
     return r == f.dom.dim, r == f.cod.dim
 
@@ -592,11 +672,19 @@ def image_factorize(f: LinMap) -> tuple[LinMap, LinMap]:
 def lift(ms, fs) -> LinMap | None:
     """The u with m_i . u = f_i for jointly mono ms, or None; see ``carriers.lift``.
 
-    u solves [m_1; ...; m_k] u = [f_1; ...; f_k].
+    u solves [m_1; ...; m_k] u = [f_1; ...; f_k]. When the stacked rows of ms
+    hold a unit row for every coordinate of their domain, row j of u can only
+    be the row of fs beside the unit row of j; u is the answer exactly when it
+    reproduces every row of fs. A map's rows are canonical, as ``mat_mul``'s
+    are, so that comparison is ``==``. Otherwise the system is solved.
     """
-    a = [row for m in ms for row in m.rows]
-    b = [row for f in fs for row in f.rows]
+    a = tuple(row for m in ms for row in m.rows)
+    b = tuple(row for f in fs for row in f.rows)
     dom, apex = ms[0].dom, fs[0].dom
+    cover = _unit_cover(a, dom.dim)
+    if cover is not None:
+        u = tuple(b[i] for i in cover)
+        return LinMap.from_rows(apex, dom, u) if mat_mul(a, u) == b else None
     sol = solve_matrix(a, dom.dim, b, apex.dim)
     return None if sol is None else LinMap.from_rows(apex, dom, sol)
 
@@ -622,6 +710,26 @@ def projection_onto(dom: VectObj, names) -> LinMap:
 
 
 # -- subspaces ---------------------------------------------------------------
+
+def _is_canonical_rref(rows) -> bool:
+    """Whether rows are already what ``rref`` returns for them.
+
+    That holds when every row is nonzero and primitive with its first column as
+    its pivot, the pivot entry equal to the denominator (so the value is 1),
+    the pivots strictly increase, and no row touches another row's pivot.
+    """
+    pivots = set()
+    last = -1
+    for d, m in rows:
+        if not m:
+            return False
+        c = min(m)
+        if c <= last or m[c] != d or gcd(*m.values()) != 1:
+            return False
+        pivots.add(c)
+        last = c
+    return all(len(pivots.intersection(m)) == 1 for _, m in rows)
+
 
 @dataclass(frozen=True, init=False)
 class Subspace:
@@ -652,8 +760,10 @@ class Subspace:
 
     def __post_init__(self):
         _check_columns(self.rows, self.ambient.dim, "a basis row")
-        canon, _ = rref(self.rows, self.ambient.dim)
-        object.__setattr__(self, "rows", canon)
+        if _is_canonical_rref(self.rows):
+            object.__setattr__(self, "rows", tuple(self.rows))
+        else:
+            object.__setattr__(self, "rows", rref(self.rows, self.ambient.dim)[0])
 
     def __hash__(self):
         return hash((self.ambient, _row_hash(self.rows)))

@@ -7,10 +7,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from syscat import carriers, vect
+from syscat import carriers, circuits, vect
 from syscat.circuits import (
     Circuit,
     GlueSpec,
+    Node,
     Resistor,
     Wire,
     _glue_compiled,
@@ -121,11 +122,19 @@ def test_parse_errors_carry_line_numbers():
 
 
 def test_parse_glue_forms():
-    spec = parse_glue("glue G\nidentify v_a = v_b\nidentify i_x=i_y\noption close_dangling\n")
-    assert spec.identifications == (("v_a", "v_b"), ("i_x", "i_y"))
+    spec = parse_glue(
+        "glue G\nidentify v_a = v_b\nidentify i_x=i_y\nidentify i_p=i_q = i_r\noption close_dangling\n"
+    )
+    assert spec.identifications == (("v_a", "v_b"), ("i_x", "i_y"), ("i_p=i_q", "i_r"))
     assert spec.close_dangling
-    with pytest.raises(ParseError):
-        parse_glue("glue G\nidentify v_a v_b\n")
+    for line, fragment in (
+        ("identify v_a v_b", "identify takes"),
+        ("identify v_a=v_b=v_c", "identify takes"),
+        ("identify v_a = v_b = v_c", "identify takes"),
+        ("identify v_a = v_b v_c", "single names"),
+    ):
+        with pytest.raises(ParseError, match=fragment):
+            parse_glue(f"glue G\n{line}\n")
     with pytest.raises(ParseError):
         parse_glue("glue G\noption quench\n")
     with pytest.raises(ParseError):
@@ -257,6 +266,20 @@ def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, clo
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("close", [False, True])
+def test_glue_runs_no_general_solve_rank_or_rref(circuits_dir, monkeypatch, close):
+    # every lift, mono check and subspace of a glue has a structural certificate
+    left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
+    spec = parse_glue((circuits_dir / "SP.glue").read_text())
+    seen = []
+    for name in ("solve_matrix", "rank_of", "rref"):
+        kernel = getattr(vect, name)
+        monkeypatch.setattr(vect, name, lambda *a, _n=name, _k=kernel: seen.append(_n) or _k(*a))
+    res = glue(left, right, spec, close_dangling=close)
+    assert res.preservation.equal and res.behavior.dim == (1 if close else 4)
+    assert seen == []
+
+
 def test_glue_close_dangling_collapses_to_a_line():
     s, p = sp_circuits()
     res = glue(s, p, parse_glue(SP_GLUE), close_dangling=True)
@@ -358,6 +381,25 @@ def test_glue_result_glues_again():
         assert res.closed_terminals == closed
     # closing both ends of the series chain stops its current
     assert res.behavior.dim == 1
+
+
+def test_glue_text_names_a_merged_variable(monkeypatch):
+    r1 = parse_netlist("circuit R1\nnode a b\nterminal a b\nresistor ab a b 1\n")
+    r2 = parse_netlist("circuit R2\nnode c d\nterminal c d\nresistor cd c d 2\n")
+    r3 = compile_circuit(parse_netlist("circuit R3\nnode e f\nterminal e f\nresistor ef e f 3\n"))
+    built = []
+    merged_nodes = circuits._merged_nodes
+    monkeypatch.setattr(circuits, "_merged_nodes", lambda *a: built.append(a) or merged_nodes(*a))
+    first = glue(r1, r2, parse_glue("glue RR\nidentify v_b = v_c\nidentify i_ab = i_cd\n"))
+    assert built == []  # an open glue builds no node graph
+    spec = parse_glue("glue RRR\nidentify v_d = v_e\nidentify i_ab=i_cd = i_ef\n")
+    res = _glue_compiled(first, r3, spec, False)
+    assert res.merged[1] == ("i_ab=i_cd", "i_ef", "i_ab=i_cd=i_ef")
+    assert res.preservation.equal and res.behavior.dim == 2
+    assert built == []
+    # the first read builds this graph and, through it, the first glue's
+    assert res.nodes["v_d=v_e"] == Node("R.e", True, (("i_ab=i_cd=i_ef", -1), ("i_ab=i_cd=i_ef", 1)))
+    assert len(built) == 2
 
 
 def test_two_resistors_in_series():

@@ -7,12 +7,18 @@ agree entry for entry and every entry must be a ``Fraction``. The linear-map
 constructions (``compose``, ``pullback``, ``equalizer``, ``image_factorize``,
 ``lift``, ``product_map``) are checked the same way through their dense
 ``matrix`` views. Ranks and row spaces are refereed independently by sympy.
+The structural shortcuts (a unit row per coordinate in ``lift`` and
+``classify``, disjoint row supports in ``kernel_basis``, rows already in
+canonical RREF in ``Subspace``) are drawn on purpose, together with inputs
+that just miss each condition, and checked against the same references.
 Entries range from small rationals to numerators of 10^30 over denominators
 of 10^12, so coefficient growth is exercised, and a strategy of negative
 entries gives negative pivots.
 """
 
+from contextlib import nullcontext
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,17 +261,34 @@ def test_image_factorize_matches_dense_reference(data):
     assert vect.compose(inj, surj) == f
 
 
+@st.composite
+def invertible(draw, space):
+    """A random invertible map space -> space: L @ U with L unit lower
+    triangular and U upper triangular with a nonzero diagonal."""
+    n = space.dim
+    lower = [[Fraction(int(i == j)) if j >= i else draw(NONZERO | st.just(Fraction(0)))
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(NONZERO) if j == i else draw(NONZERO | st.just(Fraction(0))) if j > i
+              else Fraction(0) for j in range(n)] for i in range(n)]
+    return LinMap(space, space, _dense_product(lower, upper, n))
+
+
 @settings(deadline=None, max_examples=50)
 @given(st.data())
 def test_lift_matches_dense_reference(data):
-    # jointly mono families: pullback projections or an equalizer's arrow
+    # jointly mono families: pullback projections, an equalizer's arrow (both
+    # hold a unit row per coordinate), or an arrow composed with an invertible
+    # map, which in general holds none and takes the general solve
     x1, x2, z = _space("a", data.draw(DIMS)), _space("b", data.draw(DIMS)), _space("z", data.draw(DIMS))
     f1 = data.draw(linmaps(x1, z))
-    if data.draw(st.booleans()):
+    family = data.draw(st.sampled_from(("pullback", "equalizer", "mixed")))
+    if family == "pullback":
         _, p1, p2 = vect.pullback(f1, data.draw(linmaps(x2, z)))
         ms = (p1, p2)
     else:
         ms = (vect.equalizer(f1, data.draw(linmaps(x1, z)))[1],)
+        if family == "mixed":
+            ms = (vect.compose(ms[0], data.draw(invertible(ms[0].dom))),)
     dom, apex = ms[0].dom, _space("h", data.draw(st.integers(0, 4)))
     if data.draw(st.booleans()):
         u0 = data.draw(linmaps(apex, dom))
@@ -293,3 +316,181 @@ def test_product_map_matches_dense_reference(data):
     got = vect.product_map(f, g)
     assert_map(got, want)
     assert got == LinMap(got.dom, got.cod, want)
+
+
+
+# -- structural shortcuts ----------------------------------------------------------
+
+def _forbidden(name):
+    """A patch making vect.<name> fail the test if the code under test calls it."""
+    return mock.patch.object(vect, name, side_effect=AssertionError(f"{name} was called"))
+
+
+def _unit_row_per_coordinate(rows, n):
+    """Whether every unit vector e_j, j < n, is one of the dense rows."""
+    present = set(map(tuple, rows))
+    return all(tuple(Fraction(int(i == j)) for i in range(n)) in present for j in range(n))
+
+
+@st.composite
+def coordinate_maps(draw, dom, cod):
+    """A coordinate map dom -> cod: some domain variables, at times two onto
+    one codomain variable; unassigned codomain variables are zero rows."""
+    if not cod.dim or not dom.dim:
+        return vect.coordinate_map(dom, cod, {})
+    names = draw(st.lists(st.sampled_from(dom.vars), unique=True))
+    return vect.coordinate_map(dom, cod, {n: draw(st.sampled_from(cod.vars)) for n in names})
+
+
+@st.composite
+def coordinate_cones(draw):
+    """A family ms out of one space, a cone fs over it, and whether ms are
+    pullback projections.
+
+    The family is coordinate maps, or the projections of a pullback of
+    coordinate maps (over an empty shared block at times). The cone factors
+    through the family, is such a cone with one entry moved, or is random.
+    """
+    projections = draw(st.booleans())
+    if projections:
+        x1, x2, z = _space("a", draw(DIMS)), _space("b", draw(DIMS)), _space("z", draw(DIMS))
+        _, p1, p2 = vect.pullback(draw(coordinate_maps(x1, z)), draw(coordinate_maps(x2, z)))
+        ms = (p1, p2)
+    else:
+        dom = _space("x", draw(DIMS))
+        ms = tuple(
+            draw(coordinate_maps(dom, _space(f"y{t}_", draw(DIMS))))
+            for t in range(draw(st.integers(1, 3)))
+        )
+    dom, apex = ms[0].dom, _space("h", draw(st.integers(0, 3)))
+    how = draw(st.sampled_from(("factors", "moved", "random")))
+    if how == "random":
+        return ms, tuple(draw(linmaps(apex, m.cod)) for m in ms), projections
+    u0 = draw(linmaps(apex, dom))
+    fs = [[list(row) for row in vect.compose(m, u0).matrix] for m in ms]
+    targets = [t for t, m in enumerate(ms) if m.cod.dim]
+    if how == "moved" and apex.dim and targets:
+        t = draw(st.sampled_from(targets))
+        i, j = draw(st.integers(0, ms[t].cod.dim - 1)), draw(st.integers(0, apex.dim - 1))
+        fs[t][i][j] += draw(NONZERO)
+    return ms, tuple(LinMap(apex, m.cod, f) for m, f in zip(ms, fs)), projections
+
+
+@settings(deadline=None, max_examples=200)
+@given(coordinate_cones())
+def test_lift_of_coordinate_families_matches_dense_reference(cone):
+    ms, fs, projections = cone
+    dom, apex = ms[0].dom, fs[0].dom
+    a = [row for m in ms for row in m.matrix]
+    b = [row for f in fs for row in f.matrix]
+    want = oracles.dense_solve_matrix(a, dom.dim, b, apex.dim)
+    covered = _unit_row_per_coordinate(a, dom.dim)
+    # pullback projections of coordinate maps always hold a unit row per coordinate
+    assert covered or not projections
+    with _forbidden("solve_matrix") if covered else nullcontext():
+        got = vect.lift(ms, fs)
+    if want is None:
+        assert got is None
+    else:
+        assert_map(got, want)
+
+
+@st.composite
+def disjoint_rows(draw):
+    """Rows no two of which share a column, zero rows among them, and columns
+    in no row; entries negative, large or rational."""
+    ncols = draw(st.integers(1, 16))
+    entries = draw(st.sampled_from(ENTRIES))
+    order = draw(st.permutations(range(ncols)))
+    used = order[: draw(st.integers(0, ncols))]
+    rows = []
+    while used:
+        k = draw(st.integers(1, 4))
+        support, used = used[:k], used[k:]
+        rows.append(tuple(draw(entries) if j in support else Fraction(0) for j in range(ncols)))
+    rows += [(Fraction(0),) * ncols] * draw(st.integers(0, 2))
+    return tuple(draw(st.permutations(rows))), ncols
+
+
+@settings(deadline=None, max_examples=200)
+@given(disjoint_rows())
+def test_kernel_of_disjoint_rows_matches_dense_reference(m):
+    rows, ncols = m
+    with _forbidden("_eliminate_min_degree"), _forbidden("_eliminate"):
+        got = dense_kernels.kernel_basis(rows, ncols)
+    assert_identical(got, oracles.dense_kernel_basis(rows, ncols))
+    assert len(got) == oracles.nullity(rows, ncols)
+
+
+@st.composite
+def near_rref(draw):
+    """Sparse rows equal to the canonical RREF of random rows, or that RREF
+    with one defect: a row scaled, one row added into another, two rows
+    swapped, or a zero row appended. Returns the rows, ncols and the defect."""
+    dense, ncols = draw(sparse_rows())
+    rows = list(vect.rref(vect.to_sparse(dense), ncols)[0])
+    defects = ["none", "zero"]
+    if rows:
+        defects += ["scaled", "rescaled"]
+    if len(rows) > 1:
+        defects += ["touched", "swapped"]
+    defect = draw(st.sampled_from(defects))
+    if defect == "zero":
+        rows.insert(draw(st.integers(0, len(rows))), (1, {}))
+    elif defect in ("scaled", "rescaled"):
+        # scaled: the same canonical row over a common factor, so not primitive;
+        # rescaled: a canonical row with a pivot entry other than 1
+        i, k = draw(st.integers(0, len(rows) - 1)), draw(st.integers(2, 9))
+        d, r = rows[i]
+        rows[i] = (d * k, {j: x * k for j, x in r.items()}) if defect == "scaled" else vect._canon(
+            d, {j: x * k for j, x in r.items()}
+        )
+    elif defect == "touched":
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        rows[i] = vect.to_sparse([
+            tuple(x + y for x, y in zip(*vect.to_dense((rows[i], rows[j]), ncols)))
+        ])[0]
+    elif defect == "swapped":
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        rows[i], rows[j] = rows[j], rows[i]
+    return tuple(rows), ncols, defect
+
+
+@settings(deadline=None, max_examples=200)
+@given(near_rref())
+def test_subspace_keeps_exactly_canonical_rref_rows(m):
+    rows, ncols, defect = m
+    ambient = _space("x", ncols)
+    want, _ = oracles.dense_rref(vect.to_dense(rows, ncols), ncols)
+    with _forbidden("rref") if defect == "none" else nullcontext():
+        sub = vect.Subspace.from_rows(ambient, rows)
+    # sparse rows compare their scale too, which the dense view would hide
+    assert sub.rows == vect.to_sparse(want)
+    dense_kernels.canonical(sub.rows)
+
+
+@st.composite
+def classified_maps(draw):
+    """Maps with and without a unit row per domain coordinate: random maps,
+    coordinate maps, equalizer arrows, and those with rows appended."""
+    x, z = _space("x", draw(DIMS)), _space("z", draw(DIMS))
+    kind = draw(st.sampled_from(("random", "coordinate", "arrow")))
+    if kind == "random":
+        f = draw(linmaps(x, z))
+    elif kind == "coordinate":
+        f = draw(coordinate_maps(x, z))
+    else:
+        f = vect.equalizer(draw(linmaps(x, z)), draw(linmaps(x, z)))[1]
+    if draw(st.booleans()):
+        extra = draw(linmaps(f.dom, _space("e", draw(st.integers(1, 3)))))
+        f = LinMap.from_rows(f.dom, _space("w", f.cod.dim + extra.cod.dim), f.rows + extra.rows)
+    return f
+
+
+@settings(deadline=None, max_examples=150)
+@given(classified_maps())
+def test_classify_matches_rank(f):
+    r = oracles.rank(f.matrix, f.dom.dim)
+    covered = _unit_row_per_coordinate(f.matrix, f.dom.dim)
+    with _forbidden("rank_of") if covered else nullcontext():
+        assert vect.classify(f) == (r == f.dom.dim, r == f.cod.dim)
