@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 domain error, 2 usage or input-parsing error.
 Rationals are always printed as ``p/q`` (or a plain integer), never as
 decimals; with ``--json`` every command emits a machine-readable report.
+
+The argument parser is built on the first ``main`` call and reused by every
+later call in the same process; importing the module builds nothing.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
+from math import gcd
 from pathlib import Path
 
 from .circuits import compile_circuit, emergence_report, glue, parse_glue, parse_netlist
@@ -36,9 +41,19 @@ def _positive_int(text: str) -> int:
 
 
 def _behavior_json(sub) -> dict:
-    """The behavior with every entry formatted, before anything is written."""
+    """The behavior with every entry formatted, before anything is written.
+
+    Entry j of the sparse row (d, {j: n}) is n/d, written as ``str(Fraction)``
+    writes it: reduced, and without ``/1``; an absent column is ``"0"``.
+    """
+    ncols, basis = sub.ambient.dim, []
     try:
-        basis = [[str(x) for x in row] for row in sub.basis]
+        for d, m in sub.rows:
+            row = ["0"] * ncols
+            for j, n in m.items():
+                g = gcd(n, d)
+                row[j] = str(n // g) if g == d else f"{n // g}/{d // g}"
+            basis.append(row)
     except ValueError:  # an int past Python's int-to-text conversion limit
         raise DomainError(
             f"a behavior entry has more than {sys.get_int_max_str_digits()} digits, "
@@ -141,6 +156,7 @@ def cmd_check(args, out) -> int:
     return 0 if report.ok else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="syscat",

@@ -44,6 +44,9 @@ structure in one pass over the nonzeros and eliminate only when it is absent:
   primitive, its pivot its first column with value 1, pivots increasing, no
   row touching another's pivot) are kept as given. Otherwise ``rref``.
 
+The inclusions ``equalizer``, ``image_factorize`` and ``subobject_map`` build
+keep the basis they transpose, and ``image`` reads it back.
+
 Computed subobjects (kernels, images, pullback objects) come back with
 generated ``k<i>`` coordinate names.
 
@@ -202,10 +205,14 @@ class VectObj:
     def dim(self) -> int:
         return len(self.vars)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.vars)}
+
     def index(self, name: str) -> int:
         try:
-            return self.vars.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise MismatchError(f"unknown variable {name!r}") from None
 
 
@@ -219,6 +226,7 @@ class LinMap:
     dom: VectObj
     cod: VectObj
     rows: Rows
+    _basis = None  # the canonical RREF rows a map built by ``_inclusion`` is the transpose of
 
     def __init__(self, dom: VectObj, cod: VectObj, matrix):
         """The map with a dense matrix: cod.dim rows of dom.dim ints, Fractions or 'p/q' strings."""
@@ -656,13 +664,13 @@ def equalizer(f: LinMap, g: LinMap) -> tuple[VectObj, LinMap]:
     rows = [(1, m) for m in _stack(f.rows, g.rows, 0, -1)]
     basis = kernel_basis(rows, f.dom.dim)
     obj = VectObj(_kernel_names(len(basis)))
-    return obj, LinMap.from_rows(obj, f.dom, _transpose(basis, f.dom.dim))
+    return obj, _inclusion(obj, f.dom, basis)
 
 
 def image_factorize(f: LinMap) -> tuple[LinMap, LinMap]:
     basis, pivots = rref(_transpose(f.rows, f.dom.dim), f.cod.dim)
     mid = VectObj(_kernel_names(len(basis)))
-    inj = LinMap.from_rows(mid, f.cod, _transpose(basis, f.cod.dim))
+    inj = _inclusion(mid, f.cod, basis)
     # RREF pivots are unit coordinates, so the i-th image coordinate of a
     # column is just its entry at pivot p.
     surj = LinMap.from_rows(f.dom, mid, tuple(f.rows[p] for p in pivots))
@@ -817,9 +825,26 @@ class Subspace:
             raise MismatchError("subspaces live in different ambient spaces")
 
 
+def _inclusion(dom: VectObj, cod: VectObj, basis: Rows) -> LinMap:
+    """The map sending coordinate i of dom to row i of basis, canonical RREF rows
+    over cod.dim columns. The map keeps basis for ``image``."""
+    f = LinMap.from_rows(dom, cod, _transpose(basis, cod.dim))
+    object.__setattr__(f, "_basis", basis)
+    return f
+
+
 def image(f: LinMap) -> Subspace:
-    """The column space of f, in canonical form."""
-    return Subspace.from_rows(f.cod, _transpose(f.rows, f.dom.dim))
+    """The column space of f, in canonical form.
+
+    The inclusions that ``equalizer``, ``image_factorize`` and ``subobject_map``
+    build are transposed canonical bases and keep them, so their image is read
+    from that basis without transposing back; ``Subspace`` still checks that
+    it is canonical RREF. Any other map's columns are transposed and reduced.
+    """
+    basis = f._basis
+    if basis is None:
+        basis = _transpose(f.rows, f.dom.dim)
+    return Subspace.from_rows(f.cod, basis)
 
 
 def subobject_map(universum: VectObj, behavior: Subspace) -> LinMap:
@@ -827,4 +852,4 @@ def subobject_map(universum: VectObj, behavior: Subspace) -> LinMap:
     if behavior.ambient != universum:
         raise MismatchError("subspace ambient differs from the universum")
     dom = VectObj(tuple(f"b{i}" for i in range(behavior.dim)))
-    return LinMap.from_rows(dom, universum, _transpose(behavior.rows, universum.dim))
+    return _inclusion(dom, universum, behavior.rows)

@@ -1,14 +1,22 @@
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from syscat import cli
 from syscat.cli import main
+from syscat.vect import Subspace, VectObj
+
+import test_cli_golden
+from test_vect_kernels import ENTRIES, INTEGER, sparse_rows
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
@@ -103,6 +111,17 @@ def test_unprintable_behavior_entry_is_domain_error(flags, tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert f"{sys.get_int_max_str_digits()} digits" in lines[0]
+
+
+HUGE = st.builds(Fraction, st.integers(-10**300, 10**300).filter(bool), st.integers(1, 10**90))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from((INTEGER, HUGE) + ENTRIES).flatmap(lambda entries: sparse_rows(entries=entries)))
+def test_behavior_json_formats_entries_as_fractions(m):
+    rows, ncols = m
+    sub = Subspace(VectObj(tuple(f"x{i}" for i in range(ncols))), rows)
+    assert cli._behavior_json(sub)["basis"] == [[str(x) for x in row] for row in sub.basis]
 
 
 def test_glue_text_output(circuits_dir, capsys):
@@ -217,6 +236,34 @@ def test_outputs_are_deterministic(circuits_dir, capsys):
     _, first, _ = run_cli(args, capsys)
     _, second, _ = run_cli(args, capsys)
     assert first == second
+
+
+# -- one parser per process ------------------------------------------------------
+
+def fresh_process(*args) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports this checkout's syscat, from its root."""
+    src = str(test_cli_golden.ROOT / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], cwd=test_cli_golden.ROOT, capture_output=True, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": path, "PYTHONIOENCODING": "utf-8"},
+    )
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = fresh_process("-c", "import syscat.cli as c; print(c.build_parser.cache_info().currsize)")
+    assert (proc.stdout, proc.stderr) == ("0\n", "")
+
+
+def test_reused_parser_matches_a_fresh_process(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
+    assert cli.build_parser() is cli.build_parser()
+    usage = [["check"], ["check", "--law", "nope"], ["check", "--law", "lattice", "--trials", "0"],
+             ["--help"]]
+    for argv in usage + test_cli_golden.CASES:
+        proc = fresh_process("-m", "syscat.cli", *argv)
+        fresh = {"argv": argv, "stdout": proc.stdout, "stderr": proc.stderr, "exit": proc.returncode}
+        assert test_cli_golden.run(argv) == fresh
 
 
 # -- parser fuzzing ---------------------------------------------------------------

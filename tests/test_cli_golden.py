@@ -49,13 +49,16 @@ CASES = _cases()
 
 
 def run(argv) -> dict:
-    """One in-process CLI run from the repository root, every output byte kept."""
+    """One in-process CLI run from the repository root, every output byte kept;
+    a usage error's or ``--help``'s ``SystemExit`` gives the exit code."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     finally:
         os.chdir(cwd)
     return {"argv": argv, "stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code}

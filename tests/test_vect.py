@@ -195,8 +195,11 @@ def test_coordinate_map_and_projection():
     pi = vect.projection_onto(Q3, ("z", "x"))
     assert pi.cod.vars == ("z", "x")
     assert pi.apply((1, 2, 3)) == (Fraction(3), Fraction(1))
-    with pytest.raises(MismatchError):
+    with pytest.raises(MismatchError, match="^unknown variable 'nope'$"):
         vect.projection_onto(Q3, ("nope",))
+    with pytest.raises(MismatchError, match="^unknown variable 'w'$"):
+        vect.coordinate_map(Q3, pi.cod, {"x": "w"})
+    assert [Q3.index(v) for v in Q3.vars] == [0, 1, 2]
 
 
 # -- the canonical sparse format -------------------------------------------------

@@ -9,8 +9,9 @@ constructions (``compose``, ``pullback``, ``equalizer``, ``image_factorize``,
 ``matrix`` views. Ranks and row spaces are refereed independently by sympy.
 The structural shortcuts (a unit row per coordinate in ``lift`` and
 ``classify``, disjoint row supports in ``kernel_basis``, rows already in
-canonical RREF in ``Subspace``) are drawn on purpose, together with inputs
-that just miss each condition, and checked against the same references.
+canonical RREF in ``Subspace``, the kept basis of an inclusion in ``image``)
+are drawn on purpose, together with inputs that just miss each condition, and
+checked against the same references.
 Entries range from small rationals to numerators of 10^30 over denominators
 of 10^12, so coefficient growth is exercised, and a strategy of negative
 entries gives negative pivots.
@@ -494,3 +495,44 @@ def test_classify_matches_rank(f):
     covered = _unit_row_per_coordinate(f.matrix, f.dom.dim)
     with _forbidden("rank_of") if covered else nullcontext():
         assert vect.classify(f) == (r == f.dom.dim, r == f.cod.dim)
+
+
+@st.composite
+def inclusions(draw):
+    """Maps built by transposing a canonical basis: equalizer arrows,
+    subobject inclusions and ``image_factorize`` injections."""
+    x, z = _space("x", draw(DIMS)), _space("z", draw(DIMS))
+    kind = draw(st.sampled_from(("equalizer", "subobject", "image")))
+    if kind == "equalizer":
+        return vect.equalizer(draw(linmaps(x, z)), draw(linmaps(x, z)))[1]
+    if kind == "subobject":
+        rows, _ = draw(sparse_rows(ncols=z.dim))
+        return vect.subobject_map(z, vect.Subspace(z, rows))
+    return vect.image_factorize(draw(linmaps(x, z)))[1]
+
+
+def _image_reference(f):
+    basis, _ = oracles.dense_rref(_columns(f.matrix, f.dom.dim), f.cod.dim)
+    return basis
+
+
+@settings(deadline=None, max_examples=150)
+@given(inclusions())
+def test_image_of_an_inclusion_reuses_its_basis(f):
+    want = vect.Subspace.from_rows(f.cod, vect._transpose(f.rows, f.dom.dim))
+    with mock.patch.object(vect, "_transpose", wraps=vect._transpose) as transpose:
+        got = vect.image(f)
+    assert transpose.call_count == 0
+    assert got == want
+    assert_identical(got.basis, _image_reference(f))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_image_of_other_maps_matches_dense_reference(data):
+    x, z = _space("x", data.draw(DIMS)), _space("z", data.draw(DIMS))
+    f = data.draw(linmaps(x, z))
+    inc = data.draw(inclusions())
+    g = vect.compose(inc, data.draw(linmaps(x, inc.dom)))
+    for h in (f, g):
+        assert_identical(vect.image(h).basis, _image_reference(h))
