@@ -10,6 +10,7 @@ common quasi-subsystem.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import carriers
 from .carriers import CarrierMap, CarrierObj
@@ -33,6 +34,11 @@ class System:
     def universum(self) -> CarrierObj:
         return self.inclusion.cod
 
+    @cached_property
+    def image(self):
+        """``carriers.image`` of the inclusion, computed on first read and kept."""
+        return carriers.image(self.inclusion)
+
 
 def full_system(universum: CarrierObj) -> System:
     return System(carriers.identity(universum))
@@ -47,8 +53,9 @@ def behavior_image(s: System):
 
     FinSet systems yield a frozenset of labels, Vect systems a Subspace in
     canonical form; either way equality of behaviors is equality of values.
+    Each system computes it once.
     """
-    return carriers.image(s.inclusion)
+    return s.image
 
 
 def system_from_behavior(universum: CarrierObj, behavior) -> System:

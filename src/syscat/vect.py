@@ -10,25 +10,36 @@ its reduced row-echelon basis, which makes subspace equality a plain ``==``.
 Rows are shared between values and never mutated.
 
 The exact kernels (``rref``, ``rank_of``, ``kernel_basis``, ``solve_matrix``,
-``mat_mul``) take and return rows; they read any row ``(d, m)`` with d > 0
-and return canonical rows. Two fraction-free Gauss-Jordan eliminations share
-one arithmetic. ``_eliminate`` pivots on the leftmost remaining column and
-serves ``rref``, ``rank_of``, ``solve_matrix`` and ``Subspace``; each needs
-that order, for the unique RREF, for the solution with free coordinates zero,
-and for Zassenhaus's first-half-first intersection. ``kernel_basis`` alone uses
+``mat_mul``) take and return rows; they read any row ``(d, m)`` with d > 0,
+except ``mat_mul``'s right factor, and return canonical rows. Two
+fraction-free Gauss-Jordan eliminations share one arithmetic. ``_eliminate``
+pivots on the leftmost remaining column and serves ``rref``, ``rank_of``,
+``solve_matrix`` and ``Subspace``; each needs that order, for the unique
+RREF, for the solution with free coordinates zero, and for Zassenhaus's
+first-half-first intersection. ``kernel_basis`` alone uses
 ``_eliminate_min_degree``, which pivots on the column in the fewest rows to
 keep the fill down: only the kernel's span matters there, and ``_eliminate``
 then canonicalizes the basis read from it, so the output is the same.
-``mat_mul`` multiplies nonzeros over a common denominator and divides by one
-gcd per result row. Identities, zero maps, product projections and coordinate
+``mat_mul(A, B)`` multiplies nonzeros over B's common denominator and divides
+by one gcd per result row. B's rows must be canonical, because a row it
+selects is returned as it is; every caller passes the rows of a ``LinMap`` or
+rows taken from them: ``compose``, ``commutes``, and the candidate ``u`` that
+``lift`` checks. Identities, zero maps, product projections and coordinate
 maps are built as rows directly.
 
 Most maps an interconnection builds only re-index variables. Equalizer
 arrows, pullback projections and subobject inclusions are transposed RREF
 bases, so each holds the unit row ``(1, {j: 1})`` for every coordinate j of
-its domain; coordinate maps often do too. Four exact shortcuts test such
-structure in one pass over the nonzeros and eliminate only when it is absent:
+its domain; coordinate maps often do too. Six exact shortcuts test such
+structure in one pass over the nonzeros, and multiply or eliminate only where
+it is absent:
 
+- ``mat_mul``: a unit row ``(1, {k: 1})`` of A yields row k of B as it is,
+  and an empty row of A yields ``(1, {})``. B's common denominator and its
+  rows rescaled to it are built only if some row of A is neither.
+- ``_transpose``: a column holding a single entry n/q becomes
+  ``(q // g, {i: n // g})`` with g = gcd(n, q), without the lcm and the gcd
+  over a column; most columns of pullback projections are such columns.
 - ``lift``: a unit row per domain coordinate in the stacked family proves it
   jointly mono and leaves one candidate for row j of the mediating map, the
   cone's row beside the unit row of j. One ``mat_mul`` checks the candidate
@@ -164,6 +175,11 @@ def _transpose(rows, ncols: int) -> Rows:
             cols[j].append((i, n, d))
     out = []
     for col in cols:
+        if len(col) == 1:  # n/q alone: its reduced fraction is the canonical row
+            ((i, n, q),) = col
+            g = gcd(n, q)
+            out.append((q // g, {i: n // g}))
+            continue
         d = lcm(*(q for _, _, q in col))
         if d == 1:
             out.append((1, {i: n for i, n, _ in col}))
@@ -564,17 +580,31 @@ def solve_matrix(a_rows, ncols: int, b_rows, bcols: int) -> Rows | None:
 
 
 def mat_mul(a_rows, b_rows) -> Rows:
-    """A @ B, computed as (A d_i) @ (B e) over the ints, then divided by d_i e.
+    """A @ B, for canonical rows B.
 
-    d_i is the denominator of row i of A, e the lcm of those of B.
+    A unit row ``(1, {k: 1})`` of A selects row k of B, returned as is, and an
+    empty row gives ``(1, {})``. Any other row i is computed as
+    (A d_i) @ (B e) over the ints, then divided by d_i e: d_i is the
+    denominator of row i of A, e the lcm of those of B, and e and B rescaled
+    to it are built for the first such row.
     """
-    e = lcm(*(d for d, _ in b_rows))
-    b_items = [
-        tuple(m.items()) if d == e else tuple((j, y * (e // d)) for j, y in m.items())
-        for d, m in b_rows
-    ]
+    b_items = None
     out = []
     for d, a in a_rows:
+        if len(a) == 1 and d == 1:
+            (k,) = a
+            if a[k] == 1:
+                out.append(b_rows[k])
+                continue
+        elif not a:
+            out.append((1, {}))
+            continue
+        if b_items is None:
+            e = lcm(*(q for q, _ in b_rows))
+            b_items = [
+                tuple(m.items()) if q == e else tuple((j, y * (e // q)) for j, y in m.items())
+                for q, m in b_rows
+            ]
         acc: dict[int, int] = {}
         for k, x in a.items():
             for j, y in b_items[k]:

@@ -6,12 +6,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from syscat import cli
+from syscat import cli, vect
 from syscat.cli import main
 from syscat.vect import Subspace, VectObj
 
@@ -146,6 +147,20 @@ def test_glue_close_dangling(circuits_dir, capsys):
     assert report["behavior"]["dim"] == 1
     assert report["close_dangling"] is True
     assert report["preservation_equal"] is True
+
+
+@pytest.mark.parametrize("flags, images", [([], 4), (["--close-dangling"], 5)], ids=["open", "closed"])
+def test_glue_computes_each_behavior_once(flags, images, circuits_dir, capsys):
+    # the two sides systems_equal compares, the transported pullback, the
+    # stacked equations, and the closed equations; the CLI reads the kept ones
+    with mock.patch.object(vect, "image", wraps=vect.image) as image:
+        code, _, _ = run_cli(
+            ["glue", str(circuits_dir / "S.ckt"), str(circuits_dir / "P.ckt"),
+             str(circuits_dir / "SP.glue"), *flags],
+            capsys,
+        )
+    assert code == 0
+    assert image.call_count == images
 
 
 def test_glue_domain_error_exit_code(circuits_dir, tmp_path, capsys):

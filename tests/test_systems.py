@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -186,6 +187,23 @@ def test_pullback_over_terminal_is_product():
     prod = product_systems(s1, s2)
     assert len(pb.system.universum) == len(prod.system.universum)
     assert behavior_image(pb.system) == behavior_image(prod.system)
+
+
+def test_behavior_image_is_computed_once_per_system():
+    amb = VectObj(("v_a", "v_b"))
+    for s, fresh in (
+        (fin_system("abc", "ab"), lambda: fin_system("abc", "ab")),
+        (system_from_behavior(amb, Subspace(amb, ((1, 1),))),
+         lambda: system_from_behavior(amb, Subspace(amb, ((2, 2),)))),
+    ):
+        before = (repr(s), hash(s))
+        with mock.patch.object(carriers, "image", wraps=carriers.image) as image:
+            first = behavior_image(s)
+            assert behavior_image(s) is first and s.image is first
+        assert image.call_count == 1
+        # the kept value is no field: equality, hashing and repr are unchanged
+        assert (repr(s), hash(s)) == before and s == fresh() and hash(s) == hash(fresh())
+        assert "image" not in repr(s)
 
 
 def test_pullback_along_identities_is_diagonal():

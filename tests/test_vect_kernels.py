@@ -7,16 +7,19 @@ agree entry for entry and every entry must be a ``Fraction``. The linear-map
 constructions (``compose``, ``pullback``, ``equalizer``, ``image_factorize``,
 ``lift``, ``product_map``) are checked the same way through their dense
 ``matrix`` views. Ranks and row spaces are refereed independently by sympy.
-The structural shortcuts (a unit row per coordinate in ``lift`` and
-``classify``, disjoint row supports in ``kernel_basis``, rows already in
+The structural shortcuts (unit and empty rows of A in ``mat_mul``,
+single-entry columns in ``_transpose``, a unit row per coordinate in ``lift``
+and ``classify``, disjoint row supports in ``kernel_basis``, rows already in
 canonical RREF in ``Subspace``, the kept basis of an inclusion in ``image``)
 are drawn on purpose, together with inputs that just miss each condition, and
-checked against the same references.
+checked against the same references. Rows are shared between values, so a
+last test checks that no kernel changes the rows it is given.
 Entries range from small rationals to numerators of 10^30 over denominators
 of 10^12, so coefficient growth is exercised, and a strategy of negative
 entries gives negative pivots.
 """
 
+import copy
 from contextlib import nullcontext
 from fractions import Fraction
 from unittest import mock
@@ -174,6 +177,74 @@ def matrix_pairs(draw):
 def test_mat_mul_matches_dense_reference(pair):
     a_rows, b_rows, inner = pair
     assert_identical(dense_kernels.mat_mul(a_rows, b_rows, inner), oracles.dense_mat_mul(a_rows, b_rows, inner))
+
+
+@st.composite
+def selecting_products(draw):
+    """Sparse A and canonical B for ``mat_mul``: A mixes unit rows, empty rows
+    and rows that just miss being a unit row, B has rational or large entries.
+
+    The near misses are ``(1, {k: 2})``, ``(1, {k: -1})``, ``(2, {k: 1})``, the
+    unit value over a common factor ``(3, {k: 3})``, an empty row over a
+    denominator and rows with two entries, so each falls to the general path.
+    """
+    inner = draw(st.integers(1, 8))
+    b_dense, ncols = draw(sparse_rows(nrows=inner, entries=draw(st.sampled_from((NONZERO, LARGE)))))
+    cols = st.integers(0, inner - 1)
+    kinds = {
+        "unit": lambda k: (1, {k: 1}),
+        "zero": lambda k: (1, {}),
+        "zero over 5": lambda k: (5, {}),
+        "double": lambda k: (1, {k: 2}),
+        "negated": lambda k: (1, {k: -1}),
+        "halved": lambda k: (2, {k: 1}),
+        "unit over 3": lambda k: (3, {k: 3}),
+    }
+    if inner > 1:
+        kinds["pair"] = lambda k: (
+            draw(st.integers(1, 4)), {k: 1, (k + 1) % inner: draw(st.integers(-3, 3).filter(bool))}
+        )
+    a_rows = [
+        kinds[draw(st.sampled_from(sorted(kinds) + ["unit", "unit"]))](draw(cols))
+        for _ in range(draw(st.integers(0, 10)))
+    ]
+    return tuple(a_rows), vect.to_sparse(b_dense), inner, ncols
+
+
+@settings(deadline=None, max_examples=200)
+@given(selecting_products())
+def test_mat_mul_selects_unit_rows_and_matches_dense_reference(case):
+    a_rows, b_rows, inner, ncols = case
+    got = vect.mat_mul(a_rows, b_rows)
+    dense_kernels.canonical(got)
+    want = oracles.dense_mat_mul(vect.to_dense(a_rows, inner), vect.to_dense(b_rows, ncols), inner)
+    assert got == vect.to_sparse(want)
+    for (d, a), row in zip(a_rows, got):
+        if d == 1 and list(a.values()) == [1]:
+            assert row is b_rows[next(iter(a))]
+
+
+def test_mat_mul_returns_the_selected_row_itself():
+    rows = ((1, {0: 1}), (3, {0: 2, 2: -1}))
+    assert vect.mat_mul(((1, {1: 1}),), rows)[0] is rows[1]
+    assert vect.mat_mul(((1, {}), (2, {1: 2})), rows) == ((1, {}), (3, {0: 2, 2: -1}))
+
+
+@settings(deadline=None, max_examples=150)
+@given(sparse_rows())
+def test_transpose_matches_dense_reference(m):
+    # sparse random rows leave many columns with one entry, whose numerator
+    # often shares a factor with its row's denominator
+    rows, ncols = m
+    got = vect._transpose(vect.to_sparse(rows), ncols)
+    dense_kernels.canonical(got)
+    assert got == vect.to_sparse(_columns(rows, ncols))
+
+
+def test_transpose_reduces_a_single_entry_column():
+    # 2/4 alone in column 0 reduces to 1/2; column 1 keeps 1/4 beside 1/6
+    rows = ((1, {}), (4, {0: 2, 1: 1}), (6, {1: 1}))
+    assert vect._transpose(rows, 3) == ((2, {1: 1}), (12, {1: 3, 2: 2}), (1, {}))
 
 
 def test_frac_passes_fractions_through():
@@ -536,3 +607,38 @@ def test_image_of_other_maps_matches_dense_reference(data):
     g = vect.compose(inc, data.draw(linmaps(x, inc.dom)))
     for h in (f, g):
         assert_identical(vect.image(h).basis, _image_reference(h))
+
+
+def _unchanged(fn, *args):
+    """fn(*args), after checking that the call left every row in args as it was."""
+    before = copy.deepcopy(args)
+    out = fn(*args)
+    assert args == before
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_kernels_never_mutate_their_input_rows(data):
+    # rows are shared between values, and mat_mul returns rows of B itself,
+    # so a kernel that changed a row in place would change other maps too
+    a_rows, b_rows, inner, ncols = data.draw(selecting_products())
+    product = _unchanged(vect.mat_mul, a_rows, b_rows)
+    rows = product + b_rows  # shares B's rows through product
+    _unchanged(vect._transpose, rows, ncols)
+    _unchanged(vect.rref, rows, ncols)
+    _unchanged(vect.rank_of, rows, ncols)
+    _unchanged(vect.kernel_basis, rows, ncols)
+    _unchanged(vect.solve_matrix, rows, ncols, rows, ncols)
+    a_dense, ncols, b_dense, bcols = data.draw(linear_systems())
+    _unchanged(vect.solve_matrix, vect.to_sparse(a_dense), ncols, vect.to_sparse(b_dense), bcols)
+    ms, fs, _ = data.draw(coordinate_cones())
+    family = tuple(m.rows for m in ms), tuple(f.rows for f in fs)
+    before = copy.deepcopy(family)
+    vect.lift(ms, fs)
+    assert family == before
+    amb = _space("x", ncols)
+    left, right = (vect.Subspace(amb, data.draw(sparse_rows(ncols=ncols))[0]) for _ in range(2))
+    before = copy.deepcopy((left.rows, right.rows))
+    left.intersect(right)
+    assert (left.rows, right.rows) == before
