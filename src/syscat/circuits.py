@@ -29,16 +29,15 @@ are left open to the environment.
 Gluing identifies variables across two compiled circuits and returns a
 compiled circuit again: a ``GlueResult`` is a ``CompiledCircuit`` whose node
 graph is both graphs renamed to the merged names, labels prefixed ``L.``/``R.``,
-with each identified voltage joining two nodes into one; the graph is built
-on its first read, which only closing and a further glue make. It computes the
-interconnection three ways — stacked equations over the merged names, the
-syntax-side pullback, and the semantics-side pullback — and reports whether
-interpretation commuted with the gluing (it must, up to a bug). The syntax and
-semantics routes are ``check_preservation`` over the two compiled
-representations, and its report is the result's ``preservation``. With
-``close_dangling`` the glued graph's terminals of at most one element end get
-zero-external-current rows, built like the current-balance rows, before the
-result is reported.
+with each identified voltage joining two nodes into one; the glue builds it.
+It computes the interconnection three ways — stacked equations over the
+merged names, the syntax-side pullback, and the semantics-side pullback — and
+reports whether interpretation commuted with the gluing (it must, up to a
+bug). The syntax and semantics routes are ``check_preservation`` over the two
+compiled representations, and its report is the result's ``preservation``.
+With the spec's ``close_dangling`` the glued graph's terminals of at most one
+element end get zero-external-current rows, built like the current-balance
+rows, before the result is reported.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple
 
 from . import carriers, vect
@@ -363,29 +361,7 @@ def _merged_nodes(k1: CompiledCircuit, k2: CompiledCircuit, rename1, rename2):
     return nodes
 
 
-class _MergedNodes(Mapping):
-    """``_merged_nodes`` of two compiled circuits, built on first read."""
-
-    def __init__(self, *sides):
-        self._sides = sides
-
-    @cached_property
-    def _nodes(self) -> dict[str, Node]:
-        return _merged_nodes(*self._sides)
-
-    def __getitem__(self, var: str) -> Node:
-        return self._nodes[var]
-
-    def __iter__(self):
-        return iter(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-
-def glue(
-    c1: Circuit, c2: Circuit, spec: GlueSpec, close_dangling: bool | None = None
-) -> GlueResult:
+def glue(c1: Circuit, c2: Circuit, spec: GlueSpec) -> GlueResult:
     """Interconnect two circuits by identifying variables.
 
     Returns the glued circuit: the stacked representation over the
@@ -393,13 +369,10 @@ def glue(
     preservation report: the syntax- and semantics-side pullbacks and the
     verdict of comparing them.
     """
-    return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec, close_dangling)
+    return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec)
 
 
-def _glue_compiled(
-    k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec, close_dangling: bool | None
-) -> GlueResult:
-    close = spec.close_dangling if close_dangling is None else close_dangling
+def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> GlueResult:
     pairs, glued, rename1, rename2 = _merged_names(spec, k1.universum, k2.universum)
     lift1 = vect.coordinate_map(glued, k1.universum, {m: v for v, m in rename1.items()})
     lift2 = vect.coordinate_map(glued, k2.universum, {m: v for v, m in rename2.items()})
@@ -431,9 +404,9 @@ def _glue_compiled(
     if transported != behavior_image(arr_eq(rep)):
         raise MismatchError("stacked equations disagree with the pullback route")
 
-    nodes = _MergedNodes(k1, k2, rename1, rename2)
+    nodes = _merged_nodes(k1, k2, rename1, rename2)
     closed: list[Node] = []
-    if close:
+    if spec.close_dangling:
         # zero external current at each terminal with at most one element end
         closed = sorted(
             (n for n in nodes.values() if n.terminal and len(n.ends) <= 1), key=lambda n: n.label
@@ -449,7 +422,7 @@ def _glue_compiled(
         nodes=nodes,
         merged=pairs,
         preservation=preservation,
-        close_dangling=close,
+        close_dangling=spec.close_dangling,
         closed_terminals=tuple(n.label for n in closed),
     )
 
@@ -495,16 +468,14 @@ class EmergenceReport:
         }
 
 
-def emergence_report(
-    c1: Circuit, c2: Circuit, spec: GlueSpec, names, close_dangling: bool | None = None
-) -> EmergenceReport:
+def emergence_report(c1: Circuit, c2: Circuit, spec: GlueSpec, names) -> EmergenceReport:
     """Compare the interconnection of phenomes with the phenome of the interconnection."""
     obs = tuple(names)
     k1, k2 = compile_circuit(c1), compile_circuit(c2)
     ph1 = phenome(k1.system, obs)
     ph2 = phenome(k2.system, obs)
     parts = behavior_image(ph1.system).intersect(behavior_image(ph2.system))
-    glued = _glue_compiled(k1, k2, spec, close_dangling)
+    glued = _glue_compiled(k1, k2, spec)
     whole = behavior_image(phenome(glued.system, obs).system)
     return EmergenceReport(
         observed=obs,

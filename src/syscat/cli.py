@@ -11,6 +11,7 @@ later call in the same process; importing the module builds nothing.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from functools import cache
@@ -94,7 +95,9 @@ def cmd_glue(args, out) -> int:
     left = parse_netlist(_read(args.left))
     right = parse_netlist(_read(args.right))
     spec = parse_glue(_read(args.glue))
-    result = glue(left, right, spec, close_dangling=True if args.close_dangling else None)
+    if args.close_dangling:
+        spec = dataclasses.replace(spec, close_dangling=True)
+    result = glue(left, right, spec)
     sub = result.behavior
     behavior = _behavior_json(sub)
     if args.json:
@@ -129,10 +132,10 @@ def cmd_emergence(args, out) -> int:
     left = parse_netlist(_read(args.left))
     right = parse_netlist(_read(args.right))
     spec = parse_glue(_read(args.glue))
+    if args.close_dangling:
+        spec = dataclasses.replace(spec, close_dangling=True)
     observed = [v for v in args.observe.split(",") if v]
-    report = emergence_report(
-        left, right, spec, observed, close_dangling=True if args.close_dangling else None
-    )
+    report = emergence_report(left, right, spec, observed)
     if args.json:
         out.write(json.dumps(report.to_json(), indent=2) + "\n")
         return 0

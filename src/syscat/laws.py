@@ -210,30 +210,34 @@ def preservation_suite(seed: int, finset_trials: int = 200, vect_trials: int = 5
     return LawReport("preservation", [fs, vs])
 
 
-def duality_suite(
-    seed: int, exhaustive_max: int = 4, random_trials: int = 500, random_max: int = 6
-) -> LawReport:
+# duality_suite's set sizes: every pair of sets up to EXHAUSTIVE_MAX elements,
+# random sets up to RANDOM_MAX
+EXHAUSTIVE_MAX = 4
+RANDOM_MAX = 6
+
+
+def duality_suite(seed: int, random_trials: int = 500) -> LawReport:
     rng = random.Random(seed)
     gf = SuiteResult("G.F=id (exhaustive)")
     cl = SuiteResult("mono/epi swap (exhaustive)")
-    for ns in range(exhaustive_max + 1):
-        for nt in range(exhaustive_max + 1):
+    for ns in range(EXHAUSTIVE_MAX + 1):
+        for nt in range(EXHAUSTIVE_MAX + 1):
             s = FinObj(tuple(f"s{i}" for i in range(ns)))
             t = FinObj(tuple(f"t{i}" for i in range(nt)))
             for f in finset.all_maps(s, t):
                 gf.record(booldual.functor_G(booldual.functor_F(f)) == f)
                 cl.record(booldual.duality_classify(f).consistent)
     fg = SuiteResult("F.G=id (exhaustive homs)")
-    for ns in range(exhaustive_max + 1):
-        for nt in range(exhaustive_max + 1):
+    for ns in range(EXHAUSTIVE_MAX + 1):
+        for nt in range(EXHAUSTIVE_MAX + 1):
             src = booldual.PowerLattice(FinObj(tuple(f"t{i}" for i in range(nt))))
             dst = booldual.PowerLattice(FinObj(tuple(f"s{i}" for i in range(ns))))
             for phi in booldual.all_homs(src, dst):
                 fg.record(booldual.functor_F(booldual.functor_G(phi)) == phi)
     rnd = SuiteResult("roundtrip (randomized)")
     for _ in range(random_trials):
-        s = _obj(rng, "s", 0, random_max)
-        t = _obj(rng, "t", 1, random_max)
+        s = _obj(rng, "s", 0, RANDOM_MAX)
+        t = _obj(rng, "t", 1, RANDOM_MAX)
         f = _finmap(rng, s, t)
         phi = booldual.functor_F(f)
         rnd.record(
@@ -306,7 +310,7 @@ def run_law(law: str, seed: int, trials: int | None = None) -> LawReport:
             return preservation_suite(seed)
         return preservation_suite(seed, trials, max(1, trials // 4))
     if law == "duality":
-        return duality_suite(seed) if trials is None else duality_suite(seed, random_trials=trials)
+        return duality_suite(seed) if trials is None else duality_suite(seed, trials)
     if law == "adjunction":
         return adjunction_suite(seed) if trials is None else adjunction_suite(seed, trials)
     if law == "lattice":

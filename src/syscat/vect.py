@@ -45,8 +45,10 @@ it is absent:
   cone's row beside the unit row of j. One ``mat_mul`` checks the candidate
   against every row of the cone; if any differs, no map exists. Otherwise
   ``solve_matrix``.
-- ``classify``: the same unit rows prove the rank is dom.dim, so the map is
-  mono and epi exactly when dom.dim == cod.dim. Otherwise ``rank_of``.
+- ``classify``: r unit rows of distinct columns prove the rank is at least r,
+  so r is the rank when it reaches min(dom.dim, cod.dim): a unit row per
+  domain coordinate, as above, or per codomain coordinate, as in a
+  projection onto observed variables. Otherwise ``rank_of``.
 - ``kernel_basis``: rows whose supports are pairwise disjoint constrain
   disjoint columns, and ``_disjoint_kernel`` writes the kernel's RREF
   directly; this covers every pullback of coordinate maps and every kernel
@@ -63,11 +65,12 @@ generated ``k<i>`` coordinate names.
 
 ``Fraction``s exist only at the boundary. The dense constructors
 ``LinMap(dom, cod, matrix)`` and ``Subspace(ambient, basis)`` take rows of
-ints, ``Fraction``s or ``'p/q'`` strings and reject floats; nothing in this
-module rounds. The dense views ``LinMap.matrix`` and ``Subspace.basis`` are
-tuples of ``Fraction`` rows, computed on first read and kept. ``to_sparse``
-and ``to_dense`` convert between the two forms; ``frac`` passes a
-``Fraction`` through unchanged and converts anything else.
+ints, ``Fraction``s or ``'p/q'`` strings, each entry passed through ``frac``,
+and reject floats; nothing in this module rounds. The dense views
+``LinMap.matrix`` and ``Subspace.basis`` are tuples of ``Fraction`` rows, the
+entry n/d of a row as ``Fraction(n, d)``, computed on first read and kept.
+``to_sparse`` and ``to_dense`` convert between the two forms; ``frac`` passes
+a ``Fraction`` through unchanged and converts anything else.
 """
 
 from __future__ import annotations
@@ -97,10 +100,6 @@ def frac(x) -> Fraction:
 
 
 def _vec(row) -> Vec:
-    """row as a tuple of Fractions, converting entries only when needed."""
-    row = tuple(row)
-    if set(map(type, row)) <= {Fraction}:
-        return row
     return tuple(map(frac, row))
 
 
@@ -110,21 +109,7 @@ def _kernel_names(n: int) -> tuple[str, ...]:
 
 # -- the boundary: dense Fraction rows <-> canonical sparse rows --------------
 
-# Fractions are immutable, so dense views may share these.
-_SMALL_MAX = 64
-_SMALL = {n: Fraction(n) for n in range(-_SMALL_MAX, _SMALL_MAX + 1)}
-_ZERO = _SMALL[0]
 _NUM = attrgetter("numerator")
-
-
-def _q(n: int, d: int) -> Fraction:
-    """The Fraction n/d for d > 0, sharing zero and small integers."""
-    if not n:
-        return _ZERO
-    if d == 1 or not n % d:
-        n //= d
-        return _SMALL[n] if -_SMALL_MAX <= n <= _SMALL_MAX else Fraction(n)
-    return Fraction(n, d)
 
 
 def _int_row(row: Vec) -> Row:
@@ -138,8 +123,6 @@ def _int_row(row: Vec) -> Row:
     cols = tuple(compress(range(len(nums)), nums))
     dens = [row[j].denominator for j in cols]
     d = lcm(*dens)
-    if d == 1:
-        return 1, {j: nums[j] for j in cols}
     return d, {j: nums[j] * (d // q) for j, q in zip(cols, dens)}
 
 
@@ -152,9 +135,9 @@ def to_dense(rows, ncols: int) -> Dense:
     """The dense matrix of rows over ncols columns, as tuples of Fractions."""
     out = []
     for d, m in rows:
-        v = [_ZERO] * ncols
+        v = [Fraction(0)] * ncols
         for j, n in m.items():
-            v[j] = _q(n, d)
+            v[j] = Fraction(n, d)
         out.append(tuple(v))
     return tuple(out)
 
@@ -482,12 +465,12 @@ def rank_of(rows, ncols: int) -> int:
     return len(_eliminate(_ints(rows), ncols))
 
 
-def _unit_cover(rows, ncols: int) -> list[int] | None:
-    """For each column j, the index of a row equal to the unit row ``(1, {j: 1})``,
-    or None if some column has none.
+def _unit_rows_at(rows) -> dict[int, int]:
+    """For each column j that has one, the index of the first row equal to the
+    unit row ``(1, {j: 1})``.
 
-    A cover proves that the rows have full column rank: the covering rows alone
-    are the rows of the identity.
+    The rows it names are rows of the identity, so the rank of rows is at
+    least its size; with one entry per column, rows have full column rank.
     """
     at: dict[int, int] = {}
     for i, (d, m) in enumerate(rows):
@@ -495,9 +478,7 @@ def _unit_cover(rows, ncols: int) -> list[int] | None:
             for j, x in m.items():
                 if x == 1:
                     at.setdefault(j, i)
-    if len(at) < ncols:
-        return None
-    return [at[j] for j in range(ncols)]
+    return at
 
 
 def _disjoint_kernel(rows, ncols: int) -> Rows | None:
@@ -628,8 +609,6 @@ def zero_map(dom: VectObj, cod: VectObj) -> LinMap:
 def compose(g: LinMap, f: LinMap) -> LinMap:
     if f.cod != g.dom:
         raise MismatchError("compose: codomain of f must equal domain of g")
-    if f.cod.dim == 0 or f.dom.dim == 0 or g.cod.dim == 0:
-        return zero_map(f.dom, g.cod)  # nothing to multiply
     return LinMap.from_rows(f.dom, g.cod, mat_mul(g.rows, f.rows))
 
 
@@ -653,11 +632,12 @@ def terminal_map(obj: VectObj) -> LinMap:
 def classify(f: LinMap) -> tuple[bool, bool]:
     """(mono, epi) from one rank: full column rank and full row rank.
 
-    A unit-row cover proves the rank is dom.dim without elimination.
+    r unit rows of distinct columns prove the rank is at least r, so when r is
+    min(dom.dim, cod.dim) it is the rank, without elimination.
     """
-    if _unit_cover(f.rows, f.dom.dim) is not None:
-        return True, f.dom.dim == f.cod.dim
-    r = rank_of(f.rows, f.dom.dim)
+    r = len(_unit_rows_at(f.rows))
+    if r != min(f.dom.dim, f.cod.dim):
+        r = rank_of(f.rows, f.dom.dim)
     return r == f.dom.dim, r == f.cod.dim
 
 
@@ -719,9 +699,9 @@ def lift(ms, fs) -> LinMap | None:
     a = tuple(row for m in ms for row in m.rows)
     b = tuple(row for f in fs for row in f.rows)
     dom, apex = ms[0].dom, fs[0].dom
-    cover = _unit_cover(a, dom.dim)
-    if cover is not None:
-        u = tuple(b[i] for i in cover)
+    at = _unit_rows_at(a)
+    if len(at) == dom.dim:
+        u = tuple(b[at[j]] for j in range(dom.dim))
         return LinMap.from_rows(apex, dom, u) if mat_mul(a, u) == b else None
     sol = solve_matrix(a, dom.dim, b, apex.dim)
     return None if sol is None else LinMap.from_rows(apex, dom, sol)
@@ -827,8 +807,6 @@ class Subspace:
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.from_rows(self.ambient, ())
         # Zassenhaus: reduce the rows (a | a) and (b | 0); the reduced rows whose
         # first half is zero span the intersection in their second half.
         n = self.ambient.dim

@@ -8,6 +8,7 @@ the only tolerances are the stated wall-clock budgets.
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import oracles
@@ -120,9 +121,9 @@ def test_criterion_4_emergence_reproduction():
             "identify i_ac = i_eg\nidentify i_bd = i_fh\n"
         )
         obs = ("v_a", "v_b", "v_i", "v_j")
-        closed = emergence_report(s, p, spec, obs, close_dangling=True)
+        closed = emergence_report(s, p, replace(spec, close_dangling=True), obs)
         assert (closed.parts_dim, closed.whole_dim, closed.emergent) == (4, 1, True)
-        open_ = emergence_report(s, p, spec, obs, close_dangling=False)
+        open_ = emergence_report(s, p, replace(spec, close_dangling=False), obs)
         assert (open_.parts_dim, open_.whole_dim, open_.emergent) == (4, 3, True)
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from syscat import carriers, circuits, vect
+from syscat import carriers, vect
 from syscat.circuits import (
     Circuit,
     GlueSpec,
@@ -260,7 +260,7 @@ def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, clo
     seen = []
     equalizer = carriers.equalizer
     monkeypatch.setattr(carriers, "equalizer", lambda f, g: seen.append(f) or equalizer(f, g))
-    glue(left, right, spec, close_dangling=close).system
+    glue(left, right, replace(spec, close_dangling=close)).system
     # left, right, the syntax pullback, the shared representation and the
     # stacked equations; with closing, the closed equations too, on first read
     assert len(seen) == calls
@@ -275,14 +275,28 @@ def test_glue_runs_no_general_solve_rank_or_rref(circuits_dir, monkeypatch, clos
     for name in ("solve_matrix", "rank_of", "rref"):
         kernel = getattr(vect, name)
         monkeypatch.setattr(vect, name, lambda *a, _n=name, _k=kernel: seen.append(_n) or _k(*a))
-    res = glue(left, right, spec, close_dangling=close)
+    res = glue(left, right, replace(spec, close_dangling=close))
     assert res.preservation.equal and res.behavior.dim == (1 if close else 4)
+    assert seen == []
+
+
+@pytest.mark.parametrize("close", [False, True])
+def test_emergence_runs_no_rank(circuits_dir, monkeypatch, close):
+    # each phenome's projection holds a unit row per observed variable, which
+    # settles its rank, so no surjectivity check eliminates
+    left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S_aug.ckt", "P_aug.ckt"))
+    spec = replace(parse_glue((circuits_dir / "SP_aug.glue").read_text()), close_dangling=close)
+    seen = []
+    rank_of = vect.rank_of
+    monkeypatch.setattr(vect, "rank_of", lambda *a: seen.append(a) or rank_of(*a))
+    rep = emergence_report(left, right, spec, ("v_a", "v_b", "v_i", "v_j"))
+    assert (rep.parts_dim, rep.whole_dim) == ((4, 1) if close else (4, 3))
     assert seen == []
 
 
 def test_glue_close_dangling_collapses_to_a_line():
     s, p = sp_circuits()
-    res = glue(s, p, parse_glue(SP_GLUE), close_dangling=True)
+    res = glue(s, p, replace(parse_glue(SP_GLUE), close_dangling=True))
     assert res.behavior.dim == 1
     assert res.closed_terminals == ("L.a", "L.b", "R.i", "R.j")
     # every vector has all node voltages equal and all currents zero
@@ -359,7 +373,7 @@ LADDER1 = parse_netlist(
           GlueSpec("g", (("v_n0", "v_qn0"), ("v_z", "v_qz"), ("i_r0", "i_qr0")))))
 def test_closing_matches_the_union_find_reference(pair):
     c1, c2, spec = pair
-    res = glue(c1, c2, spec, close_dangling=True)
+    res = glue(c1, c2, replace(spec, close_dangling=True))
     names, rows, closed = oracles._close_rows(c1, c2, res.merged, res.universum)
     assert res.closed_terminals == closed
     n = res.rep.codomain.dim - len(names)
@@ -375,7 +389,7 @@ def test_glue_result_glues_again():
     first = glue(r1, r2, parse_glue("glue RR\nidentify v_b = v_c\nidentify i_ab = i_cd\n"))
     spec = GlueSpec("RRR", (("v_d", "v_e"), ("i_ab=i_cd", "i_ef")))
     for close, closed in ((False, ()), (True, ("L.L.a", "R.f"))):
-        res = _glue_compiled(first, r3, spec, close)
+        res = _glue_compiled(first, r3, replace(spec, close_dangling=close))
         assert res.preservation.equal
         assert res.behavior.dim == oracles.nullity(res.rep.f1.matrix, res.universum.dim)
         assert res.closed_terminals == closed
@@ -383,23 +397,16 @@ def test_glue_result_glues_again():
     assert res.behavior.dim == 1
 
 
-def test_glue_text_names_a_merged_variable(monkeypatch):
+def test_glue_text_names_a_merged_variable():
     r1 = parse_netlist("circuit R1\nnode a b\nterminal a b\nresistor ab a b 1\n")
     r2 = parse_netlist("circuit R2\nnode c d\nterminal c d\nresistor cd c d 2\n")
     r3 = compile_circuit(parse_netlist("circuit R3\nnode e f\nterminal e f\nresistor ef e f 3\n"))
-    built = []
-    merged_nodes = circuits._merged_nodes
-    monkeypatch.setattr(circuits, "_merged_nodes", lambda *a: built.append(a) or merged_nodes(*a))
     first = glue(r1, r2, parse_glue("glue RR\nidentify v_b = v_c\nidentify i_ab = i_cd\n"))
-    assert built == []  # an open glue builds no node graph
     spec = parse_glue("glue RRR\nidentify v_d = v_e\nidentify i_ab=i_cd = i_ef\n")
-    res = _glue_compiled(first, r3, spec, False)
+    res = _glue_compiled(first, r3, spec)
     assert res.merged[1] == ("i_ab=i_cd", "i_ef", "i_ab=i_cd=i_ef")
     assert res.preservation.equal and res.behavior.dim == 2
-    assert built == []
-    # the first read builds this graph and, through it, the first glue's
     assert res.nodes["v_d=v_e"] == Node("R.e", True, (("i_ab=i_cd=i_ef", -1), ("i_ab=i_cd=i_ef", 1)))
-    assert len(built) == 2
 
 
 def test_two_resistors_in_series():
@@ -505,7 +512,7 @@ def test_emergence_open_and_closed():
     obs = ("v_a", "v_b", "v_i", "v_j")
     open_rep = emergence_report(s, p, spec, obs)
     assert (open_rep.parts_dim, open_rep.whole_dim, open_rep.emergent) == (4, 3, True)
-    closed_rep = emergence_report(s, p, spec, obs, close_dangling=True)
+    closed_rep = emergence_report(s, p, replace(spec, close_dangling=True), obs)
     assert (closed_rep.parts_dim, closed_rep.whole_dim, closed_rep.emergent) == (4, 1, True)
 
 
@@ -517,7 +524,8 @@ def test_whole_phenome_is_contained_in_parts():
         behavior_image(phenome(k2.system, obs).system)
     )
     for close in (False, True):
-        whole = behavior_image(phenome(glue(s, p, spec, close).system, obs).system)
+        glued = glue(s, p, replace(spec, close_dangling=close))
+        whole = behavior_image(phenome(glued.system, obs).system)
         assert whole.leq(parts)
 
 

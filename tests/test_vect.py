@@ -46,6 +46,14 @@ def test_compose_identity_and_zero_dims():
     g = vect.zero_map(vect.ZERO_SPACE, Q3)
     gz = vect.compose(g, z)
     assert gz == vect.zero_map(Q2, Q3)
+    # a zero dimension in the domain, in the middle or in the codomain; h has
+    # a unit row, which selects, and a row that is multiplied
+    h = LinMap(Q2, Q2, ((1, 0), (Fraction(1, 2), 3)))
+    zero = vect.ZERO_SPACE
+    assert vect.compose(h, vect.zero_map(zero, Q2)) == vect.zero_map(zero, Q2)
+    assert vect.compose(vect.zero_map(zero, Q2), vect.zero_map(Q3, zero)) == vect.zero_map(Q3, Q2)
+    assert vect.compose(vect.zero_map(Q2, zero), h) == vect.zero_map(Q2, zero)
+    assert vect.compose(vect.zero_map(zero, zero), vect.zero_map(zero, zero)) == vect.zero_map(zero, zero)
 
 
 def test_product_tags_and_dims():
@@ -172,6 +180,9 @@ def test_subspace_meet_join_examples():
     e12 = Subspace(Q3, ((1, 0, 0), (0, 1, 0)))
     e23 = Subspace(Q3, ((0, 1, 0), (0, 0, 1)))
     assert e12.intersect(e23) == e2
+    zero = Subspace(Q3, ())
+    for a, b in ((e12, zero), (zero, e12), (zero, zero)):
+        assert a.intersect(b) == zero and a.intersect(b).rows == ()
     assert e1.sum(e2) == e12
     assert e1.sum(e2).dim == 2
 
@@ -183,6 +194,21 @@ def test_subspace_modular_law_randomized():
         a = Subspace(amb, rand_matrix(rng, rng.randint(0, 5), 5))
         b = Subspace(amb, rand_matrix(rng, rng.randint(0, 5), 5))
         assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
+
+
+def test_to_dense_entries_are_the_fractions_of_the_rows():
+    # entries past +-64 and entries n/d that reduce, in canonical rows and not
+    rows = (
+        (1, {0: 65, 2: -1000}),
+        (6, {0: 4, 1: 9, 2: -130}),
+        (3, {0: 300, 1: -6}),
+        (1, {}),
+        (7, {1: 10**30}),
+    )
+    dense = vect.to_dense(rows, 3)
+    assert dense == tuple(tuple(Fraction(m.get(j, 0), d) for j in range(3)) for d, m in rows)
+    assert all(type(x) is Fraction for row in dense for x in row)
+    assert dense[2] == (100, -2, 0)
 
 
 def test_exact_fractions_survive_reduction():

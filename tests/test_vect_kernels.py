@@ -8,12 +8,13 @@ constructions (``compose``, ``pullback``, ``equalizer``, ``image_factorize``,
 ``lift``, ``product_map``) are checked the same way through their dense
 ``matrix`` views. Ranks and row spaces are refereed independently by sympy.
 The structural shortcuts (unit and empty rows of A in ``mat_mul``,
-single-entry columns in ``_transpose``, a unit row per coordinate in ``lift``
-and ``classify``, disjoint row supports in ``kernel_basis``, rows already in
-canonical RREF in ``Subspace``, the kept basis of an inclusion in ``image``)
-are drawn on purpose, together with inputs that just miss each condition, and
-checked against the same references. Rows are shared between values, so a
-last test checks that no kernel changes the rows it is given.
+single-entry columns in ``_transpose``, a unit row per domain coordinate in
+``lift``, unit rows of min(dom, cod) distinct columns in ``classify``, disjoint
+row supports in ``kernel_basis``, rows already in canonical RREF in
+``Subspace``, the kept basis of an inclusion in ``image``) are drawn on
+purpose, together with inputs that just miss each condition, and checked
+against the same references. Rows are shared between values, so a last test
+checks that no kernel changes the rows it is given.
 Entries range from small rationals to numerators of 10^30 over denominators
 of 10^12, so coefficient growth is exercised, and a strategy of negative
 entries gives negative pivots.
@@ -398,10 +399,10 @@ def _forbidden(name):
     return mock.patch.object(vect, name, side_effect=AssertionError(f"{name} was called"))
 
 
-def _unit_row_per_coordinate(rows, n):
-    """Whether every unit vector e_j, j < n, is one of the dense rows."""
+def _unit_columns(rows, n):
+    """The j < n whose unit vector e_j is one of the dense rows over n columns."""
     present = set(map(tuple, rows))
-    return all(tuple(Fraction(int(i == j)) for i in range(n)) in present for j in range(n))
+    return {j for j in range(n) if tuple(Fraction(int(i == j)) for i in range(n)) in present}
 
 
 @st.composite
@@ -456,7 +457,7 @@ def test_lift_of_coordinate_families_matches_dense_reference(cone):
     a = [row for m in ms for row in m.matrix]
     b = [row for f in fs for row in f.matrix]
     want = oracles.dense_solve_matrix(a, dom.dim, b, apex.dim)
-    covered = _unit_row_per_coordinate(a, dom.dim)
+    covered = len(_unit_columns(a, dom.dim)) == dom.dim
     # pullback projections of coordinate maps always hold a unit row per coordinate
     assert covered or not projections
     with _forbidden("solve_matrix") if covered else nullcontext():
@@ -543,16 +544,20 @@ def test_subspace_keeps_exactly_canonical_rref_rows(m):
 
 @st.composite
 def classified_maps(draw):
-    """Maps with and without a unit row per domain coordinate: random maps,
-    coordinate maps, equalizer arrows, and those with rows appended."""
+    """Maps with and without a unit row per domain or codomain coordinate:
+    random maps, coordinate maps, equalizer arrows, projections onto some
+    coordinates, and those with rows appended."""
     x, z = _space("x", draw(DIMS)), _space("z", draw(DIMS))
-    kind = draw(st.sampled_from(("random", "coordinate", "arrow")))
+    kind = draw(st.sampled_from(("random", "coordinate", "arrow", "projection")))
     if kind == "random":
         f = draw(linmaps(x, z))
     elif kind == "coordinate":
         f = draw(coordinate_maps(x, z))
-    else:
+    elif kind == "arrow":
         f = vect.equalizer(draw(linmaps(x, z)), draw(linmaps(x, z)))[1]
+    else:
+        names = draw(st.permutations(x.vars))
+        f = vect.projection_onto(x, names[: draw(st.integers(0, x.dim))])
     if draw(st.booleans()):
         extra = draw(linmaps(f.dom, _space("e", draw(st.integers(1, 3)))))
         f = LinMap.from_rows(f.dom, _space("w", f.cod.dim + extra.cod.dim), f.rows + extra.rows)
@@ -563,8 +568,9 @@ def classified_maps(draw):
 @given(classified_maps())
 def test_classify_matches_rank(f):
     r = oracles.rank(f.matrix, f.dom.dim)
-    covered = _unit_row_per_coordinate(f.matrix, f.dom.dim)
-    with _forbidden("rank_of") if covered else nullcontext():
+    # unit rows of distinct columns give the rank when they number min(dom, cod)
+    settled = len(_unit_columns(f.matrix, f.dom.dim)) == min(f.dom.dim, f.cod.dim)
+    with _forbidden("rank_of") if settled else nullcontext():
         assert vect.classify(f) == (r == f.dom.dim, r == f.cod.dim)
 
 
