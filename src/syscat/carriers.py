@@ -2,13 +2,12 @@
 
 The two carriers, finite sets (``finset``) and rational vector spaces
 (``vect``), are modules with the same interface: ``identity``, ``compose``,
-``commutes``, ``product``, ``product_map``, ``pullback``, ``equalizer``,
-``image_factorize``, ``classify`` (mono, epi), ``terminal_obj``,
-``terminal_map``, ``lift``, ``image`` and ``subobject_map``. One table picks
-the module from the type of the arguments, so each function here is one call
-into it and the rest of the library stays carrier-agnostic. Values of
-different carriers, or values that belong to no carrier, raise
-``MismatchError``.
+``commutes``, ``product``, ``pullback``, ``equalizer``, ``image_factorize``,
+``classify`` (mono, epi), ``terminal_obj``, ``terminal_map``, ``lift``,
+``image`` and ``subobject_map``. One table picks the module from the type of
+the arguments, so each function here is one call into it and the rest of the
+library stays carrier-agnostic. Values of different carriers, or values that
+belong to no carrier, raise ``MismatchError``.
 
 A subobject is a value of its carrier: a frozenset of labels in FinSet, a
 canonical ``Subspace`` in Vect. ``image`` reads it off a map and
@@ -17,8 +16,9 @@ canonical ``Subspace`` in Vect. ``image`` reads it off a map and
 
 Every universal property used by the library reduces to ``lift``: factor a
 cone through a jointly mono family (product and pullback projections, an
-equalizer, a system's inclusion). Every operation is a pure function of
-immutable inputs.
+equalizer, a system's inclusion). Every map between two pullbacks, products
+included (a product is the pullback over the terminal object), is
+``pullback_map``. Every operation is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -49,13 +49,6 @@ def _carrier(x, *rest):
         if _CARRIERS.get(type(y)) is not module:
             raise MismatchError("values live in different carriers")
     return module
-
-
-@dataclass(frozen=True)
-class ProductResult:
-    obj: CarrierObj
-    proj1: CarrierMap
-    proj2: CarrierMap
 
 
 @dataclass(frozen=True)
@@ -109,12 +102,9 @@ def commutes(a: CarrierMap, b: CarrierMap, c: CarrierMap, d: CarrierMap) -> bool
     return module.commutes(a, b, c, d)
 
 
-def product(x: CarrierObj, y: CarrierObj) -> ProductResult:
-    return ProductResult(*_carrier(x, y).product(x, y))
-
-
-def product_map(f: CarrierMap, g: CarrierMap) -> CarrierMap:
-    return _carrier(f, g).product_map(f, g)
+def product(x: CarrierObj, y: CarrierObj) -> PullbackResult:
+    """The product of x and y: their pullback over the terminal object."""
+    return PullbackResult(*_carrier(x, y).product(x, y))
 
 
 def pullback(f1: CarrierMap, f2: CarrierMap) -> PullbackResult:
@@ -171,7 +161,7 @@ def lift(ms, fs) -> CarrierMap | None:
     return module.lift(ms, fs)
 
 
-def product_mediate(prod: ProductResult, q1: CarrierMap, q2: CarrierMap) -> CarrierMap:
+def product_mediate(prod: PullbackResult, q1: CarrierMap, q2: CarrierMap) -> CarrierMap:
     """The unique map <q1, q2> into the product with the given projections."""
     return lift((prod.proj1, prod.proj2), (q1, q2))
 
@@ -182,6 +172,17 @@ def pullback_mediate(pb: PullbackResult, q1: CarrierMap, q2: CarrierMap) -> Carr
     if u is None:
         raise MismatchError("the given pair of maps is not a cone over the pullback")
     return u
+
+
+def pullback_map(
+    top: PullbackResult, bottom: PullbackResult, a1: CarrierMap, a2: CarrierMap
+) -> CarrierMap:
+    """The map between pullbacks that a1 and a2 induce.
+
+    It is the unique u with bottom.proj_i . u = a_i . top.proj_i. A pair
+    whose cone does not commute over bottom's cospan raises ``MismatchError``.
+    """
+    return pullback_mediate(bottom, compose(a1, top.proj1), compose(a2, top.proj2))
 
 
 def equalizer_mediate(eq: EqualizerResult, h: CarrierMap) -> CarrierMap:

@@ -91,12 +91,18 @@ def cmd_behavior(args, out) -> int:
     return 0
 
 
-def cmd_glue(args, out) -> int:
+def _glue_inputs(args):
+    """The left and right circuits and the glue spec, read and parsed in that order."""
     left = parse_netlist(_read(args.left))
     right = parse_netlist(_read(args.right))
     spec = parse_glue(_read(args.glue))
     if args.close_dangling:
         spec = dataclasses.replace(spec, close_dangling=True)
+    return left, right, spec
+
+
+def cmd_glue(args, out) -> int:
+    left, right, spec = _glue_inputs(args)
     result = glue(left, right, spec)
     sub = result.behavior
     behavior = _behavior_json(sub)
@@ -129,11 +135,7 @@ def cmd_glue(args, out) -> int:
 
 
 def cmd_emergence(args, out) -> int:
-    left = parse_netlist(_read(args.left))
-    right = parse_netlist(_read(args.right))
-    spec = parse_glue(_read(args.glue))
-    if args.close_dangling:
-        spec = dataclasses.replace(spec, close_dangling=True)
+    left, right, spec = _glue_inputs(args)
     observed = [v for v in args.observe.split(",") if v]
     report = emergence_report(left, right, spec, observed)
     if args.json:

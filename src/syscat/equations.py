@@ -106,17 +106,10 @@ def pullback_equations(m: EquationMorphism, n: EquationMorphism) -> EquationPull
         raise MismatchError("pullback requires morphisms into the same representation")
     upb = carriers.pullback(m.psi_u, n.psi_u)
     epb = carriers.pullback(m.psi_e, n.psi_e)
-    f1 = carriers.pullback_mediate(
-        epb,
-        carriers.compose(m.src.f1, upb.proj1),
-        carriers.compose(n.src.f1, upb.proj2),
+    rep = EquationRep(
+        carriers.pullback_map(upb, epb, m.src.f1, n.src.f1),
+        carriers.pullback_map(upb, epb, m.src.f2, n.src.f2),
     )
-    f2 = carriers.pullback_mediate(
-        epb,
-        carriers.compose(m.src.f2, upb.proj1),
-        carriers.compose(n.src.f2, upb.proj2),
-    )
-    rep = EquationRep(f1, f2)
     proj1 = EquationMorphism(rep, m.src, upb.proj1, epb.proj1)
     proj2 = EquationMorphism(rep, n.src, upb.proj2, epb.proj2)
     return EquationPullback(rep, proj1, proj2)

@@ -130,13 +130,6 @@ def product(x: FinObj, y: FinObj) -> tuple[FinObj, FinMap, FinMap]:
     return obj, FinMap(obj, x, t1), FinMap(obj, y, t2)
 
 
-def product_map(f: FinMap, g: FinMap) -> FinMap:
-    dom, pd1, pd2 = product(f.dom, g.dom)
-    cod, _, _ = product(f.cod, g.cod)
-    table = {p: pair_label(f(pd1(p)), g(pd2(p))) for p in dom}
-    return FinMap(dom, cod, table)
-
-
 def pullback(f1: FinMap, f2: FinMap) -> tuple[FinObj, FinMap, FinMap]:
     if f1.cod != f2.cod:
         raise MismatchError("pullback: maps must share their codomain")

@@ -179,12 +179,7 @@ def pullback_gen_systems(
         raise MismatchError("pullback requires morphisms into the same generalized system")
     cpb = carriers.pullback(phi.phi_c, psi.phi_c)
     upb = carriers.pullback(phi.phi_u, psi.phi_u)
-    arrow = carriers.pullback_mediate(
-        upb,
-        carriers.compose(phi.src.arrow, cpb.proj1),
-        carriers.compose(psi.src.arrow, cpb.proj2),
-    )
-    k = GeneralizedSystem(arrow)
+    k = GeneralizedSystem(carriers.pullback_map(cpb, upb, phi.src.arrow, psi.src.arrow))
     return (
         k,
         GenSystemMorphism(k, phi.src, cpb.proj1, upb.proj1),
@@ -195,38 +190,30 @@ def pullback_gen_systems(
 def pullback_gen_equations(
     m: GenEquationMorphism, n: GenEquationMorphism
 ) -> tuple[GenEquation, GenEquationMorphism, GenEquationMorphism]:
-    """Cornerwise pullback of equations over a common one."""
+    """Cornerwise pullback of equations over a common one.
+
+    Each corner object is the pullback of m's and n's component maps there;
+    the structure maps and the two morphisms of the pulled-back equation are
+    the maps between those pullbacks that m's and n's pairs induce.
+    """
     if m.dst != n.dst:
         raise MismatchError("pullback requires morphisms into the same equation")
-    k_src, p_src, q_src = pullback_gen_systems(
-        GenSystemMorphism(m.src.src, m.dst.src, m.tau1, m.tau2),
-        GenSystemMorphism(n.src.src, n.dst.src, n.tau1, n.tau2),
+    cpb, upb, cpb_t, upb_t = map(
+        carriers.pullback, (m.tau1, m.tau2, m.tau3, m.tau4), (n.tau1, n.tau2, n.tau3, n.tau4)
     )
-    k_dst, p_dst, q_dst = pullback_gen_systems(
-        GenSystemMorphism(m.src.dst, m.dst.dst, m.tau3, m.tau4),
-        GenSystemMorphism(n.src.dst, n.dst.dst, n.tau3, n.tau4),
-    )
-    cpb = carriers.PullbackResult(k_src.domain, p_src.phi_c, q_src.phi_c)
-    upb = carriers.PullbackResult(k_src.codomain, p_src.phi_u, q_src.phi_u)
-    cpb_t = carriers.PullbackResult(k_dst.domain, p_dst.phi_c, q_dst.phi_c)
-    upb_t = carriers.PullbackResult(k_dst.codomain, p_dst.phi_u, q_dst.phi_u)
+    k_src = GeneralizedSystem(carriers.pullback_map(cpb, upb, m.src.src.arrow, n.src.src.arrow))
+    k_dst = GeneralizedSystem(carriers.pullback_map(cpb_t, upb_t, m.src.dst.arrow, n.src.dst.arrow))
 
-    def induced(sel):
-        phi_c = carriers.pullback_mediate(
-            cpb_t,
-            carriers.compose(sel(m.src).phi_c, cpb.proj1),
-            carriers.compose(sel(n.src).phi_c, cpb.proj2),
+    def induced(phi, psi):
+        return GenSystemMorphism(
+            k_src, k_dst,
+            carriers.pullback_map(cpb, cpb_t, phi.phi_c, psi.phi_c),
+            carriers.pullback_map(upb, upb_t, phi.phi_u, psi.phi_u),
         )
-        phi_u = carriers.pullback_mediate(
-            upb_t,
-            carriers.compose(sel(m.src).phi_u, upb.proj1),
-            carriers.compose(sel(n.src).phi_u, upb.proj2),
-        )
-        return GenSystemMorphism(k_src, k_dst, phi_c, phi_u)
 
-    eq = GenEquation(induced(lambda e: e.phi1), induced(lambda e: e.phi2))
-    proj_m = GenEquationMorphism(eq, m.src, p_src.phi_c, p_src.phi_u, p_dst.phi_c, p_dst.phi_u)
-    proj_n = GenEquationMorphism(eq, n.src, q_src.phi_c, q_src.phi_u, q_dst.phi_c, q_dst.phi_u)
+    eq = GenEquation(induced(m.src.phi1, n.src.phi1), induced(m.src.phi2, n.src.phi2))
+    proj_m = GenEquationMorphism(eq, m.src, cpb.proj1, upb.proj1, cpb_t.proj1, upb_t.proj1)
+    proj_n = GenEquationMorphism(eq, n.src, cpb.proj2, upb.proj2, cpb_t.proj2, upb_t.proj2)
     return eq, proj_m, proj_n
 
 
@@ -306,14 +293,13 @@ def _transpose_to_diagonal(m: GenSystemMorphism, e: GenEquation, eqs,
     return GenEquationMorphism(diagonal(g), e, tau1, tau2, tau3, tau4)
 
 
-def adjunction_check(
-    g: GeneralizedSystem, e: GenEquation, probe: GenSystemMorphism | None = None
-) -> AdjunctionReport:
+def adjunction_check(g: GeneralizedSystem, e: GenEquation) -> AdjunctionReport:
     """Compare Hom(diagonal(g), e) with Hom(g, obj_eq(e)) by explicit bijection.
 
     Both hom-sets are enumerated exhaustively; the transposition maps are then
-    checked to be mutually inverse. A probe morphism into g (default: a
-    canonical endomorphism) spot-checks naturality under precomposition.
+    checked to be mutually inverse. A probe morphism into g (the first
+    endomorphism other than the identity, if any) spot-checks naturality under
+    precomposition.
     """
     _require_finset_small(g.domain, g.codomain, e.src.domain, e.src.codomain,
                           e.dst.domain, e.dst.codomain)
@@ -336,8 +322,8 @@ def adjunction_check(
         if _transpose_to_objeq(t, eqs, target, g) != m:
             bijection_ok = False
 
-    if probe is None:
-        probe = _default_probe(g)
+    ident = identity_gen_morphism(g)
+    probe = next((m for m in gen_system_homs(g, g) if m != ident), ident)
     naturality_ok = True
     for t in lhs:
         precomposed = _compose_equation_with_diagonal(t, probe)
@@ -346,13 +332,6 @@ def adjunction_check(
         if direct != expected:
             naturality_ok = False
     return AdjunctionReport(len(lhs), len(rhs), bijection_ok, naturality_ok)
-
-
-def _default_probe(g: GeneralizedSystem) -> GenSystemMorphism:
-    for m in gen_system_homs(g, g):
-        if m != identity_gen_morphism(g):
-            return m
-    return identity_gen_morphism(g)
 
 
 def _compose_equation_with_diagonal(

@@ -120,9 +120,9 @@ def _vect_obj(rng: random.Random, prefix: str, lo: int, hi: int) -> VectObj:
     return VectObj(tuple(f"{prefix}{i}" for i in range(rng.randint(lo, hi))))
 
 
-def _matrix(rng: random.Random, rows: int, cols: int, span: int = 2):
+def _matrix(rng: random.Random, rows: int, cols: int):
     return tuple(
-        tuple(Fraction(rng.randint(-span, span)) for _ in range(cols)) for _ in range(rows)
+        tuple(Fraction(rng.randint(-2, 2)) for _ in range(cols)) for _ in range(rows)
     )
 
 
@@ -166,13 +166,8 @@ def _vect_equation_cospan(rng: random.Random) -> tuple[EquationMorphism, Equatio
     return leg("a"), leg("b")
 
 
-def _subspace(rng: random.Random, ambient: VectObj, max_rank: int | None = None) -> Subspace:
-    k = rng.randint(0, max_rank if max_rank is not None else ambient.dim)
-    return Subspace(ambient, _matrix(rng, k, ambient.dim))
-
-
-def _gen_system(rng: random.Random, dom: FinObj, cod: FinObj) -> GeneralizedSystem:
-    return GeneralizedSystem(_finmap(rng, dom, cod))
+def _subspace(rng: random.Random, ambient: VectObj) -> Subspace:
+    return Subspace(ambient, _matrix(rng, rng.randint(0, ambient.dim), ambient.dim))
 
 
 def _gen_equation(rng: random.Random) -> GenEquation:
@@ -197,14 +192,15 @@ def _gen_equation(rng: random.Random) -> GenEquation:
 
 # -- suites --------------------------------------------------------------------
 
-def preservation_suite(seed: int, finset_trials: int = 200, vect_trials: int = 50) -> LawReport:
+def preservation_suite(seed: int, trials: int = 200) -> LawReport:
+    """``trials`` FinSet cospans, then a quarter as many (at least one) Vect cospans."""
     rng = random.Random(seed)
     fs = SuiteResult("finset")
-    for _ in range(finset_trials):
+    for _ in range(trials):
         m, n = _finset_equation_cospan(rng)
         fs.record(check_preservation(m, n).equal)
     vs = SuiteResult("vect")
-    for _ in range(vect_trials):
+    for _ in range(max(1, trials // 4)):
         m, n = _vect_equation_cospan(rng)
         vs.record(check_preservation(m, n).equal)
     return LawReport("preservation", [fs, vs])
@@ -216,7 +212,7 @@ EXHAUSTIVE_MAX = 4
 RANDOM_MAX = 6
 
 
-def duality_suite(seed: int, random_trials: int = 500) -> LawReport:
+def duality_suite(seed: int, trials: int = 500) -> LawReport:
     rng = random.Random(seed)
     gf = SuiteResult("G.F=id (exhaustive)")
     cl = SuiteResult("mono/epi swap (exhaustive)")
@@ -235,7 +231,7 @@ def duality_suite(seed: int, random_trials: int = 500) -> LawReport:
             for phi in booldual.all_homs(src, dst):
                 fg.record(booldual.functor_F(booldual.functor_G(phi)) == phi)
     rnd = SuiteResult("roundtrip (randomized)")
-    for _ in range(random_trials):
+    for _ in range(trials):
         s = _obj(rng, "s", 0, RANDOM_MAX)
         t = _obj(rng, "t", 1, RANDOM_MAX)
         f = _finmap(rng, s, t)
@@ -248,14 +244,14 @@ def duality_suite(seed: int, random_trials: int = 500) -> LawReport:
     return LawReport("duality", [gf, cl, fg, rnd])
 
 
-def adjunction_suite(seed: int, instances: int = 50) -> LawReport:
+def adjunction_suite(seed: int, trials: int = 50) -> LawReport:
     rng = random.Random(seed)
     suite = SuiteResult("hom-set bijection")
-    for _ in range(instances):
+    for _ in range(trials):
         e = _gen_equation(rng)
         dom = _obj(rng, "g", 1, 3)
         cod = _obj(rng, "h", 1, 3)
-        g = _gen_system(rng, dom, cod)
+        g = GeneralizedSystem(_finmap(rng, dom, cod))
         report = adjunction_check(g, e)
         suite.record(
             report.ok,
@@ -305,14 +301,5 @@ LAWS = {
 
 
 def run_law(law: str, seed: int, trials: int | None = None) -> LawReport:
-    if law == "preservation":
-        if trials is None:
-            return preservation_suite(seed)
-        return preservation_suite(seed, trials, max(1, trials // 4))
-    if law == "duality":
-        return duality_suite(seed) if trials is None else duality_suite(seed, trials)
-    if law == "adjunction":
-        return adjunction_suite(seed) if trials is None else adjunction_suite(seed, trials)
-    if law == "lattice":
-        return lattice_suite(seed) if trials is None else lattice_suite(seed, trials)
-    raise KeyError(law)
+    """Run one law's suite; ``trials`` replaces the suite's default count."""
+    return LAWS[law](seed) if trials is None else LAWS[law](seed, trials)

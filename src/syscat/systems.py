@@ -148,10 +148,7 @@ def pullback_systems(phi: SystemMorphism, psi: SystemMorphism) -> SystemPullback
         raise MismatchError("pullback requires morphisms into the same system")
     bpb = carriers.pullback(phi.phi_b, psi.phi_b)
     upb = carriers.pullback(phi.phi_u, psi.phi_u)
-    q1 = carriers.compose(phi.src.inclusion, bpb.proj1)
-    q2 = carriers.compose(psi.src.inclusion, bpb.proj2)
-    inclusion = carriers.pullback_mediate(upb, q1, q2)
-    k = System(inclusion)
+    k = System(carriers.pullback_map(bpb, upb, phi.src.inclusion, psi.src.inclusion))
     proj1 = SystemMorphism(k, phi.src, bpb.proj1, upb.proj1)
     proj2 = SystemMorphism(k, psi.src, bpb.proj2, upb.proj2)
     return SystemPullback(k, proj1, proj2)
@@ -161,8 +158,7 @@ def product_systems(s: System, t: System) -> SystemPullback:
     """The product system with its projections (pullback over the terminal system)."""
     pu = carriers.product(s.universum, t.universum)
     pb = carriers.product(s.behavior, t.behavior)
-    inclusion = carriers.product_map(s.inclusion, t.inclusion)
-    prod = System(inclusion)
+    prod = System(carriers.pullback_map(pb, pu, s.inclusion, t.inclusion))
     proj1 = SystemMorphism(prod, s, pb.proj1, pu.proj1)
     proj2 = SystemMorphism(prod, t, pb.proj2, pu.proj2)
     return SystemPullback(prod, proj1, proj2)

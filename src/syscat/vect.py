@@ -649,14 +649,6 @@ def product(x: VectObj, y: VectObj) -> tuple[VectObj, LinMap, LinMap]:
     return obj, p1, p2
 
 
-def product_map(f: LinMap, g: LinMap) -> LinMap:
-    dom, _, _ = product(f.dom, g.dom)
-    cod, _, _ = product(f.cod, g.cod)
-    shift = f.dom.dim
-    shifted = tuple((d, {j + shift: n for j, n in m.items()}) for d, m in g.rows)
-    return LinMap.from_rows(dom, cod, f.rows + shifted)
-
-
 def pullback(f1: LinMap, f2: LinMap) -> tuple[VectObj, LinMap, LinMap]:
     if f1.cod != f2.cod:
         raise MismatchError("pullback: maps must share their codomain")

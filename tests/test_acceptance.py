@@ -98,7 +98,7 @@ def test_criterion_2_series_resistor_law():
 
 def test_criterion_3_preservation_theorem():
     with criterion(3, "syntax/semantics preservation 200+50", 30.0):
-        report = preservation_suite(seed=20240, finset_trials=200, vect_trials=50)
+        report = preservation_suite(seed=20240, trials=200)
         finset_suite, vect_suite = report.suites
         assert (finset_suite.passed, finset_suite.total) == (200, 200)
         assert (vect_suite.passed, vect_suite.total) == (50, 50)
@@ -217,7 +217,7 @@ def test_criterion_6_pushout_transport():
 
 def test_criterion_7_adjunction():
     with criterion(7, "diagonal/equalizer adjunction", 60.0):
-        report = adjunction_suite(seed=777, instances=50)
+        report = adjunction_suite(seed=777, trials=50)
         suite = report.suites[0]
         assert (suite.passed, suite.total) == (50, 50)
         # plus a few structured instances

@@ -286,6 +286,53 @@ def test_finset_equalizer_mediate_rejects_a_map_into_another_set():
         carriers.equalizer_mediate(eq, h)
 
 
+# -- pullback_map: the map between pullbacks a pair of arrows induces -------------
+
+def _cospans_and_pair(rng, carrier):
+    """Top legs x1 -> z <- x2, bottom legs y1 -> w <- y2, and a_i: x_i -> y_i.
+
+    Half the time the top legs are g_i . a_i, so (a1, a2, id_w) is a
+    morphism of cospans; otherwise they are drawn freely into their own z,
+    and the induced cone may or may not commute over the bottom cospan.
+    FinSet codomains have at least one element, so every map can be drawn.
+    """
+    in_finset = carrier == "finset"
+
+    def obj(prefix, lo):
+        return _finobj(rng, prefix, lo, 3) if in_finset else _vectobj(prefix, rng.randint(0, 3))
+
+    def arrow(dom, cod):
+        return (_finmap if in_finset else _linmap)(rng, dom, cod)
+
+    x1, x2 = obj("x", 0), obj("xx", 0)
+    y1, y2, w = obj("y", 1), obj("yy", 1), obj("w", 1)
+    a1, a2 = arrow(x1, y1), arrow(x2, y2)
+    g1, g2 = arrow(y1, w), arrow(y2, w)
+    if rng.random() < 0.5:
+        f1, f2 = carriers.compose(g1, a1), carriers.compose(g2, a2)
+    else:
+        z = obj("z", 1)
+        f1, f2 = arrow(x1, z), arrow(x2, z)
+    return carriers.pullback(f1, f2), carriers.pullback(g1, g2), a1, a2
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.randoms(use_true_random=False), st.sampled_from(("finset", "vect")))
+def test_pullback_map_commutes_and_is_compose_then_mediate(rng, carrier):
+    top, bottom, a1, a2 = _cospans_and_pair(rng, carrier)
+    q1, q2 = carriers.compose(a1, top.proj1), carriers.compose(a2, top.proj2)
+    try:
+        want = carriers.pullback_mediate(bottom, q1, q2)
+    except MismatchError:
+        with pytest.raises(MismatchError):
+            carriers.pullback_map(top, bottom, a1, a2)
+        return
+    u = carriers.pullback_map(top, bottom, a1, a2)
+    assert u == want
+    assert carriers.commutes(bottom.proj1, u, a1, top.proj1)
+    assert carriers.commutes(bottom.proj2, u, a2, top.proj2)
+
+
 # -- subobjects ------------------------------------------------------------------
 
 def test_image_of_subobject_map_is_the_subobject():

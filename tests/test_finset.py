@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syscat import finset
+from syscat import carriers, finset
 from syscat.errors import MismatchError
 from syscat.finset import FinMap, FinObj, all_maps
 
@@ -60,7 +60,10 @@ def test_map_keeps_its_own_copy_of_the_table():
 def test_constructions_equal_the_checked_constructor(f, g):
     """Every map finset builds has str labels and is the map the constructor builds from its table."""
     built = [
-        finset.identity(f.dom), finset.terminal_map(f.dom), finset.product_map(f, g),
+        finset.identity(f.dom), finset.terminal_map(f.dom),
+        carriers.pullback_map(
+            carriers.product(f.dom, g.dom), carriers.product(f.cod, g.cod), f, g
+        ),
         *finset.product(f.dom, g.dom)[1:], *finset.image_factorize(f),
         finset.subobject_map(f.cod, finset.image(f)), finset.equalizer(f, f)[1],
         finset.lift(finset.image_factorize(f)[1:], (f,)),

@@ -234,6 +234,43 @@ def test_obj_eq_preserves_pullbacks_on_diagonal_cospans():
     assert lhs.arrow == k.arrow
 
 
+def _faces(t: GenEquationMorphism):
+    """t's top and bottom faces, as morphisms of generalized systems."""
+    return (
+        GenSystemMorphism(t.src.src, t.dst.src, t.tau1, t.tau2),
+        GenSystemMorphism(t.src.dst, t.dst.dst, t.tau3, t.tau4),
+    )
+
+
+def _assert_corners_are_face_pullbacks(m, n):
+    """Each corner pair of pullback_gen_equations(m, n) is pullback_gen_systems of two faces.
+
+    The source system and both projections' top faces come from the top
+    faces of m and n; the target system and the bottom faces from theirs.
+    """
+    eq, pm, pn = pullback_gen_equations(m, n)
+    (m_top, m_bottom), (n_top, n_bottom) = _faces(m), _faces(n)
+    k_src, p_src, q_src = pullback_gen_systems(m_top, n_top)
+    k_dst, p_dst, q_dst = pullback_gen_systems(m_bottom, n_bottom)
+    assert (eq.src, eq.dst) == (k_src, k_dst)
+    assert _faces(pm) == (p_src, p_dst)
+    assert _faces(pn) == (q_src, q_dst)
+
+
+def test_pullback_gen_equations_pulls_back_each_face_on_embedded_cospans():
+    rng = random.Random(91)
+    for _ in range(15):
+        m, n = _finset_equation_cospan(rng)
+        _assert_corners_are_face_pullbacks(embed_equation_morphism(m), embed_equation_morphism(n))
+
+
+def test_pullback_gen_equations_pulls_back_each_face_on_diagonal_cospans():
+    rng = random.Random(92)
+    for _ in range(15):
+        e = _gen_equation(rng)
+        _assert_corners_are_face_pullbacks(diagonal_morphism(e.phi1), diagonal_morphism(e.phi2))
+
+
 def test_adjunction_on_diagonal_instance():
     g = gen("12", "ab", {"1": "a", "2": "b"})
     e = diagonal(g)

@@ -5,8 +5,9 @@
 ``dense_kernels`` wrappers convert at the test's boundary, so results must
 agree entry for entry and every entry must be a ``Fraction``. The linear-map
 constructions (``compose``, ``pullback``, ``equalizer``, ``image_factorize``,
-``lift``, ``product_map``) are checked the same way through their dense
-``matrix`` views. Ranks and row spaces are refereed independently by sympy.
+``lift``, and ``carriers.pullback_map`` over two products) are checked the
+same way through their dense ``matrix`` views. Ranks and row spaces are
+refereed independently by sympy.
 The structural shortcuts (unit and empty rows of A in ``mat_mul``,
 single-entry columns in ``_transpose``, a unit row per domain coordinate in
 ``lift``, unit rows of min(dom, cod) distinct columns in ``classify``, disjoint
@@ -28,7 +29,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syscat import vect
+from syscat import carriers, vect
 from syscat.vect import LinMap, VectObj
 
 import dense_kernels
@@ -386,7 +387,7 @@ def test_product_map_matches_dense_reference(data):
     want = tuple(row + (Fraction(0),) * x2.dim for row in f.matrix) + tuple(
         (Fraction(0),) * x1.dim + row for row in g.matrix
     )
-    got = vect.product_map(f, g)
+    got = carriers.pullback_map(carriers.product(x1, x2), carriers.product(y1, y2), f, g)
     assert_map(got, want)
     assert got == LinMap(got.dom, got.cod, want)
 
