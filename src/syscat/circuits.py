@@ -30,11 +30,14 @@ Gluing identifies variables across two compiled circuits and returns a
 compiled circuit again: a ``GlueResult`` is a ``CompiledCircuit`` whose node
 graph is both graphs renamed to the merged names, labels prefixed ``L.``/``R.``,
 with each identified voltage joining two nodes into one; the glue builds it.
-It computes the interconnection three ways — stacked equations over the
-merged names, the syntax-side pullback, and the semantics-side pullback — and
-reports whether interpretation commuted with the gluing (it must, up to a
-bug). The syntax and semantics routes are ``check_preservation`` over the two
-compiled representations, and its report is the result's ``preservation``.
+It computes the interconnection two ways and reports whether interpretation
+commuted with the gluing (it must, up to a bug). The syntax route is the glued
+circuit's own equations, read through their own equalizer: both sides' rows
+stacked over the merged names, which are the rows, in order, that the generic
+pullback of the two representations over the shared block stacks. The
+semantics route is the pullback of the two behaviors over the shared block
+(``interconnect_shared``), carried onto the merged names. The comparison is
+the result's ``preservation``.
 With the spec's ``close_dangling`` the glued graph's terminals of at most one
 element end get zero-external-current rows, built like the current-balance
 rows, before the result is reported.
@@ -49,16 +52,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import carriers, vect
-from .equations import (
-    EquationMorphism,
-    EquationRep,
-    PreservationReport,
-    arr_eq,
-    check_preservation,
-    kernel_rep,
-)
+from .equations import EquationRep, PreservationReport, arr_eq, kernel_rep
 from .errors import GlueError, MismatchError, ParseError
-from .systems import System, behavior_image, project_latent
+from .systems import System, behavior_image, interconnect_shared, project_latent
 from .vect import LinMap, Subspace, VectObj
 
 _NAME = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -366,8 +362,9 @@ def glue(c1: Circuit, c2: Circuit, spec: GlueSpec) -> GlueResult:
 
     Returns the glued circuit: the stacked representation over the
     merged-name universum and the merged node graph, together with the
-    preservation report: the syntax- and semantics-side pullbacks and the
-    verdict of comparing them.
+    preservation report of the two routes: the stacked equations' system
+    (syntax), the pullback of the two behaviors (semantics), and whether the
+    two behaviors agree on the merged names.
     """
     return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec)
 
@@ -376,33 +373,26 @@ def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> 
     pairs, glued, rename1, rename2 = _merged_names(spec, k1.universum, k2.universum)
     lift1 = vect.coordinate_map(glued, k1.universum, {m: v for v, m in rename1.items()})
     lift2 = vect.coordinate_map(glued, k2.universum, {m: v for v, m in rename2.items()})
+    # the syntax route: both sides' equations stacked over the merged names
     f1, f2 = k1.rep.f1, k2.rep.f1
     row_names = tuple(f"L:{n}" for n in f1.cod.vars) + tuple(f"R:{n}" for n in f2.cod.vars)
     stacked = LinMap.from_rows(
         glued, VectObj(row_names), carriers.compose(f1, lift1).rows + carriers.compose(f2, lift2).rows
     )
+    rep = kernel_rep(stacked)
 
+    # the semantics route: the pullback of the parts' behaviors over the
+    # shared block, transported onto the merged names
     shared = VectObj(tuple(m for _, _, m in pairs))
     psi1 = vect.coordinate_map(k1.universum, shared, {l: m for l, _, m in pairs})
     psi2 = vect.coordinate_map(k2.universum, shared, {r: m for _, r, m in pairs})
-    e_shared = EquationRep(
-        vect.zero_map(shared, vect.ZERO_SPACE), vect.zero_map(shared, vect.ZERO_SPACE)
-    )
-    m1 = EquationMorphism(k1.rep, e_shared, psi1, vect.zero_map(f1.cod, vect.ZERO_SPACE))
-    m2 = EquationMorphism(k2.rep, e_shared, psi2, vect.zero_map(f2.cod, vect.ZERO_SPACE))
-
-    preservation = check_preservation(m1, m2)
-
-    # transport the pullback behavior onto the merged names and cross-check
-    # against the stacked equations
-    epb = preservation.pullback
-    alpha = carriers.lift((lift1, lift2), (epb.proj1.psi_u, epb.proj2.psi_u))
+    pb = interconnect_shared(k1.system, k2.system, psi1, psi2)
+    alpha = carriers.lift((lift1, lift2), (pb.proj1.phi_u, pb.proj2.phi_u))
     if alpha is None:
         raise MismatchError("pullback universum does not match the merged universum")
-    transported = carriers.image(carriers.compose(alpha, preservation.syntax_system.inclusion))
-    rep = kernel_rep(stacked)
-    if transported != behavior_image(arr_eq(rep)):
-        raise MismatchError("stacked equations disagree with the pullback route")
+    transported = carriers.image(carriers.compose(alpha, pb.system.inclusion))
+    syntax = arr_eq(rep)
+    preservation = PreservationReport(syntax, pb.system, transported == behavior_image(syntax))
 
     nodes = _merged_nodes(k1, k2, rename1, rename2)
     closed: list[Node] = []

@@ -21,7 +21,6 @@ from pathlib import Path
 from .circuits import compile_circuit, emergence_report, glue, parse_glue, parse_netlist
 from .errors import DomainError, ParseError
 from .laws import LAWS, run_law
-from .systems import behavior_image
 
 
 def _read(path: str) -> str:
@@ -106,6 +105,9 @@ def cmd_glue(args, out) -> int:
     result = glue(left, right, spec)
     sub = result.behavior
     behavior = _behavior_json(sub)
+    # an inclusion is mono, so each route's behavior object has its image's dim
+    pres = result.preservation
+    syntax_dim, semantics_dim = pres.syntax_system.behavior.dim, pres.semantics_system.behavior.dim
     if args.json:
         report = {
             "glue": spec.name,
@@ -113,9 +115,9 @@ def cmd_glue(args, out) -> int:
             "identify": [[l, r] for l, r, _ in result.merged],
             "universum": {"vars": list(result.universum.vars), "dim": result.universum.dim},
             "behavior": behavior,
-            "syntax_dim": behavior_image(result.preservation.syntax_system).dim,
-            "semantics_dim": behavior_image(result.preservation.semantics_system).dim,
-            "preservation_equal": result.preservation.equal,
+            "syntax_dim": syntax_dim,
+            "semantics_dim": semantics_dim,
+            "preservation_equal": pres.equal,
             "closed_terminals": list(result.closed_terminals),
         }
         out.write(json.dumps(report, indent=2) + "\n")
@@ -123,9 +125,8 @@ def cmd_glue(args, out) -> int:
     out.write(
         f"glued universum: dim={result.universum.dim}\n"
         f"behavior: dim={sub.dim}\n"
-        f"syntax dim={behavior_image(result.preservation.syntax_system).dim} "
-        f"semantics dim={behavior_image(result.preservation.semantics_system).dim} "
-        f"syntax==semantics: {str(result.preservation.equal).lower()}\n"
+        f"syntax dim={syntax_dim} semantics dim={semantics_dim} "
+        f"syntax==semantics: {str(pres.equal).lower()}\n"
     )
     if result.close_dangling:
         out.write("closed terminals: " + " ".join(result.closed_terminals) + "\n")

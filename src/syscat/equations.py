@@ -5,8 +5,8 @@ has the equalizer of the pair as its inclusion. Each representation is
 interpreted once: ``EquationRep.system`` computes the equalizer on first read
 and keeps it, so ``arr_eq`` and ``arr_eq_morphism`` reuse it. Pullbacks here
 stack equations while identifying shared variables, and the interpretation
-into systems preserves them — `check_preservation` computes both routes and
-compares.
+into systems preserves them — `check_preservation` is the law's check over
+generic pullbacks: it computes both routes and compares.
 """
 
 from __future__ import annotations
@@ -117,7 +117,6 @@ def pullback_equations(m: EquationMorphism, n: EquationMorphism) -> EquationPull
 
 @dataclass(frozen=True)
 class PreservationReport:
-    pullback: EquationPullback
     syntax_system: System
     semantics_system: System
     equal: bool
@@ -125,9 +124,6 @@ class PreservationReport:
 
 def check_preservation(m: EquationMorphism, n: EquationMorphism) -> PreservationReport:
     """Interpret-then-pull-back versus pull-back-then-interpret, compared exactly."""
-    pullback = pullback_equations(m, n)
-    syntax_side = arr_eq(pullback.rep)
+    syntax_side = arr_eq(pullback_equations(m, n).rep)
     semantics_side = pullback_systems(arr_eq_morphism(m), arr_eq_morphism(n)).system
-    return PreservationReport(
-        pullback, syntax_side, semantics_side, systems_equal(syntax_side, semantics_side)
-    )
+    return PreservationReport(syntax_side, semantics_side, systems_equal(syntax_side, semantics_side))

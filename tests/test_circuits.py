@@ -1,6 +1,7 @@
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,9 +25,12 @@ from syscat.circuits import (
     phenome,
     voltage_var,
 )
+from syscat.equations import EquationMorphism, EquationRep, check_preservation, pullback_equations
 from syscat.errors import GlueError, MismatchError, ParseError
 from syscat.systems import behavior_image, product_systems
 from syscat.vect import LinMap, Subspace, VectObj
+
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
 S_TEXT = """\
 circuit S
@@ -253,7 +257,7 @@ def test_glue_series_parallel_dimensions():
     assert behavior_image(res.preservation.semantics_system).dim == 4
 
 
-@pytest.mark.parametrize("close, calls", [(False, 5), (True, 6)])
+@pytest.mark.parametrize("close, calls", [(False, 3), (True, 4)], ids=["open", "closed"])
 def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, close, calls):
     left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
     spec = parse_glue((circuits_dir / "SP.glue").read_text())
@@ -261,8 +265,8 @@ def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, clo
     equalizer = carriers.equalizer
     monkeypatch.setattr(carriers, "equalizer", lambda f, g: seen.append(f) or equalizer(f, g))
     glue(left, right, replace(spec, close_dangling=close)).system
-    # left, right, the syntax pullback, the shared representation and the
-    # stacked equations; with closing, the closed equations too, on first read
+    # left, right and the stacked equations; with closing, the closed
+    # equations too, on first read
     assert len(seen) == calls
 
 
@@ -380,6 +384,73 @@ def test_closing_matches_the_union_find_reference(pair):
     assert res.rep.codomain.vars[n:] == names
     assert res.rep.f1.rows[n:] == rows
     assert not any(v.startswith("ext:") for v in res.rep.codomain.vars[:n])
+
+
+def ladder(p: str, n: int) -> Circuit:
+    """n rungs: r_i joins n_i to n_{i+1} (value i+1), wire w_i joins g_i to
+    g_{i+1}, s_i joins n_{i+1} to g_{i+1} (value 2); every id prefixed by p."""
+    elements = []
+    for i in range(n):
+        elements += [
+            Resistor(f"{p}r{i}", f"{p}n{i}", f"{p}n{i + 1}", Fraction(i + 1)),
+            Wire(f"{p}w{i}", f"{p}g{i}", f"{p}g{i + 1}"),
+            Resistor(f"{p}s{i}", f"{p}n{i + 1}", f"{p}g{i + 1}", Fraction(2)),
+        ]
+    nodes = tuple(f"{p}{k}{i}" for k in "ng" for i in range(n + 1))
+    return Circuit(p, nodes, (f"{p}n0", f"{p}g0", f"{p}n{n}", f"{p}g{n}"), tuple(elements))
+
+
+def ugrid(p: str, k: int) -> Circuit:
+    """A k-by-k grid of resistors h{i}_{j} (value 1+(i*j)%5) and u{i}_{j}
+    (value 1+(i+j)%3) with terminals at two corners; every id prefixed by p."""
+    def x(i, j):
+        return f"{p}x{i}_{j}"
+
+    elements = []
+    for i in range(k):
+        for j in range(k):
+            if i + 1 < k:
+                elements.append(Resistor(f"{p}h{i}_{j}", x(i, j), x(i + 1, j), Fraction(1 + (i * j) % 5)))
+            if j + 1 < k:
+                elements.append(Resistor(f"{p}u{i}_{j}", x(i, j), x(i, j + 1), Fraction(1 + (i + j) % 3)))
+    nodes = tuple(x(i, j) for i in range(k) for j in range(k))
+    return Circuit(p, nodes, (x(0, 0), x(k - 1, k - 1)), tuple(elements))
+
+
+def _glue_pairs():
+    pairs = [
+        pytest.param(*(parse_netlist((CIRCUITS / f).read_text()) for f in ckts),
+                     parse_glue((CIRCUITS / g).read_text()), id=g)
+        for ckts, g in ((("S.ckt", "P.ckt"), "SP.glue"), (("S_aug.ckt", "P_aug.ckt"), "SP_aug.glue"),
+                        (("R1.ckt", "R2.ckt"), "RR.glue"))
+    ]
+    ladders = GlueSpec("AB", (("v_an3", "v_bn0"), ("v_ag3", "v_bg0")))
+    chained = GlueSpec("AB", ladders.identifications + (("i_ar2", "i_br0"), ("i_aw2", "i_bw0")))
+    grids = GlueSpec("AB", (("v_ax2_2", "v_bx0_0"), ("v_ax2_0", "v_bx0_2"), ("i_ah1_2", "i_bu0_0")))
+    mixed = GlueSpec("AB", (("v_an3", "v_bx0_0"), ("v_ag3", "v_bx2_2")))
+    return pairs + [
+        pytest.param(ladder("a", 3), ladder("b", 3), ladders, id="ladders"),
+        pytest.param(ladder("a", 3), ladder("b", 3), chained, id="ladders-with-currents"),
+        pytest.param(ugrid("a", 3), ugrid("b", 3), grids, id="grids"),
+        pytest.param(ladder("a", 3), ugrid("b", 3), mixed, id="ladder-grid"),
+    ]
+
+
+@pytest.mark.parametrize("left, right, spec", _glue_pairs())
+def test_stacked_equations_are_the_syntax_pullback(left, right, spec):
+    # glue's syntax route is its stacked equations: the generic pullback of the
+    # two representations over the shared block stacks the same rows in order
+    res = glue(left, right, spec)
+    k1, k2 = compile_circuit(left), compile_circuit(right)
+    shared = VectObj(tuple(m for _, _, m in res.merged))
+    psi1 = vect.coordinate_map(k1.universum, shared, {l: m for l, _, m in res.merged})
+    psi2 = vect.coordinate_map(k2.universum, shared, {r: m for _, r, m in res.merged})
+    e_shared = EquationRep(vect.zero_map(shared, vect.ZERO_SPACE), vect.zero_map(shared, vect.ZERO_SPACE))
+    m1 = EquationMorphism(k1.rep, e_shared, psi1, vect.zero_map(k1.rep.codomain, vect.ZERO_SPACE))
+    m2 = EquationMorphism(k2.rep, e_shared, psi2, vect.zero_map(k2.rep.codomain, vect.ZERO_SPACE))
+    assert pullback_equations(m1, m2).rep.f1.rows == res.rep.f1.rows
+    assert check_preservation(m1, m2).equal
+    assert res.preservation.equal
 
 
 def test_glue_result_glues_again():

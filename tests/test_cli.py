@@ -12,9 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from syscat import cli, vect
+from syscat import circuits, cli, vect
+from syscat.circuits import Resistor
 from syscat.cli import main
-from syscat.vect import Subspace, VectObj
+from syscat.vect import LinMap, Subspace, VectObj
 
 import test_cli_golden
 from test_vect_kernels import ENTRIES, INTEGER, sparse_rows
@@ -149,10 +150,10 @@ def test_glue_close_dangling(circuits_dir, capsys):
     assert report["preservation_equal"] is True
 
 
-@pytest.mark.parametrize("flags, images", [([], 4), (["--close-dangling"], 5)], ids=["open", "closed"])
+@pytest.mark.parametrize("flags, images", [([], 2), (["--close-dangling"], 3)], ids=["open", "closed"])
 def test_glue_computes_each_behavior_once(flags, images, circuits_dir, capsys):
-    # the two sides systems_equal compares, the transported pullback, the
-    # stacked equations, and the closed equations; the CLI reads the kept ones
+    # the transported pullback, the stacked equations, and the closed
+    # equations; the CLI reads the kept ones
     with mock.patch.object(vect, "image", wraps=vect.image) as image:
         code, _, _ = run_cli(
             ["glue", str(circuits_dir / "S.ckt"), str(circuits_dir / "P.ckt"),
@@ -161,6 +162,33 @@ def test_glue_computes_each_behavior_once(flags, images, circuits_dir, capsys):
         )
     assert code == 0
     assert image.call_count == images
+
+
+@pytest.mark.parametrize("flags", [[], ["--close-dangling"]], ids=["open", "closed"])
+def test_glue_prints_a_failed_cross_check(flags, circuits_dir, monkeypatch, capsys):
+    # glue's stacked representation loses the law row of S's first resistor,
+    # which no other row implies, while the parts compile as before: the
+    # mismatch is reported, never printed as agreed
+    left = circuits.parse_netlist((circuits_dir / "S.ckt").read_text())
+    row = "L:law:" + next(e.ident for e in left.elements if isinstance(e, Resistor))
+    kernel_rep = circuits.kernel_rep
+
+    def dropping(f):
+        names = f.cod.vars
+        if names and names[0].startswith("L:"):
+            k = names.index(row)
+            f = LinMap.from_rows(f.dom, VectObj(names[:k] + names[k + 1:]), f.rows[:k] + f.rows[k + 1:])
+        return kernel_rep(f)
+
+    monkeypatch.setattr(circuits, "kernel_rep", dropping)
+    argv = ["glue", str(circuits_dir / "S.ckt"), str(circuits_dir / "P.ckt"), str(circuits_dir / "SP.glue")]
+    code, out, _ = run_cli(argv + flags, capsys)
+    assert code == 0
+    assert "syntax dim=5 semantics dim=4 syntax==semantics: false" in out
+    code, out, _ = run_cli(argv + flags + ["--json"], capsys)
+    report = json.loads(out)
+    assert code == 0 and report["preservation_equal"] is False
+    assert (report["syntax_dim"], report["semantics_dim"]) == (5, 4)
 
 
 def test_glue_domain_error_exit_code(circuits_dir, tmp_path, capsys):
