@@ -54,7 +54,7 @@ from typing import NamedTuple
 from . import carriers, vect
 from .equations import EquationRep, PreservationReport, arr_eq, kernel_rep
 from .errors import GlueError, MismatchError, ParseError
-from .systems import System, behavior_image, interconnect_shared, project_latent
+from .systems import System, behavior_image, interconnect_shared, project_latent, systems_equal
 from .vect import LinMap, Subspace, VectObj
 
 _NAME = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -363,8 +363,9 @@ def glue(c1: Circuit, c2: Circuit, spec: GlueSpec) -> GlueResult:
     Returns the glued circuit: the stacked representation over the
     merged-name universum and the merged node graph, together with the
     preservation report of the two routes: the stacked equations' system
-    (syntax), the pullback of the two behaviors (semantics), and whether the
-    two behaviors agree on the merged names.
+    (syntax), the pullback of the two behaviors carried onto the merged
+    names (semantics), and whether the two behaviors agree. Both systems live
+    on the merged-name universum.
     """
     return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec)
 
@@ -390,9 +391,9 @@ def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> 
     alpha = carriers.lift((lift1, lift2), (pb.proj1.phi_u, pb.proj2.phi_u))
     if alpha is None:
         raise MismatchError("pullback universum does not match the merged universum")
-    transported = carriers.image(carriers.compose(alpha, pb.system.inclusion))
     syntax = arr_eq(rep)
-    preservation = PreservationReport(syntax, pb.system, transported == behavior_image(syntax))
+    semantics = System(carriers.compose(alpha, pb.system.inclusion))
+    preservation = PreservationReport(syntax, semantics, systems_equal(syntax, semantics))
 
     nodes = _merged_nodes(k1, k2, rename1, rename2)
     closed: list[Node] = []
@@ -466,6 +467,9 @@ def emergence_report(c1: Circuit, c2: Circuit, spec: GlueSpec, names) -> Emergen
     ph2 = phenome(k2.system, obs)
     parts = behavior_image(ph1.system).intersect(behavior_image(ph2.system))
     glued = _glue_compiled(k1, k2, spec)
+    if not glued.preservation.equal:
+        # the report has no field for the verdict, so a failed one stops it
+        raise MismatchError("stacked equations disagree with the pullback route")
     whole = behavior_image(phenome(glued.system, obs).system)
     return EmergenceReport(
         observed=obs,

@@ -27,7 +27,7 @@ from syscat.circuits import (
 )
 from syscat.equations import EquationMorphism, EquationRep, check_preservation, pullback_equations
 from syscat.errors import GlueError, MismatchError, ParseError
-from syscat.systems import behavior_image, product_systems
+from syscat.systems import behavior_image, product_systems, systems_equal
 from syscat.vect import LinMap, Subspace, VectObj
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -255,6 +255,9 @@ def test_glue_series_parallel_dimensions():
     assert res.preservation.equal
     assert behavior_image(res.preservation.syntax_system).dim == 4
     assert behavior_image(res.preservation.semantics_system).dim == 4
+    # both routes live on the merged names, so the report's verdict is systems_equal's
+    assert res.preservation.semantics_system.universum == res.universum
+    assert systems_equal(res.preservation.syntax_system, res.preservation.semantics_system)
 
 
 @pytest.mark.parametrize("close, calls", [(False, 3), (True, 4)], ids=["open", "closed"])

@@ -164,12 +164,10 @@ def test_glue_computes_each_behavior_once(flags, images, circuits_dir, capsys):
     assert image.call_count == images
 
 
-@pytest.mark.parametrize("flags", [[], ["--close-dangling"]], ids=["open", "closed"])
-def test_glue_prints_a_failed_cross_check(flags, circuits_dir, monkeypatch, capsys):
-    # glue's stacked representation loses the law row of S's first resistor,
-    # which no other row implies, while the parts compile as before: the
-    # mismatch is reported, never printed as agreed
-    left = circuits.parse_netlist((circuits_dir / "S.ckt").read_text())
+def drop_first_law_row(monkeypatch, netlist):
+    """Make glue's stacked representation lose the law row of the left part's
+    first resistor, which no other row implies, while the parts compile as before."""
+    left = circuits.parse_netlist(netlist.read_text())
     row = "L:law:" + next(e.ident for e in left.elements if isinstance(e, Resistor))
     kernel_rep = circuits.kernel_rep
 
@@ -181,6 +179,12 @@ def test_glue_prints_a_failed_cross_check(flags, circuits_dir, monkeypatch, caps
         return kernel_rep(f)
 
     monkeypatch.setattr(circuits, "kernel_rep", dropping)
+
+
+@pytest.mark.parametrize("flags", [[], ["--close-dangling"]], ids=["open", "closed"])
+def test_glue_prints_a_failed_cross_check(flags, circuits_dir, monkeypatch, capsys):
+    # the mismatch is reported, never printed as agreed
+    drop_first_law_row(monkeypatch, circuits_dir / "S.ckt")
     argv = ["glue", str(circuits_dir / "S.ckt"), str(circuits_dir / "P.ckt"), str(circuits_dir / "SP.glue")]
     code, out, _ = run_cli(argv + flags, capsys)
     assert code == 0
@@ -189,6 +193,24 @@ def test_glue_prints_a_failed_cross_check(flags, circuits_dir, monkeypatch, caps
     report = json.loads(out)
     assert code == 0 and report["preservation_equal"] is False
     assert (report["syntax_dim"], report["semantics_dim"]) == (5, 4)
+
+
+@pytest.mark.parametrize("flags", [[], ["--close-dangling"], ["--json"]], ids=["open", "closed", "json"])
+def test_emergence_stops_on_a_failed_cross_check(flags, circuits_dir, monkeypatch, capsys):
+    # the emergence report has no verdict to print, so it prints nothing
+    drop_first_law_row(monkeypatch, circuits_dir / "S_aug.ckt")
+    argv = [
+        "emergence",
+        str(circuits_dir / "S_aug.ckt"),
+        str(circuits_dir / "P_aug.ckt"),
+        str(circuits_dir / "SP_aug.glue"),
+        "--observe",
+        "v_a,v_b,v_i,v_j",
+    ]
+    code, out, err = run_cli(argv + flags, capsys)
+    assert code == 1
+    assert out == ""
+    assert "disagree with the pullback route" in err
 
 
 def test_glue_domain_error_exit_code(circuits_dir, tmp_path, capsys):
