@@ -30,17 +30,21 @@ Gluing identifies variables across two compiled circuits and returns a
 compiled circuit again: a ``GlueResult`` is a ``CompiledCircuit`` whose node
 graph is both graphs renamed to the merged names, labels prefixed ``L.``/``R.``,
 with each identified voltage joining two nodes into one; the glue builds it.
-It computes the interconnection two ways and reports whether interpretation
-commuted with the gluing (it must, up to a bug). The syntax route is the glued
-circuit's own equations, read through their own equalizer: both sides' rows
+Interpretation preserves interconnection, so the glue reads the glued
+behavior from the parts and has the glued equations confirm it. The semantics
+route is the pullback of the two behaviors over the shared block
+(``interconnect_shared``), carried onto the merged names; it is the answer.
+The syntax route is the glued circuit's own equations: both sides' rows
 stacked over the merged names, which are the rows, in order, that the generic
-pullback of the two representations over the shared block stacks. The
-semantics route is the pullback of the two behaviors over the shared block
-(``interconnect_shared``), carried onto the merged names. The comparison is
-the result's ``preservation``.
+pullback of the two representations over the shared block stacks. They
+certify the answer (``certified_kernel_rep``: A . K = 0 and the nullity of A
+mod p is dim K), or, if the certificate fails, are solved exactly and compared
+with it. The comparison is the result's ``preservation``; interpretation must
+commute with the gluing, up to a bug.
 With the spec's ``close_dangling`` the glued graph's terminals of at most one
-element end get zero-external-current rows, built like the current-balance
-rows, before the result is reported.
+element end get zero-external-current rows E, built like the current-balance
+rows. The closed behavior is K . eq(E . K, 0), a kernel over the glued
+behavior's dim K columns, certified by the stacked and the E rows together.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import carriers, vect
-from .equations import EquationRep, PreservationReport, arr_eq, kernel_rep
+from .equations import EquationRep, PreservationReport, arr_eq, certified_kernel_rep, kernel_rep
 from .errors import GlueError, MismatchError, ParseError
 from .systems import System, behavior_image, interconnect_shared, project_latent, systems_equal
 from .vect import LinMap, Subspace, VectObj
@@ -365,7 +369,9 @@ def glue(c1: Circuit, c2: Circuit, spec: GlueSpec) -> GlueResult:
     preservation report of the two routes: the stacked equations' system
     (syntax), the pullback of the two behaviors carried onto the merged
     names (semantics), and whether the two behaviors agree. Both systems live
-    on the merged-name universum.
+    on the merged-name universum. When the stacked equations certify the
+    pullback, the two are one system and no whole-circuit kernel is solved;
+    otherwise the syntax system is the stacked equations' exact kernel.
     """
     return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec)
 
@@ -380,7 +386,6 @@ def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> 
     stacked = LinMap.from_rows(
         glued, VectObj(row_names), carriers.compose(f1, lift1).rows + carriers.compose(f2, lift2).rows
     )
-    rep = kernel_rep(stacked)
 
     # the semantics route: the pullback of the parts' behaviors over the
     # shared block, transported onto the merged names
@@ -391,8 +396,10 @@ def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> 
     alpha = carriers.lift((lift1, lift2), (pb.proj1.phi_u, pb.proj2.phi_u))
     if alpha is None:
         raise MismatchError("pullback universum does not match the merged universum")
-    syntax = arr_eq(rep)
     semantics = System(carriers.compose(alpha, pb.system.inclusion))
+    # the stacked equations certify it as their system, or else are solved
+    rep = certified_kernel_rep(stacked, semantics) or kernel_rep(stacked)
+    syntax = arr_eq(rep)
     preservation = PreservationReport(syntax, semantics, systems_equal(syntax, semantics))
 
     nodes = _merged_nodes(k1, k2, rename1, rename2)
@@ -402,11 +409,17 @@ def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> 
         closed = sorted(
             (n for n in nodes.values() if n.terminal and len(n.ends) <= 1), key=lambda n: n.label
         )
+    if closed:
+        # the glued behavior K cut down to ker E, K . eq(E . K, 0), which the
+        # stacked and the E rows together certify or else solve
         idx = {v: i for i, v in enumerate(glued.vars)}
         ext_names, ext_rows = _node_rows("ext", closed, idx)
-        rep = kernel_rep(
-            LinMap.from_rows(glued, VectObj(row_names + ext_names), stacked.rows + ext_rows)
-        )
+        k = syntax.inclusion
+        ext = LinMap.from_rows(glued, VectObj(ext_names), ext_rows)
+        cut = arr_eq(kernel_rep(carriers.compose(ext, k))).inclusion
+        closed_rows = LinMap.from_rows(glued, VectObj(row_names + ext_names), stacked.rows + ext_rows)
+        candidate = System(carriers.compose(k, cut))
+        rep = certified_kernel_rep(closed_rows, candidate) or kernel_rep(closed_rows)
     return GlueResult(
         name=spec.name,
         rep=rep,

@@ -2,8 +2,13 @@
 
 An equation representation is a pair f1, f2 : U -> E; the system it describes
 has the equalizer of the pair as its inclusion. Each representation is
-interpreted once: ``EquationRep.system`` computes the equalizer on first read
-and keeps it, so ``arr_eq`` and ``arr_eq_morphism`` reuse it. Pullbacks here
+interpreted once, and ``arr_eq`` and ``arr_eq_morphism`` reuse its system.
+That system is either computed on first read (``EquationRep.system``, the
+equalizer) or given by ``certified_kernel_rep``, the one construction that
+hands a representation a system it did not compute: a kernel representation
+(f, 0) with a candidate system whose inclusion K satisfies f . K = 0 and
+whose dimension is the nullity of f mod a prime. A rank mod p is never above
+the rank over Q, so then span K = ker f exactly. Pullbacks here
 stack equations while identifying shared variables, and the interpretation
 into systems preserves them — `check_preservation` is the law's check over
 generic pullbacks: it computes both routes and compares.
@@ -49,6 +54,30 @@ def kernel_rep(f: LinMap) -> EquationRep:
     if not isinstance(f, LinMap):
         raise MismatchError("kernel representations require the vector-space carrier")
     return EquationRep(f, vect.zero_map(f.dom, f.cod))
+
+
+def certified_kernel_rep(f: LinMap, candidate: System) -> EquationRep | None:
+    """The pair (f, 0) with the candidate as its system, if f certifies it; else None.
+
+    f . K = 0 puts span K in ker f, and K is mono, so dim K <= nullity over Q
+    <= nullity mod p. Equality of the outer two proves span K = ker f. A
+    larger nullity mod p (an unlucky prime, or a candidate that misses part of
+    the kernel) leaves the answer to the equalizer: None. A smaller one is
+    impossible for a correct rank mod p, so it raises ``MismatchError``.
+    """
+    rep = kernel_rep(f)
+    k = candidate.inclusion
+    if k.cod != f.dom:
+        raise MismatchError("the candidate system does not live on the equations' universum")
+    if any(m for _, m in vect.mat_mul(f.rows, k.rows)):
+        return None
+    nullity = f.dom.dim - vect.rank_mod_p(f.rows, f.dom.dim)
+    if nullity < k.dom.dim:
+        raise MismatchError("rank mod p exceeds the rank over Q")
+    if nullity > k.dom.dim:
+        return None
+    rep.__dict__["system"] = candidate  # the kept value ``EquationRep.system`` reads
+    return rep
 
 
 def arr_eq(rep: EquationRep) -> System:

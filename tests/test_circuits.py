@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from syscat import carriers, vect
+from syscat import carriers, circuits, vect
 from syscat.circuits import (
     Circuit,
     GlueSpec,
@@ -27,7 +27,7 @@ from syscat.circuits import (
 )
 from syscat.equations import EquationMorphism, EquationRep, check_preservation, pullback_equations
 from syscat.errors import GlueError, MismatchError, ParseError
-from syscat.systems import behavior_image, product_systems, systems_equal
+from syscat.systems import System, SystemPullback, behavior_image, product_systems, systems_equal
 from syscat.vect import LinMap, Subspace, VectObj
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -260,7 +260,7 @@ def test_glue_series_parallel_dimensions():
     assert systems_equal(res.preservation.syntax_system, res.preservation.semantics_system)
 
 
-@pytest.mark.parametrize("close, calls", [(False, 3), (True, 4)], ids=["open", "closed"])
+@pytest.mark.parametrize("close, calls", [(False, 2), (True, 3)], ids=["open", "closed"])
 def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, close, calls):
     left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
     spec = parse_glue((circuits_dir / "SP.glue").read_text())
@@ -268,8 +268,8 @@ def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, clo
     equalizer = carriers.equalizer
     monkeypatch.setattr(carriers, "equalizer", lambda f, g: seen.append(f) or equalizer(f, g))
     glue(left, right, replace(spec, close_dangling=close)).system
-    # left, right and the stacked equations; with closing, the closed
-    # equations too, on first read
+    # left and right; with closing, eq(E . K, 0) over the glued behavior too;
+    # the stacked and the closed equations certify their systems, unsolved
     assert len(seen) == calls
 
 
@@ -454,6 +454,67 @@ def test_stacked_equations_are_the_syntax_pullback(left, right, spec):
     assert pullback_equations(m1, m2).rep.f1.rows == res.rep.f1.rows
     assert check_preservation(m1, m2).equal
     assert res.preservation.equal
+
+
+def _kernel_of_equations(res):
+    """The behavior the glued equations give when solved exactly."""
+    return Subspace.from_rows(res.universum, vect.kernel_basis(res.rep.f1.rows, res.universum.dim))
+
+
+@st.composite
+def random_glues(draw):
+    """Two ladders or 3x3-or-smaller grids, with some node voltages and at most
+    one element current of each side identified, open or closed."""
+    def part(p):
+        if draw(st.booleans()):
+            return ladder(p, draw(st.integers(1, 4)))
+        return ugrid(p, draw(st.integers(2, 3)))
+
+    left, right = part("a"), part("b")
+    n = draw(st.integers(0, 3))
+    ls = draw(st.permutations([voltage_var(x) for x in left.nodes]))[:n]
+    rs = draw(st.permutations([voltage_var(x) for x in right.nodes]))[:n]
+    idents = list(zip(ls, rs))
+    if draw(st.booleans()):
+        idents.append((
+            draw(st.sampled_from([current_var(e.ident) for e in left.elements])),
+            draw(st.sampled_from([current_var(e.ident) for e in right.elements])),
+        ))
+    return left, right, GlueSpec("AB", tuple(idents), draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_glues())
+def test_glue_behavior_is_the_kernel_of_its_equations(case):
+    # the certified pullback of the parts, open or cut down by E . K, is the
+    # behavior of the glued circuit's own equations (ext: rows included)
+    left, right, spec = case
+    res = glue(left, right, spec)
+    assert res.behavior == _kernel_of_equations(res)
+    assert res.preservation.equal
+
+
+@pytest.mark.parametrize("close", [False, True], ids=["open", "closed"])
+def test_glue_solves_its_equations_when_the_pullback_misses_a_vector(monkeypatch, close):
+    # a semantics route that loses a kernel vector fails the certificate, and
+    # the answer is the stacked equations' exact kernel, reported as a mismatch
+    interconnect_shared = circuits.interconnect_shared
+
+    def short(*args):
+        pb = interconnect_shared(*args)
+        inc = pb.system.inclusion
+        keep = VectObj(inc.dom.vars[:-1])
+        cut = vect.coordinate_map(keep, inc.dom, {v: v for v in keep.vars})
+        return SystemPullback(System(carriers.compose(inc, cut)), pb.proj1, pb.proj2)
+
+    monkeypatch.setattr(circuits, "interconnect_shared", short)
+    s, p = sp_circuits()
+    res = glue(s, p, replace(parse_glue(SP_GLUE), close_dangling=close))
+    assert not res.preservation.equal
+    assert res.preservation.syntax_system.behavior.dim == 4
+    assert res.preservation.semantics_system.behavior.dim == 3
+    assert res.behavior == _kernel_of_equations(res)
+    assert res.behavior.dim == (1 if close else 4)
 
 
 def test_glue_result_glues_again():

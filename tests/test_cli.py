@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from syscat import circuits, cli, vect
+from syscat import carriers, circuits, cli, vect
 from syscat.circuits import Resistor
 from syscat.cli import main
 from syscat.vect import LinMap, Subspace, VectObj
@@ -150,10 +150,10 @@ def test_glue_close_dangling(circuits_dir, capsys):
     assert report["preservation_equal"] is True
 
 
-@pytest.mark.parametrize("flags, images", [([], 2), (["--close-dangling"], 3)], ids=["open", "closed"])
+@pytest.mark.parametrize("flags, images", [([], 1), (["--close-dangling"], 2)], ids=["open", "closed"])
 def test_glue_computes_each_behavior_once(flags, images, circuits_dir, capsys):
-    # the transported pullback, the stacked equations, and the closed
-    # equations; the CLI reads the kept ones
+    # the transported pullback, which the stacked equations certify as their
+    # own system, and the closed behavior cut from it; the CLI reads the kept ones
     with mock.patch.object(vect, "image", wraps=vect.image) as image:
         code, _, _ = run_cli(
             ["glue", str(circuits_dir / "S.ckt"), str(circuits_dir / "P.ckt"),
@@ -165,20 +165,23 @@ def test_glue_computes_each_behavior_once(flags, images, circuits_dir, capsys):
 
 
 def drop_first_law_row(monkeypatch, netlist):
-    """Make glue's stacked representation lose the law row of the left part's
-    first resistor, which no other row implies, while the parts compile as before."""
+    """Make glue's stacked equations lose the law row of the left part's first
+    resistor, which no other row implies, while the parts compile as before:
+    in the map the certificate receives and in the one the fallback solves."""
     left = circuits.parse_netlist(netlist.read_text())
     row = "L:law:" + next(e.ident for e in left.elements if isinstance(e, Resistor))
-    kernel_rep = circuits.kernel_rep
 
-    def dropping(f):
-        names = f.cod.vars
-        if names and names[0].startswith("L:"):
-            k = names.index(row)
-            f = LinMap.from_rows(f.dom, VectObj(names[:k] + names[k + 1:]), f.rows[:k] + f.rows[k + 1:])
-        return kernel_rep(f)
+    def dropping(make):
+        def wrapped(f, *rest):
+            names = f.cod.vars
+            if names and names[0].startswith("L:"):
+                k = names.index(row)
+                f = LinMap.from_rows(f.dom, VectObj(names[:k] + names[k + 1:]), f.rows[:k] + f.rows[k + 1:])
+            return make(f, *rest)
+        return wrapped
 
-    monkeypatch.setattr(circuits, "kernel_rep", dropping)
+    for name in ("certified_kernel_rep", "kernel_rep"):
+        monkeypatch.setattr(circuits, name, dropping(getattr(circuits, name)))
 
 
 @pytest.mark.parametrize("flags", [[], ["--close-dangling"]], ids=["open", "closed"])
@@ -211,6 +214,68 @@ def test_emergence_stops_on_a_failed_cross_check(flags, circuits_dir, monkeypatc
     assert code == 1
     assert out == ""
     assert "disagree with the pullback route" in err
+
+
+SP_GLUE_ARGV = ["glue", "S.ckt", "P.ckt", "SP.glue"]
+SP_EMERGENCE_ARGV = ["emergence", "S_aug.ckt", "P_aug.ckt", "SP_aug.glue", "--observe", "v_a,v_b,v_i,v_j"]
+CERTIFIED_CASES = [
+    argv + flags
+    for argv in (SP_GLUE_ARGV, SP_EMERGENCE_ARGV)
+    for flags in ([], ["--close-dangling"], ["--json"], ["--close-dangling", "--json"])
+]
+
+
+def _in_circuits(argv, circuits_dir):
+    return [str(circuits_dir / a) if a.endswith((".ckt", ".glue")) else a for a in argv]
+
+
+@pytest.mark.parametrize("flags", [[], ["--close-dangling"]], ids=["open", "closed"])
+def test_glue_reports_a_wrong_transport(flags, circuits_dir, monkeypatch, capsys):
+    # alpha carries the pullback onto the merged names; a wrong one puts the
+    # semantics route outside the stacked equations' kernel, so the
+    # certificate fails and the equations are solved
+    argv = _in_circuits(SP_GLUE_ARGV, circuits_dir) + flags + ["--json"]
+    _, out, _ = run_cli(argv, capsys)
+    want = json.loads(out)
+    lift = carriers.lift
+
+    def doubling_v_a(ms, fs):
+        u = lift(ms, fs)
+        if len(ms) == 2 and "v_c=v_e" in ms[0].dom.vars:  # the transport alpha
+            rows = ((1, {0: 2}),) + vect._unit_rows(range(1, u.cod.dim))
+            u = carriers.compose(LinMap.from_rows(u.cod, u.cod, rows), u)
+        return u
+
+    monkeypatch.setattr(carriers, "lift", doubling_v_a)
+    code, out, _ = run_cli(argv, capsys)
+    report = json.loads(out)
+    assert code == 0 and report["preservation_equal"] is False
+    assert report["behavior"] == want["behavior"]
+    assert (report["syntax_dim"], report["semantics_dim"]) == (4, 4)
+
+
+@pytest.mark.parametrize("argv", CERTIFIED_CASES, ids=" ".join)
+def test_a_rank_mod_p_that_overcounts_stops_glue_and_emergence(argv, circuits_dir, monkeypatch, capsys):
+    # nullity mod p below dim K is impossible for a correct rank, so it is an error
+    rank_mod_p = vect.rank_mod_p
+    monkeypatch.setattr(vect, "rank_mod_p", lambda rows, n: rank_mod_p(rows, n) + 1)
+    code, out, err = run_cli(_in_circuits(argv, circuits_dir), capsys)
+    assert (code, out) == (1, "")
+    assert "rank mod p exceeds the rank over Q" in err
+
+
+@pytest.mark.parametrize("argv", CERTIFIED_CASES, ids=" ".join)
+def test_a_rank_mod_p_that_undercounts_falls_back_to_the_same_output(argv, circuits_dir, monkeypatch, capsys):
+    # an unlucky prime leaves the answer to the exact kernel: the same bytes
+    argv = _in_circuits(argv, circuits_dir)
+    with mock.patch.object(vect, "kernel_basis", wraps=vect.kernel_basis) as kernel:
+        want = run_cli(argv, capsys)
+    certified = kernel.call_count
+    rank_mod_p = vect.rank_mod_p
+    monkeypatch.setattr(vect, "rank_mod_p", lambda rows, n: rank_mod_p(rows, n) - 1)
+    with mock.patch.object(vect, "kernel_basis", wraps=vect.kernel_basis) as kernel:
+        assert run_cli(argv, capsys) == want
+    assert kernel.call_count > certified  # the fallback solved the glued equations
 
 
 def test_glue_domain_error_exit_code(circuits_dir, tmp_path, capsys):

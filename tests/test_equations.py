@@ -10,6 +10,7 @@ from syscat.equations import (
     EquationRep,
     arr_eq,
     arr_eq_morphism,
+    certified_kernel_rep,
     check_preservation,
     compose_equation_morphisms,
     identity_equation_morphism,
@@ -19,8 +20,8 @@ from syscat.equations import (
 from syscat.errors import MismatchError
 from syscat.finset import FinMap, FinObj
 from syscat.laws import _finset_equation_cospan, _vect_equation_cospan
-from syscat.systems import System, SystemMorphism, behavior_image, systems_equal
-from syscat.vect import LinMap, VectObj
+from syscat.systems import System, SystemMorphism, behavior_image, system_from_behavior, systems_equal
+from syscat.vect import LinMap, Subspace, VectObj
 
 
 def finset_rep():
@@ -244,3 +245,54 @@ def test_distinct_reps_same_system():
     r1, r2 = kernel_rep(f), kernel_rep(doubled)
     assert r1 != r2
     assert systems_equal(arr_eq(r1), arr_eq(r2))
+
+
+# -- the certificate: f . K = 0 and nullity mod p = dim K ---------------------
+
+def _series_candidate(*vectors):
+    """The series circuit's equations and the system spanned by vectors in its universum."""
+    f = series_rep().f1
+    return f, system_from_behavior(f.dom, Subspace(f.dom, vectors))
+
+
+# ker f of the series circuit: v_c = v_a + i_ac and v_d = v_b, so these four vectors span it
+SERIES_KERNEL = ((1, 0, 1, 0, 0, 0), (0, 1, 0, 1, 0, 0), (0, 0, 1, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+
+
+def test_certified_kernel_rep_keeps_a_spanning_candidate(monkeypatch):
+    f, candidate = _series_candidate(*SERIES_KERNEL)
+    calls = []
+    equalizer = carriers.equalizer
+    monkeypatch.setattr(carriers, "equalizer", lambda g, h: calls.append(g) or equalizer(g, h))
+    rep = certified_kernel_rep(f, candidate)
+    assert rep == kernel_rep(f) and arr_eq(rep) is candidate
+    assert calls == []  # certified, not solved
+    monkeypatch.undo()
+    assert systems_equal(arr_eq(rep), arr_eq(kernel_rep(f)))
+
+
+def test_certified_kernel_rep_refuses_a_candidate_missing_a_kernel_vector():
+    # f . K = 0 holds, but the nullity mod p (4) exceeds dim K (3)
+    f, candidate = _series_candidate(*SERIES_KERNEL[:3])
+    assert certified_kernel_rep(f, candidate) is None
+
+
+def test_certified_kernel_rep_refuses_a_candidate_outside_the_kernel():
+    # the right dimension, but v_a alone breaks the first equation
+    f, candidate = _series_candidate((1, 0, 0, 0, 0, 0), *SERIES_KERNEL[1:])
+    assert certified_kernel_rep(f, candidate) is None
+
+
+def test_certified_kernel_rep_raises_on_a_rank_that_overcounts(monkeypatch):
+    f, candidate = _series_candidate(*SERIES_KERNEL)
+    rank_mod_p = vect.rank_mod_p
+    monkeypatch.setattr(vect, "rank_mod_p", lambda rows, n: rank_mod_p(rows, n) + 1)
+    with pytest.raises(MismatchError, match="rank mod p"):
+        certified_kernel_rep(f, candidate)
+
+
+def test_certified_kernel_rep_needs_a_candidate_on_the_universum():
+    f, _ = _series_candidate()
+    other = system_from_behavior(VectObj(("x",)), Subspace(VectObj(("x",)), ()))
+    with pytest.raises(MismatchError, match="universum"):
+        certified_kernel_rep(f, other)
