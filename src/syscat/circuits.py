@@ -31,20 +31,25 @@ compiled circuit again: a ``GlueResult`` is a ``CompiledCircuit`` whose node
 graph is both graphs renamed to the merged names, labels prefixed ``L.``/``R.``,
 with each identified voltage joining two nodes into one; the glue builds it.
 Interpretation preserves interconnection, so the glue reads the glued
-behavior from the parts and has the glued equations confirm it. The semantics
-route is the pullback of the two behaviors over the shared block
-(``interconnect_shared``), carried onto the merged names; it is the answer.
-The syntax route is the glued circuit's own equations: both sides' rows
-stacked over the merged names, which are the rows, in order, that the generic
-pullback of the two representations over the shared block stacks. They
-certify the answer (``certified_kernel_rep``: A . K = 0 and the nullity of A
-mod p is dim K), or, if the certificate fails, are solved exactly and compared
-with it. The comparison is the result's ``preservation``; interpretation must
-commute with the gluing, up to a bug.
+behavior from the parts and has the glued equations confirm it.
+Interconnection is variable sharing: the merged universum, with the maps
+``lift1``/``lift2`` that read each side's variables off it, is the pullback of
+the two universa over the shared block. So the semantics route pulls back only
+the two behaviors over that block and includes the result in the merged
+universum through ``lift1``/``lift2``; it is the answer. The syntax route is
+the glued circuit's own equations: both sides' rows stacked over the merged
+names, which are the rows, in order, that the generic pullback of the two
+representations over the shared block stacks. They certify the answer
+(``certified_kernel_rep``: A . K = 0 and the nullity of A mod p is dim K), or,
+if the certificate fails, are solved exactly and compared with it. The
+comparison is the result's ``preservation``; interpretation must commute with
+the gluing, up to a bug.
 With the spec's ``close_dangling`` the glued graph's terminals of at most one
 element end get zero-external-current rows E, built like the current-balance
 rows. The closed behavior is K . eq(E . K, 0), a kernel over the glued
 behavior's dim K columns, certified by the stacked and the E rows together.
+The result's system is then the closed one, while ``preservation`` still
+compares the two routes of the open interconnection.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from typing import NamedTuple
 from . import carriers, vect
 from .equations import EquationRep, PreservationReport, arr_eq, certified_kernel_rep, kernel_rep
 from .errors import GlueError, MismatchError, ParseError
-from .systems import System, behavior_image, interconnect_shared, project_latent, systems_equal
+from .systems import System, behavior_image, project_latent, systems_equal
 from .vect import LinMap, Subspace, VectObj
 
 _NAME = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -366,12 +371,14 @@ def glue(c1: Circuit, c2: Circuit, spec: GlueSpec) -> GlueResult:
 
     Returns the glued circuit: the stacked representation over the
     merged-name universum and the merged node graph, together with the
-    preservation report of the two routes: the stacked equations' system
-    (syntax), the pullback of the two behaviors carried onto the merged
-    names (semantics), and whether the two behaviors agree. Both systems live
-    on the merged-name universum. When the stacked equations certify the
-    pullback, the two are one system and no whole-circuit kernel is solved;
-    otherwise the syntax system is the stacked equations' exact kernel.
+    preservation report of the two routes of the open interconnection: the
+    stacked equations' system (syntax), the pullback of the two behaviors
+    included in the merged universum (semantics), and whether the two
+    behaviors agree. Both systems live on the merged-name universum. When the
+    stacked equations certify the pullback, the two are one system and no
+    whole-circuit kernel is solved; otherwise the syntax system is the stacked
+    equations' exact kernel. With ``close_dangling`` the result's system is
+    the closed behavior, and the report still describes the open one.
     """
     return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec)
 
@@ -388,15 +395,14 @@ def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> 
     )
 
     # the semantics route: the pullback of the parts' behaviors over the
-    # shared block, transported onto the merged names
+    # shared block, included in the merged universum, which with lift1 and
+    # lift2 is already the pullback of the universa over that block
     shared = VectObj(tuple(m for _, _, m in pairs))
     psi1 = vect.coordinate_map(k1.universum, shared, {l: m for l, _, m in pairs})
     psi2 = vect.coordinate_map(k2.universum, shared, {r: m for _, r, m in pairs})
-    pb = interconnect_shared(k1.system, k2.system, psi1, psi2)
-    alpha = carriers.lift((lift1, lift2), (pb.proj1.phi_u, pb.proj2.phi_u))
-    if alpha is None:
-        raise MismatchError("pullback universum does not match the merged universum")
-    semantics = System(carriers.compose(alpha, pb.system.inclusion))
+    i1, i2 = k1.system.inclusion, k2.system.inclusion
+    bpb = carriers.pullback(carriers.compose(psi1, i1), carriers.compose(psi2, i2))
+    semantics = System(carriers.pullback_map(bpb, carriers.PullbackResult(glued, lift1, lift2), i1, i2))
     # the stacked equations certify it as their system, or else are solved
     rep = certified_kernel_rep(stacked, semantics) or kernel_rep(stacked)
     syntax = arr_eq(rep)

@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 domain error, 2 usage or input-parsing error.
 Rationals are always printed as ``p/q`` (or a plain integer), never as
 decimals; with ``--json`` every command emits a machine-readable report.
 
+With ``--close-dangling``, glue's ``behavior`` is the closed interconnection,
+while ``syntax_dim``, ``semantics_dim`` and ``preservation_equal`` describe
+the cross-check of the open one, which the closing starts from.
+
 The argument parser is built on the first ``main`` call and reused by every
 later call in the same process; importing the module builds nothing.
 """

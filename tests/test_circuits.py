@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from syscat import carriers, circuits, vect
+from syscat import carriers, vect
 from syscat.circuits import (
     Circuit,
     GlueSpec,
@@ -27,7 +27,13 @@ from syscat.circuits import (
 )
 from syscat.equations import EquationMorphism, EquationRep, check_preservation, pullback_equations
 from syscat.errors import GlueError, MismatchError, ParseError
-from syscat.systems import System, SystemPullback, behavior_image, product_systems, systems_equal
+from syscat.systems import (
+    SystemMorphism,
+    behavior_image,
+    interconnect_shared,
+    product_systems,
+    systems_equal,
+)
 from syscat.vect import LinMap, Subspace, VectObj
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -273,6 +279,23 @@ def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, clo
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize("close", [False, True], ids=["open", "closed"])
+def test_glue_pulls_back_only_the_behaviors(circuits_dir, monkeypatch, close):
+    # the merged universum with lift1, lift2 is the universa's pullback already,
+    # so a glue builds one pullback (the behaviors'), one lift (its inclusion
+    # into the merged names) and no system morphism
+    left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
+    spec = parse_glue((circuits_dir / "SP.glue").read_text())
+    seen = Counter()
+    for name in ("pullback", "lift"):
+        wrapped = getattr(carriers, name)
+        monkeypatch.setattr(carriers, name, lambda *a, _n=name, _w=wrapped: seen.update([_n]) or _w(*a))
+    post_init = SystemMorphism.__post_init__
+    monkeypatch.setattr(SystemMorphism, "__post_init__", lambda m: seen.update(["morphism"]) or post_init(m))
+    glue(left, right, replace(spec, close_dangling=close))
+    assert (seen["pullback"], seen["lift"], seen["morphism"]) == (1, 1, 0)
+
+
 @pytest.mark.parametrize("close", [False, True])
 def test_glue_runs_no_general_solve_rank_or_rref(circuits_dir, monkeypatch, close):
     # every lift, mono check and subspace of a glue has a structural certificate
@@ -439,21 +462,57 @@ def _glue_pairs():
     ]
 
 
+def _shared_block(k1, k2, merged):
+    """Each side's map onto the block of merged names it shares."""
+    shared = VectObj(tuple(m for _, _, m in merged))
+    return (
+        vect.coordinate_map(k1.universum, shared, {l: m for l, _, m in merged}),
+        vect.coordinate_map(k2.universum, shared, {r: m for _, r, m in merged}),
+    )
+
+
 @pytest.mark.parametrize("left, right, spec", _glue_pairs())
 def test_stacked_equations_are_the_syntax_pullback(left, right, spec):
     # glue's syntax route is its stacked equations: the generic pullback of the
     # two representations over the shared block stacks the same rows in order
     res = glue(left, right, spec)
     k1, k2 = compile_circuit(left), compile_circuit(right)
-    shared = VectObj(tuple(m for _, _, m in res.merged))
-    psi1 = vect.coordinate_map(k1.universum, shared, {l: m for l, _, m in res.merged})
-    psi2 = vect.coordinate_map(k2.universum, shared, {r: m for _, r, m in res.merged})
+    psi1, psi2 = _shared_block(k1, k2, res.merged)
+    shared = psi1.cod
     e_shared = EquationRep(vect.zero_map(shared, vect.ZERO_SPACE), vect.zero_map(shared, vect.ZERO_SPACE))
     m1 = EquationMorphism(k1.rep, e_shared, psi1, vect.zero_map(k1.rep.codomain, vect.ZERO_SPACE))
     m2 = EquationMorphism(k2.rep, e_shared, psi2, vect.zero_map(k2.rep.codomain, vect.ZERO_SPACE))
     assert pullback_equations(m1, m2).rep.f1.rows == res.rep.f1.rows
     assert check_preservation(m1, m2).equal
     assert res.preservation.equal
+
+
+def _assert_semantics_through_the_universa(left, right, spec):
+    """glue's semantics route has the inclusion of the route through the
+    universa's pullback: ``interconnect_shared`` of the parts, carried onto the
+    merged names by the lift through lift1 and lift2, which is an iso."""
+    res = glue(left, right, spec)
+    k1, k2 = compile_circuit(left), compile_circuit(right)
+    by_left = {l: m for l, _, m in res.merged}
+    by_right = {r: m for _, r, m in res.merged}
+    u1, u2 = k1.universum, k2.universum
+    lift1 = vect.coordinate_map(res.universum, u1, {by_left.get(v, v): v for v in u1.vars})
+    lift2 = vect.coordinate_map(res.universum, u2, {by_right.get(v, v): v for v in u2.vars})
+    psi1, psi2 = _shared_block(k1, k2, res.merged)
+    upb = carriers.pullback(psi1, psi2)
+    alpha = carriers.lift((lift1, lift2), (upb.proj1, upb.proj2))
+    assert carriers.classify_map(alpha).iso
+    pb = interconnect_shared(k1.system, k2.system, psi1, psi2)
+    assert (pb.proj1.phi_u, pb.proj2.phi_u) == (upb.proj1, upb.proj2)
+    want = carriers.compose(alpha, pb.system.inclusion)
+    got = res.preservation.semantics_system.inclusion
+    assert (got.cod, got.rows) == (want.cod, want.rows)
+
+
+@pytest.mark.parametrize("close", [False, True], ids=["open", "closed"])
+@pytest.mark.parametrize("left, right, spec", _glue_pairs())
+def test_semantics_route_is_the_pullback_through_the_universa(left, right, spec, close):
+    _assert_semantics_through_the_universa(left, right, replace(spec, close_dangling=close))
 
 
 def _kernel_of_equations(res):
@@ -494,20 +553,24 @@ def test_glue_behavior_is_the_kernel_of_its_equations(case):
     assert res.preservation.equal
 
 
+@settings(max_examples=30, deadline=None)
+@given(random_glues())
+def test_random_semantics_route_is_the_pullback_through_the_universa(case):
+    _assert_semantics_through_the_universa(*case)
+
+
 @pytest.mark.parametrize("close", [False, True], ids=["open", "closed"])
 def test_glue_solves_its_equations_when_the_pullback_misses_a_vector(monkeypatch, close):
     # a semantics route that loses a kernel vector fails the certificate, and
     # the answer is the stacked equations' exact kernel, reported as a mismatch
-    interconnect_shared = circuits.interconnect_shared
+    pullback_map = carriers.pullback_map
 
     def short(*args):
-        pb = interconnect_shared(*args)
-        inc = pb.system.inclusion
+        inc = pullback_map(*args)
         keep = VectObj(inc.dom.vars[:-1])
-        cut = vect.coordinate_map(keep, inc.dom, {v: v for v in keep.vars})
-        return SystemPullback(System(carriers.compose(inc, cut)), pb.proj1, pb.proj2)
+        return carriers.compose(inc, vect.coordinate_map(keep, inc.dom, {v: v for v in keep.vars}))
 
-    monkeypatch.setattr(circuits, "interconnect_shared", short)
+    monkeypatch.setattr(carriers, "pullback_map", short)
     s, p = sp_circuits()
     res = glue(s, p, replace(parse_glue(SP_GLUE), close_dangling=close))
     assert not res.preservation.equal

@@ -152,8 +152,9 @@ def test_glue_close_dangling(circuits_dir, capsys):
 
 @pytest.mark.parametrize("flags, images", [([], 1), (["--close-dangling"], 2)], ids=["open", "closed"])
 def test_glue_computes_each_behavior_once(flags, images, circuits_dir, capsys):
-    # the transported pullback, which the stacked equations certify as their
-    # own system, and the closed behavior cut from it; the CLI reads the kept ones
+    # the behaviors' pullback on the merged names, which the stacked equations
+    # certify as their own system, and the closed behavior cut from it; the
+    # CLI reads the kept ones
     with mock.patch.object(vect, "image", wraps=vect.image) as image:
         code, _, _ = run_cli(
             ["glue", str(circuits_dir / "S.ckt"), str(circuits_dir / "P.ckt"),
@@ -231,9 +232,9 @@ def _in_circuits(argv, circuits_dir):
 
 @pytest.mark.parametrize("flags", [[], ["--close-dangling"]], ids=["open", "closed"])
 def test_glue_reports_a_wrong_transport(flags, circuits_dir, monkeypatch, capsys):
-    # alpha carries the pullback onto the merged names; a wrong one puts the
-    # semantics route outside the stacked equations' kernel, so the
-    # certificate fails and the equations are solved
+    # the lift through (lift1, lift2) carries the behaviors' pullback onto the
+    # merged names; a wrong one puts the semantics route outside the stacked
+    # equations' kernel, so the certificate fails and the equations are solved
     argv = _in_circuits(SP_GLUE_ARGV, circuits_dir) + flags + ["--json"]
     _, out, _ = run_cli(argv, capsys)
     want = json.loads(out)
@@ -241,7 +242,7 @@ def test_glue_reports_a_wrong_transport(flags, circuits_dir, monkeypatch, capsys
 
     def doubling_v_a(ms, fs):
         u = lift(ms, fs)
-        if len(ms) == 2 and "v_c=v_e" in ms[0].dom.vars:  # the transport alpha
+        if len(ms) == 2 and "v_c=v_e" in ms[0].dom.vars:  # through (lift1, lift2)
             rows = ((1, {0: 2}),) + vect._unit_rows(range(1, u.cod.dim))
             u = carriers.compose(LinMap.from_rows(u.cod, u.cod, rows), u)
         return u
