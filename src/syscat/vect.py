@@ -12,17 +12,20 @@ Rows are shared between values and never mutated.
 The exact kernels (``rref``, ``rank_of``, ``kernel_basis``, ``solve_matrix``,
 ``mat_mul``) take and return rows; they read any row ``(d, m)`` with d > 0,
 except ``mat_mul``'s right factor, and return canonical rows. Two
-fraction-free Gauss-Jordan eliminations share one arithmetic. ``_eliminate``
-pivots on the leftmost remaining column and serves ``rref``, ``rank_of``,
-``solve_matrix`` and ``Subspace``; each needs that order, for the unique
-RREF, for the solution with free coordinates zero, and for Zassenhaus's
-first-half-first intersection. ``kernel_basis`` alone uses
-``_eliminate_min_degree``, which pivots on the column in the fewest rows to
-keep the fill down: only the kernel's span matters there, and ``_eliminate``
-then canonicalizes the basis read from it, so the output is the same.
-``rank_mod_p`` eliminates in the same order modulo the prime 2^61 - 1. Its
-rank is never above the rank over Q, which makes it a certificate for a
-kernel found another way (``equations.certified_kernel_rep``), not a rank.
+fraction-free eliminations share one arithmetic. ``_eliminate`` is
+Gauss-Jordan on the leftmost remaining column and serves ``rref``,
+``rank_of``, ``solve_matrix`` and ``Subspace``; each needs that order, for the
+unique RREF, for the solution with free coordinates zero, and for
+Zassenhaus's first-half-first intersection. ``kernel_basis`` alone uses
+``_eliminate_forward``, forward elimination on the column in the fewest rows
+(ties to the highest column) to keep the fill down; each pivot row retires
+once it has cleared its column, and back-substitution reads one kernel vector
+per free column. The ties leave the low columns free, so those vectors mostly
+are the kernel's RREF already; where one is not, ``_eliminate`` canonicalizes
+them, so the output is the same. ``rank_mod_p`` eliminates in the same order
+modulo the prime 2^61 - 1. Its rank is never above the rank over Q, which
+makes it a certificate for a kernel found another way
+(``equations.certified_kernel_rep``), not a rank.
 ``mat_mul(A, B)`` multiplies nonzeros over B's common denominator and divides
 by one gcd per result row. B's rows must be canonical, because a row it
 selects is returned as it is; every caller passes the rows of a ``LinMap`` or
@@ -55,7 +58,9 @@ it is absent:
 - ``kernel_basis``: rows whose supports are pairwise disjoint constrain
   disjoint columns, and ``_disjoint_kernel`` writes the kernel's RREF
   directly; this covers every pullback of coordinate maps and every kernel
-  of zero maps. Otherwise min-degree elimination and the canonicalizing pass.
+  of zero maps. Otherwise forward elimination in min-degree order and
+  back-substitution; vectors that already are the kernel's RREF (none has
+  an entry left of its own free column) skip the canonicalizing pass.
 - ``Subspace``: rows that already are canonical RREF (each nonzero and
   primitive, its pivot its first column with value 1, pivots increasing, no
   row touching another's pivot) are kept as given. Otherwise ``rref``.
@@ -365,44 +370,36 @@ def _eliminate(m: list[dict[int, int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _eliminate_min_degree(m: list[dict[int, int]]) -> tuple[dict[int, int], dict[int, set[int]]]:
-    """``_eliminate``'s Gauss-Jordan and arithmetic, in place, in min-degree order.
+def _eliminate_forward(m: list[dict[int, int]]) -> list[tuple[int, int]]:
+    """``_eliminate``'s arithmetic, in place, as forward elimination in min-degree order.
 
-    Each step pivots on the column that appears in the fewest rows, in the
-    shortest non-pivot row that contains it (ties to the lower row index), so
-    the fill stays small on sparse input such as circuit equations (Markowitz
-    1957; Tinney and Walker 1967). The column index ``where`` holds the rows
-    each column appears in. A lazy heap of (row count, column) finds the next
-    pivot: an entry whose count is stale, or whose column lies only in pivot
-    rows, is dropped, and each step pushes a fresh entry for every column
-    whose count it changed by fill-in or cancellation.
+    Each step pivots on the column that appears in the fewest rows (ties to
+    the highest column), in the shortest row that contains it (ties to the
+    lower row index), so the fill stays small on sparse input such as circuit
+    equations (Markowitz 1957; Tinney and Walker 1967). The pivot row clears
+    its column from the other rows and retires: it leaves the column index
+    ``where`` and is never updated again. A lazy heap of (row count, -column)
+    finds the next pivot: an entry whose count is stale is dropped, and each
+    step pushes a fresh entry for every column of the pivot row.
 
-    Returns each pivot row's pivot column, and the index. Afterwards a pivot
-    row has a positive entry at its pivot column and no other pivot column,
-    and the other rows are empty; with pivots out of column order this is not
-    an RREF.
+    Returns the steps (pivot row, pivot column) in order. A pivot row holds a
+    positive entry at its pivot column and no earlier step's pivot column,
+    and the rows that never pivot end empty.
     """
     where: dict[int, set[int]] = {}
     for i, row in enumerate(m):
         for j in row:
             where.setdefault(j, set()).add(i)
-    heap = [(len(rs), j) for j, rs in where.items()]
+    heap = [(len(rs), -j) for j, rs in where.items()]
     heapify(heap)
-    pivot_of: dict[int, int] = {}
-    n = len(m)
-    while heap and len(pivot_of) < n:
+    steps: list[tuple[int, int]] = []
+    while heap:
         count, c = heappop(heap)
+        c = -c
         rs = where[c]
-        if count != len(rs):
+        if count != len(rs) or not rs:
             continue
-        if count == 1:
-            (r,) = rs
-            if r in pivot_of:
-                continue
-        else:
-            _, r = min(((len(m[i]), i) for i in rs if i not in pivot_of), default=(0, None))
-            if r is None:
-                continue
+        _, r = min((len(m[i]), i) for i in rs)
         prow = m[r]
         g = gcd(*prow.values())
         if prow[c] < 0:
@@ -411,15 +408,12 @@ def _eliminate_min_degree(m: list[dict[int, int]]) -> tuple[dict[int, int], dict
             for j in prow:
                 prow[j] //= g
         p = prow[c]
-        pivot_of[r] = c
-        if count == 1:  # no other row holds c
-            continue
+        steps.append((r, c))
+        for j in prow:
+            where[j].discard(r)
         entries = tuple((j, y) for j, y in prow.items() if j != c)
-        touched = set()
         # inline here and in _eliminate: a shared per-row helper slows laws' thousands of tiny eliminations
         for i in rs:
-            if i == r:
-                continue
             row = m[i]
             f = row.pop(c)
             g = gcd(p, f)
@@ -432,7 +426,6 @@ def _eliminate_min_degree(m: list[dict[int, int]]) -> tuple[dict[int, int], dict
                 if x is None:
                     row[j] = -b * y
                     where[j].add(i)
-                    touched.add(j)
                 else:
                     x -= b * y
                     if x:
@@ -440,16 +433,15 @@ def _eliminate_min_degree(m: list[dict[int, int]]) -> tuple[dict[int, int], dict
                     else:
                         del row[j]
                         where[j].discard(i)
-                        touched.add(j)
             if a != 1:
                 g = gcd(*row.values())
                 if g > 1:
                     for j in row:
                         row[j] //= g
-        where[c] = {r}
-        for j in touched:
-            heappush(heap, (len(where[j]), j))
-    return pivot_of, where
+        rs.clear()
+        for j, _ in entries:
+            heappush(heap, (len(where[j]), -j))
+    return steps
 
 
 def _reduced(m: list[dict[int, int]], pivots) -> Rows:
@@ -477,10 +469,10 @@ def rank_mod_p(rows, ncols: int) -> int:
     Scaling a row by its d > 0 keeps the rank over Q, so only the int part is
     read. A nonzero minor mod p is a nonzero minor over Q, so the rank mod p
     can only be lower: when the prime divides every maximal nonzero minor.
-    The pivots follow ``_eliminate_min_degree``'s order (the column in the
-    fewest rows, in its shortest row), which keeps the fill small on circuit
-    equations. A pivot row clears its column from the other rows and retires:
-    the rank is one more than that of the rows left. ncols is the column
+    The pivots follow ``_eliminate_forward``'s order (the column in the
+    fewest rows, ties to the highest, in its shortest row), which keeps the
+    fill small on circuit equations. A pivot row clears its column from the
+    other rows and retires: the rank is one more than that of the rows left. ncols is the column
     count, as for ``rank_of``; only the columns present are read.
     """
     p = PRIME
@@ -579,31 +571,45 @@ def kernel_basis(rows, ncols: int) -> Rows:
     """Canonical basis of the right kernel (itself in row-echelon form).
 
     Rows with pairwise disjoint supports give their kernel directly. Otherwise
-    the rows are eliminated in min-degree order; the kernel's RREF is unique,
-    so canonicalizing the basis read from them gives the same rows as any
-    other pivot order would.
+    the rows are eliminated forward in min-degree order, and one vector per
+    free column fc is back-substituted through the pivot rows in reverse:
+    x[fc] = 1, the other free columns 0. When no vector has an entry left of
+    its own free column, these vectors are the kernel's RREF, which is unique;
+    high-column ties leave the low columns free, so that is the common case.
+    Otherwise ``_eliminate`` canonicalizes them.
     """
     direct = _disjoint_kernel(rows, ncols)
     if direct is not None:
         return direct
     m = _ints(rows)
-    pivot_of, where = _eliminate_min_degree(m)
-    pivot_cols = set(pivot_of.values())
+    steps = _eliminate_forward(m)
+    pivot_cols = {c for _, c in steps}
+    back = [(m[r], c) for r, c in reversed(steps)]
     basis = []
+    canonical = True
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        holders = where.get(fc)
-        if not holders:
-            basis.append({fc: 1})
-            continue
-        # x[fc] = 1 and x[pc] = -row[fc] / row[pc], scaled by the lcm of those pivots
-        used = [(m[i][fc], m[i][pivot_of[i]], pivot_of[i]) for i in holders]
-        scale = lcm(*(p for _, p, _ in used))
-        v = {fc: scale}
-        for f, p, pc in used:
-            v[pc] = -f * (scale // p)
-        basis.append(v)
+        # x is kept integral: a pivot p that does not divide the sum scales x by p/gcd
+        x = {fc: 1}
+        for prow, c in back:
+            s = 0
+            for j, y in prow.items():
+                v = x.get(j)
+                if v:
+                    s += y * v
+            if s:
+                p = prow[c]
+                g = gcd(s, p)
+                if g != p:
+                    a = p // g
+                    for j in x:
+                        x[j] *= a
+                x[c] = -s // g
+        canonical = canonical and min(x) == fc
+        basis.append(x)
+    if canonical:
+        return tuple(_canon(x[min(x)], x) for x in basis)
     return _reduced(basis, _eliminate(basis, ncols))
 
 

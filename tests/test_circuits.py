@@ -2,6 +2,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -219,6 +220,20 @@ def ladders_and_grids(draw):
     return Circuit("c", tuple(nodes), tuple(terminals), tuple(elements))
 
 
+def _kernel_paths(rows, dim):
+    """``vect.kernel_basis(rows, dim)``, and how many times it ran the forward
+    elimination and the canonicalizing ``_eliminate``."""
+    with mock.patch.object(vect, "_eliminate_forward", wraps=vect._eliminate_forward) as forward, \
+            mock.patch.object(vect, "_eliminate", wraps=vect._eliminate) as canonicalize:
+        got = vect.kernel_basis(rows, dim)
+    return got, forward.call_count, canonicalize.call_count
+
+
+def _dense_kernel(compiled):
+    dim = compiled.universum.dim
+    return vect.to_sparse(oracles.dense_kernel_basis(compiled.rep.f1.matrix, dim))
+
+
 @settings(max_examples=80, deadline=None)
 @given(ladders_and_grids())
 def test_compiled_rows_match_the_dense_reference(circuit):
@@ -226,7 +241,11 @@ def test_compiled_rows_match_the_dense_reference(circuit):
     names, rows = oracles.dense_equation_rows(circuit, compiled.universum)
     assert compiled.rep.f1 == LinMap(compiled.universum, VectObj(names), rows)
     dim = compiled.universum.dim
-    assert vect.kernel_basis(compiled.rep.f1.rows, dim) == vect.to_sparse(oracles.dense_kernel_basis(rows, dim))
+    # these kernels take both paths: read off canonical, and canonicalized once
+    got, forwards, canonicalized = _kernel_paths(compiled.rep.f1.rows, dim)
+    assert forwards == (vect._disjoint_kernel(compiled.rep.f1.rows, dim) is None)
+    assert canonicalized <= forwards
+    assert got == _dense_kernel(compiled)
 
 
 def test_long_chain_behavior_is_exact():
@@ -441,6 +460,30 @@ def ugrid(p: str, k: int) -> Circuit:
                 elements.append(Resistor(f"{p}u{i}_{j}", x(i, j), x(i, j + 1), Fraction(1 + (i + j) % 3)))
     nodes = tuple(x(i, j) for i in range(k) for j in range(k))
     return Circuit(p, nodes, (x(0, 0), x(k - 1, k - 1)), tuple(elements))
+
+
+@pytest.mark.parametrize("circuit, forward", [
+    *(pytest.param(parse_netlist((CIRCUITS / f).read_text()), n, id=f)
+      for f, n in (("R1.ckt", 0), ("R2.ckt", 0), ("S.ckt", 0), ("S_aug.ckt", 0), ("P.ckt", 1), ("P_aug.ckt", 1))),
+    pytest.param(ladder("a", 5), 1, id="ladder5"),
+])
+def test_circuit_kernels_are_read_off_canonical(circuit, forward):
+    # disjoint rows (forward == 0) are written directly; the rest are eliminated
+    # forward, and high-column ties leave free exactly the kernel's pivot columns
+    compiled = compile_circuit(circuit)
+    got, forwards, canonicalized = _kernel_paths(compiled.rep.f1.rows, compiled.universum.dim)
+    assert (forwards, canonicalized) == (forward, 0)
+    assert got == _dense_kernel(compiled)
+
+
+def test_grid_kernel_is_canonicalized_once():
+    compiled = compile_circuit(ugrid("a", 3))
+    rows, dim = compiled.rep.f1.rows, compiled.universum.dim
+    free = set(range(dim)) - {c for _, c in vect._eliminate_forward(vect._ints(rows))}
+    got, forwards, canonicalized = _kernel_paths(rows, dim)
+    assert free != {min(m) for _, m in got}  # the kernel's RREF pivots
+    assert (forwards, canonicalized) == (1, 1)
+    assert got == _dense_kernel(compiled)
 
 
 def _glue_pairs():
