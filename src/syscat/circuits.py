@@ -40,7 +40,7 @@ universum through ``lift1``/``lift2``; it is the answer. The syntax route is
 the glued circuit's own equations: both sides' rows stacked over the merged
 names, which are the rows, in order, that the generic pullback of the two
 representations over the shared block stacks. They certify the answer
-(``certified_kernel_rep``: A . K = 0 and the nullity of A mod p is dim K), or,
+(``certified_kernel_rep``: A . K = 0 and the nullity of A is dim K), or,
 if the certificate fails, are solved exactly and compared with it. The
 comparison is the result's ``preservation``; interpretation must commute with
 the gluing, up to a bug.

@@ -1,6 +1,8 @@
 """Command-line interface: behavior, glue, emergence, and check.
 
-Exit codes: 0 success, 1 domain error, 2 usage or input-parsing error.
+Exit codes: 0 success; 1 a domain error, a failed ``check`` law, or a glue
+whose two routes disagree (its report is printed all the same); 2 usage or
+input-parsing error.
 Rationals are always printed as ``p/q`` (or a plain integer), never as
 decimals; with ``--json`` every command emits a machine-readable report.
 
@@ -125,7 +127,7 @@ def cmd_glue(args, out) -> int:
             "closed_terminals": list(result.closed_terminals),
         }
         out.write(json.dumps(report, indent=2) + "\n")
-        return 0
+        return 0 if pres.equal else 1
     out.write(
         f"glued universum: dim={result.universum.dim}\n"
         f"behavior: dim={sub.dim}\n"
@@ -136,7 +138,7 @@ def cmd_glue(args, out) -> int:
         out.write("closed terminals: " + " ".join(result.closed_terminals) + "\n")
     out.write("basis:\n")
     _print_basis(behavior, out)
-    return 0
+    return 0 if pres.equal else 1
 
 
 def cmd_emergence(args, out) -> int:

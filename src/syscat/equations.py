@@ -7,8 +7,8 @@ That system is either computed on first read (``EquationRep.system``, the
 equalizer) or given by ``certified_kernel_rep``, the one construction that
 hands a representation a system it did not compute: a kernel representation
 (f, 0) with a candidate system whose inclusion K satisfies f . K = 0 and
-whose dimension is the nullity of f mod a prime. A rank mod p is never above
-the rank over Q, so then span K = ker f exactly. Pullbacks here
+whose dimension is the nullity of f over Q, which holds exactly when
+span K = ker f. Pullbacks here
 stack equations while identifying shared variables, and the interpretation
 into systems preserves them — `check_preservation` is the law's check over
 generic pullbacks: it computes both routes and compares.
@@ -59,11 +59,11 @@ def kernel_rep(f: LinMap) -> EquationRep:
 def certified_kernel_rep(f: LinMap, candidate: System) -> EquationRep | None:
     """The pair (f, 0) with the candidate as its system, if f certifies it; else None.
 
-    f . K = 0 puts span K in ker f, and K is mono, so dim K <= nullity over Q
-    <= nullity mod p. Equality of the outer two proves span K = ker f. A
-    larger nullity mod p (an unlucky prime, or a candidate that misses part of
-    the kernel) leaves the answer to the equalizer: None. A smaller one is
-    impossible for a correct rank mod p, so it raises ``MismatchError``.
+    f . K = 0 puts span K in ker f, and K is mono, so dim K <= nullity of f,
+    with equality exactly when span K = ker f. Any other outcome (a candidate
+    outside the kernel or missing part of it, or a nullity below dim K, which
+    only a broken ``vect.rank_of`` gives) leaves the answer to the equalizer:
+    None.
     """
     rep = kernel_rep(f)
     k = candidate.inclusion
@@ -71,10 +71,7 @@ def certified_kernel_rep(f: LinMap, candidate: System) -> EquationRep | None:
         raise MismatchError("the candidate system does not live on the equations' universum")
     if any(m for _, m in vect.mat_mul(f.rows, k.rows)):
         return None
-    nullity = f.dom.dim - vect.rank_mod_p(f.rows, f.dom.dim)
-    if nullity < k.dom.dim:
-        raise MismatchError("rank mod p exceeds the rank over Q")
-    if nullity > k.dom.dim:
+    if f.dom.dim - vect.rank_of(f.rows, f.dom.dim) != k.dom.dim:
         return None
     rep.__dict__["system"] = candidate  # the kept value ``EquationRep.system`` reads
     return rep

@@ -14,18 +14,17 @@ The exact kernels (``rref``, ``rank_of``, ``kernel_basis``, ``solve_matrix``,
 except ``mat_mul``'s right factor, and return canonical rows. Two
 fraction-free eliminations share one arithmetic. ``_eliminate`` is
 Gauss-Jordan on the leftmost remaining column and serves ``rref``,
-``rank_of``, ``solve_matrix`` and ``Subspace``; each needs that order, for the
-unique RREF, for the solution with free coordinates zero, and for
-Zassenhaus's first-half-first intersection. ``kernel_basis`` alone uses
-``_eliminate_forward``, forward elimination on the column in the fewest rows
-(ties to the highest column) to keep the fill down; each pivot row retires
-once it has cleared its column, and back-substitution reads one kernel vector
-per free column. The ties leave the low columns free, so those vectors mostly
-are the kernel's RREF already; where one is not, ``_eliminate`` canonicalizes
-them, so the output is the same. ``rank_mod_p`` eliminates in the same order
-modulo the prime 2^61 - 1. Its rank is never above the rank over Q, which
-makes it a certificate for a kernel found another way
-(``equations.certified_kernel_rep``), not a rank.
+``solve_matrix``, ``Subspace.intersect`` and the canonicalizing pass of
+``kernel_basis``; each needs that column order, for the unique RREF, for the
+solution with free coordinates zero, for Zassenhaus's first-half-first
+intersection, and for the kernel's RREF. ``_eliminate_forward`` is forward
+elimination on the column in the fewest rows (ties to the highest column) to
+keep the fill down; each pivot row retires once it has cleared its column.
+It serves ``kernel_basis``, which back-substitutes one kernel vector per free
+column, and ``rank_of``, which counts its steps: a rank needs no column order.
+The ties leave the low columns free, so the kernel vectors mostly are the
+kernel's RREF already; where one is not, ``_eliminate`` canonicalizes them,
+so the output is the same.
 ``mat_mul(A, B)`` multiplies nonzeros over B's common denominator and divides
 by one gcd per result row. B's rows must be canonical, because a row it
 selects is returned as it is; every caller passes the rows of a ``LinMap`` or
@@ -457,67 +456,9 @@ def rref(rows, ncols: int) -> tuple[Rows, tuple[int, ...]]:
 
 
 def rank_of(rows, ncols: int) -> int:
-    return len(_eliminate(_ints(rows), ncols))
-
-
-PRIME = (1 << 61) - 1
-
-
-def rank_mod_p(rows, ncols: int) -> int:
-    """The rank of rows' int parts modulo ``PRIME``, never above ``rank_of``.
-
-    Scaling a row by its d > 0 keeps the rank over Q, so only the int part is
-    read. A nonzero minor mod p is a nonzero minor over Q, so the rank mod p
-    can only be lower: when the prime divides every maximal nonzero minor.
-    The pivots follow ``_eliminate_forward``'s order (the column in the
-    fewest rows, ties to the highest, in its shortest row), which keeps the
-    fill small on circuit equations. A pivot row clears its column from the
-    other rows and retires: the rank is one more than that of the rows left. ncols is the column
-    count, as for ``rank_of``; only the columns present are read.
-    """
-    p = PRIME
-    m = [{j: x % p for j, x in row.items() if x % p} for _, row in rows]
-    where: dict[int, set[int]] = {}
-    for i, row in enumerate(m):
-        for j in row:
-            where.setdefault(j, set()).add(i)
-    heap = [(len(rs), j) for j, rs in where.items()]
-    heapify(heap)
-    rank = 0
-    while heap:
-        count, c = heappop(heap)
-        rs = where[c]
-        if count != len(rs) or not rs:
-            continue
-        _, r = min((len(m[i]), i) for i in rs)
-        prow = m[r]
-        rank += 1
-        for j in prow:
-            where[j].discard(r)
-        touched = set(prow)
-        if rs:
-            inv = pow(prow.pop(c), -1, p)
-            entries = tuple(prow.items())
-            for i in rs:
-                row = m[i]
-                f = row.pop(c) * inv % p
-                for j, y in entries:
-                    x = row.get(j)
-                    if x is None:
-                        row[j] = -f * y % p
-                        where[j].add(i)
-                    else:
-                        x = (x - f * y) % p
-                        if x:
-                            row[j] = x
-                        else:
-                            del row[j]
-                            where[j].discard(i)
-            rs.clear()
-        touched.discard(c)
-        for j in touched:
-            heappush(heap, (len(where[j]), j))
-    return rank
+    """The rank over Q: the number of forward-elimination steps. ncols is the
+    column count; only the columns present are read."""
+    return len(_eliminate_forward(_ints(rows)))
 
 
 def _unit_rows_at(rows) -> dict[int, int]:

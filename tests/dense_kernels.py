@@ -28,10 +28,6 @@ def rank_of(rows, ncols: int) -> int:
     return vect.rank_of(vect.to_sparse(rows), ncols)
 
 
-def rank_mod_p(rows, ncols: int) -> int:
-    return vect.rank_mod_p(vect.to_sparse(rows), ncols)
-
-
 def kernel_basis(rows, ncols: int):
     return vect.to_dense(canonical(vect.kernel_basis(vect.to_sparse(rows), ncols)), ncols)
 

@@ -5,10 +5,8 @@ sympy so they never depend on the code path under test.
 """
 
 from fractions import Fraction
-from math import lcm
 
 import sympy
-from sympy.polys.matrices import DomainMatrix
 
 
 def sym(rows, ncols):
@@ -23,15 +21,6 @@ def rank(rows, ncols) -> int:
 
 def nullity(rows, ncols) -> int:
     return ncols - rank(rows, ncols)
-
-
-def rank_mod(rows, ncols, p) -> int:
-    """The rank mod p of the rows, each first scaled by the lcm of its denominators."""
-    ints = []
-    for row in rows:
-        d = lcm(*(Fraction(x).denominator for x in row))
-        ints.append([sympy.ZZ(int(Fraction(x) * d)) for x in row])
-    return DomainMatrix(ints, (len(ints), ncols), sympy.ZZ).convert_to(sympy.GF(p)).rank()
 
 
 def row_space_equal(rows_a, rows_b, ncols) -> bool:

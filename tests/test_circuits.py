@@ -245,7 +245,10 @@ def test_compiled_rows_match_the_dense_reference(circuit):
     got, forwards, canonicalized = _kernel_paths(compiled.rep.f1.rows, dim)
     assert forwards == (vect._disjoint_kernel(compiled.rep.f1.rows, dim) is None)
     assert canonicalized <= forwards
-    assert got == _dense_kernel(compiled)
+    want = _dense_kernel(compiled)
+    assert got == want
+    # the rank glue's certificate counts, on the same circuit rows
+    assert vect.rank_of(compiled.rep.f1.rows, dim) == dim - len(want)
 
 
 def test_long_chain_behavior_is_exact():
@@ -316,8 +319,10 @@ def test_glue_pulls_back_only_the_behaviors(circuits_dir, monkeypatch, close):
 
 
 @pytest.mark.parametrize("close", [False, True])
-def test_glue_runs_no_general_solve_rank_or_rref(circuits_dir, monkeypatch, close):
-    # every lift, mono check and subspace of a glue has a structural certificate
+def test_glue_ranks_only_in_its_certificates(circuits_dir, monkeypatch, close):
+    # every lift, mono check and subspace of a glue has a structural
+    # certificate; the only rank is the nullity each equation certificate
+    # counts: the open glue's, and with closing the closed one's
     left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
     spec = parse_glue((circuits_dir / "SP.glue").read_text())
     seen = []
@@ -326,13 +331,13 @@ def test_glue_runs_no_general_solve_rank_or_rref(circuits_dir, monkeypatch, clos
         monkeypatch.setattr(vect, name, lambda *a, _n=name, _k=kernel: seen.append(_n) or _k(*a))
     res = glue(left, right, replace(spec, close_dangling=close))
     assert res.preservation.equal and res.behavior.dim == (1 if close else 4)
-    assert seen == []
+    assert seen == ["rank_of"] * (2 if close else 1)
 
 
 @pytest.mark.parametrize("close", [False, True])
-def test_emergence_runs_no_rank(circuits_dir, monkeypatch, close):
+def test_emergence_ranks_once_per_certificate(circuits_dir, monkeypatch, close):
     # each phenome's projection holds a unit row per observed variable, which
-    # settles its rank, so no surjectivity check eliminates
+    # settles its rank, so the only ranks are the glue's certificates
     left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S_aug.ckt", "P_aug.ckt"))
     spec = replace(parse_glue((circuits_dir / "SP_aug.glue").read_text()), close_dangling=close)
     seen = []
@@ -340,7 +345,7 @@ def test_emergence_runs_no_rank(circuits_dir, monkeypatch, close):
     monkeypatch.setattr(vect, "rank_of", lambda *a: seen.append(a) or rank_of(*a))
     rep = emergence_report(left, right, spec, ("v_a", "v_b", "v_i", "v_j"))
     assert (rep.parts_dim, rep.whole_dim) == ((4, 1) if close else (4, 3))
-    assert seen == []
+    assert len(seen) == (2 if close else 1)
 
 
 def test_glue_close_dangling_collapses_to_a_line():

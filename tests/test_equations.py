@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from syscat import carriers, finset, vect
@@ -247,7 +249,7 @@ def test_distinct_reps_same_system():
     assert systems_equal(arr_eq(r1), arr_eq(r2))
 
 
-# -- the certificate: f . K = 0 and nullity mod p = dim K ---------------------
+# -- the certificate: f . K = 0 and nullity of f = dim K ---------------------
 
 def _series_candidate(*vectors):
     """The series circuit's equations and the system spanned by vectors in its universum."""
@@ -272,7 +274,7 @@ def test_certified_kernel_rep_keeps_a_spanning_candidate(monkeypatch):
 
 
 def test_certified_kernel_rep_refuses_a_candidate_missing_a_kernel_vector():
-    # f . K = 0 holds, but the nullity mod p (4) exceeds dim K (3)
+    # f . K = 0 holds, but the nullity (4) exceeds dim K (3)
     f, candidate = _series_candidate(*SERIES_KERNEL[:3])
     assert certified_kernel_rep(f, candidate) is None
 
@@ -283,12 +285,13 @@ def test_certified_kernel_rep_refuses_a_candidate_outside_the_kernel():
     assert certified_kernel_rep(f, candidate) is None
 
 
-def test_certified_kernel_rep_raises_on_a_rank_that_overcounts(monkeypatch):
+@pytest.mark.parametrize("off", (1, -1), ids=("overcounts", "undercounts"))
+def test_certified_kernel_rep_refuses_when_rank_of_is_off(monkeypatch, off):
+    # a spanning candidate, but a rank off by one puts the nullity beside dim K
     f, candidate = _series_candidate(*SERIES_KERNEL)
-    rank_mod_p = vect.rank_mod_p
-    monkeypatch.setattr(vect, "rank_mod_p", lambda rows, n: rank_mod_p(rows, n) + 1)
-    with pytest.raises(MismatchError, match="rank mod p"):
-        certified_kernel_rep(f, candidate)
+    rank_of = vect.rank_of
+    monkeypatch.setattr(vect, "rank_of", lambda rows, n: rank_of(rows, n) + off)
+    assert certified_kernel_rep(f, candidate) is None
 
 
 def test_certified_kernel_rep_needs_a_candidate_on_the_universum():
@@ -296,3 +299,38 @@ def test_certified_kernel_rep_needs_a_candidate_on_the_universum():
     other = system_from_behavior(VectObj(("x",)), Subspace(VectObj(("x",)), ()))
     with pytest.raises(MismatchError, match="universum"):
         certified_kernel_rep(f, other)
+
+
+@st.composite
+def kernel_candidates(draw):
+    """Small int equations f and vectors that span ker f, miss one of its basis
+    vectors, or have one perturbed; a perturbed vector may stay in the kernel."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-3, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=4))
+    kernel = oracles.dense_kernel_basis(rows, ncols)
+    vectors = [list(v) for v in kernel]
+    how = draw(st.sampled_from(("kernel", "minus one", "perturbed")))
+    if how != "kernel":
+        if not vectors:
+            vectors = [[0] * ncols]
+        i = draw(st.integers(0, len(vectors) - 1))
+        if how == "minus one":
+            del vectors[i]
+        else:
+            delta = draw(st.lists(entry, min_size=ncols, max_size=ncols).filter(any))
+            vectors[i] = [x + y for x, y in zip(vectors[i], delta)]
+    return rows, ncols, kernel, vectors
+
+
+@settings(deadline=None, max_examples=200)
+@given(kernel_candidates())
+def test_certified_kernel_rep_certifies_exactly_the_kernel(case):
+    rows, ncols, kernel, vectors = case
+    u = VectObj(tuple(f"x{j}" for j in range(ncols)))
+    f = LinMap(u, VectObj(tuple(f"e{i}" for i in range(len(rows)))), rows)
+    candidate = system_from_behavior(u, Subspace(u, vectors))
+    rep = certified_kernel_rep(f, candidate)
+    assert (rep is not None) == oracles.row_space_equal(vectors, kernel, ncols)
+    if rep is not None:
+        assert arr_eq(rep) is candidate
