@@ -40,7 +40,6 @@ from .circuits import (
     EmergenceReport,
     GlueResult,
     GlueSpec,
-    Phenome,
     Resistor,
     Wire,
     compile_circuit,
@@ -48,7 +47,6 @@ from .circuits import (
     glue,
     parse_glue,
     parse_netlist,
-    phenome,
 )
 from .equations import (
     EquationMorphism,

@@ -50,6 +50,19 @@ rows. The closed behavior is K . eq(E . K, 0), a kernel over the glued
 behavior's dim K columns, certified by the stacked and the E rows together.
 The result's system is then the closed one, while ``preservation`` still
 compares the two routes of the open interconnection.
+
+Emergence compares the interconnection of the parts' phenomes with the
+phenome of the interconnection, on observed variables, and works on
+equations at the size of the cut; it builds no behavior and no glued
+circuit. A ``phenome`` eliminates hidden variables from equations, forward in
+min-degree order (Willems' elimination of latent variables; Kron reduction
+for resistor networks), and keeps the rows left over the other variables.
+Each part first hides everything but its identified variables, its observed
+ones and the currents of the terminals that closing closes; those kept
+equations give its phenome on the observed names, and, stacked over the
+merged names with the ``ext:`` rows, the whole's. Every elimination checks
+its own answer at the cost of the equations it eliminated: each vector of
+the kernel it returns must extend to a solution of them.
 """
 
 from __future__ import annotations
@@ -63,7 +76,7 @@ from typing import NamedTuple
 from . import carriers, vect
 from .equations import EquationRep, PreservationReport, arr_eq, certified_kernel_rep, kernel_rep
 from .errors import GlueError, MismatchError, ParseError
-from .systems import System, behavior_image, project_latent, systems_equal
+from .systems import System, behavior_image, systems_equal
 from .vect import LinMap, Subspace, VectObj
 
 _NAME = re.compile(r"^[A-Za-z0-9_.\-]+$")
@@ -366,6 +379,12 @@ def _merged_nodes(k1: CompiledCircuit, k2: CompiledCircuit, rename1, rename2):
     return nodes
 
 
+def _closed_terminals(nodes) -> list[Node]:
+    """The terminals of at most one element end, by label: closing gives each
+    a zero-external-current row."""
+    return sorted((n for n in nodes.values() if n.terminal and len(n.ends) <= 1), key=lambda n: n.label)
+
+
 def glue(c1: Circuit, c2: Circuit, spec: GlueSpec) -> GlueResult:
     """Interconnect two circuits by identifying variables.
 
@@ -409,12 +428,7 @@ def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> 
     preservation = PreservationReport(syntax, semantics, systems_equal(syntax, semantics))
 
     nodes = _merged_nodes(k1, k2, rename1, rename2)
-    closed: list[Node] = []
-    if spec.close_dangling:
-        # zero external current at each terminal with at most one element end
-        closed = sorted(
-            (n for n in nodes.values() if n.terminal and len(n.ends) <= 1), key=lambda n: n.label
-        )
+    closed = _closed_terminals(nodes) if spec.close_dangling else []
     if closed:
         # the glued behavior K cut down to ker E, K . eq(E . K, 0), which the
         # stacked and the E rows together certify or else solve
@@ -439,25 +453,44 @@ def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> 
 
 # -- phenomes and emergence ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Phenome:
-    vars: tuple[str, ...]
-    system: System
+def phenome(rows, space: VectObj, names) -> tuple[vect.Rows, vect.Rows]:
+    """The phenome on ``names`` of the system ker ``rows`` over ``space``:
+    equations over names whose kernel is the projection of ker rows onto
+    them, and that kernel's canonical basis, columns in the order of names.
 
-    @property
-    def dim(self) -> int:
-        return behavior_image(self.system).dim
+    Every other variable is hidden and eliminated: forward elimination in
+    min-degree order pivots only on the hidden columns, and the rows left
+    hold none. They are row combinations of rows, so their kernel holds the
+    projection. The converse is checked: each basis vector, placed on names,
+    is back-substituted through the hidden pivot rows into a vector X over
+    space whose coordinates on names must not change, and one ``mat_mul``
+    must confirm rows . X = 0; otherwise ``MismatchError``.
+    """
+    kept = [space.index(n) for n in names]
+    at = {c: j for j, c in enumerate(kept)}
+    m = vect._ints(rows)
+    steps = vect._eliminate_forward(m, set(range(space.dim)).difference(kept))
+    pivoted = {r for r, _ in steps}
+    eqs = tuple(
+        (1, {at[c]: x for c, x in row.items()}) for i, row in enumerate(m) if row and i not in pivoted
+    )
+    basis = vect.kernel_basis(eqs, len(kept))
+    back = [(m[r], c) for r, c in reversed(steps)]
+    xs, unchanged = [], True
+    for _, v in basis:
+        x = {kept[j]: n for j, n in v.items()}
+        a = vect._back_substitute(x, back)
+        unchanged = unchanged and all(x.get(c, 0) == a * v.get(j, 0) for j, c in enumerate(kept))
+        xs.append((1, x))
+    if not unchanged or any(p for _, p in vect.mat_mul(rows, vect._transpose(xs, space.dim))):
+        raise MismatchError("eliminated equations disagree with the equations they come from")
+    return eqs, basis
 
 
-def phenome(s: System, names) -> Phenome:
-    """Restrict a system to the named variables by projecting its behavior."""
-    obs = tuple(names)
+def _check_observed(space: VectObj, obs):
     for n in obs:
-        if n not in s.universum.vars:
+        if n not in space.vars:
             raise MismatchError(f"unknown observable variable {n!r}")
-    pi = vect.projection_onto(s.universum, obs)
-    _, manifest = project_latent(s, pi)
-    return Phenome(obs, manifest)
 
 
 @dataclass(frozen=True)
@@ -479,21 +512,52 @@ class EmergenceReport:
 
 
 def emergence_report(c1: Circuit, c2: Circuit, spec: GlueSpec, names) -> EmergenceReport:
-    """Compare the interconnection of phenomes with the phenome of the interconnection."""
+    """Compare the interconnection of phenomes with the phenome of the interconnection.
+
+    Both are read off equations at the size of the cut; no part's behavior
+    and no glued circuit is built. Each part's ``phenome`` on its kept
+    variables (identified, observed, or the current of a terminal that
+    ``close_dangling`` closes) hides the rest; its phenome on the observed
+    names hides the kept ones too, and the parts' phenome is the kernel of
+    both sides' equations on the observed names. The whole stacks the parts'
+    kept equations over the merged names, adds the ``ext:`` row of each
+    closed terminal (its at most one end lies in one part), and takes the
+    phenome of that on the observed names. Hidden variables of the two parts
+    are distinct, so hiding them commutes with the interconnection.
+    Each ``phenome`` checks that every vector of its kernel extends to a
+    solution of the equations it eliminated from. That is one inclusion; the
+    other holds because the rows it keeps are row combinations of those
+    equations. So the kept equations, and the phenomes read from them, have
+    exactly the projected behaviors, at a cost linear in each part.
+    """
     obs = tuple(names)
     k1, k2 = compile_circuit(c1), compile_circuit(c2)
-    ph1 = phenome(k1.system, obs)
-    ph2 = phenome(k2.system, obs)
-    parts = behavior_image(ph1.system).intersect(behavior_image(ph2.system))
-    glued = _glue_compiled(k1, k2, spec)
-    if not glued.preservation.equal:
-        # the report has no field for the verdict, so a failed one stops it
-        raise MismatchError("stacked equations disagree with the pullback route")
-    whole = behavior_image(phenome(glued.system, obs).system)
+    _check_observed(k1.universum, obs)
+    observed = set(VectObj(obs).vars)  # VectObj rejects a repeated name
+    _check_observed(k2.universum, obs)
+    pairs, glued, rename1, rename2 = _merged_names(spec, k1.universum, k2.universum)
+    _check_observed(glued, obs)
+    closed = _closed_terminals(_merged_nodes(k1, k2, rename1, rename2)) if spec.close_dangling else []
+    cut = {i for n in closed for i, _ in n.ends}
+    part_eqs, sides = (), []
+    for k, rename, joined in ((k1, rename1, {l for l, _, _ in pairs}), (k2, rename2, {r for _, r, _ in pairs})):
+        kept = VectObj(tuple(v for v in k.universum.vars if v in joined or v in observed or rename[v] in cut))
+        eqs, _ = phenome(k.rep.f1.rows, k.universum, kept.vars)
+        part_eqs += phenome(eqs, kept, obs)[0]
+        sides.append((eqs, [rename[v] for v in kept.vars]))
+    at: dict[str, int] = {}
+    for _, merged in sides:
+        for v in merged:
+            at.setdefault(v, len(at))
+    stacked = [(d, {at[merged[j]]: x for j, x in m.items()}) for eqs, merged in sides for d, m in eqs]
+    stacked += _node_rows("ext", closed, at)[1]
+    _, whole = phenome(tuple(stacked), VectObj(tuple(at)), obs)
+    parts = vect.kernel_basis(part_eqs, len(obs))
+    # both are canonical bases of subspaces of the observed space, equal when the subspaces are
     return EmergenceReport(
         observed=obs,
-        parts_dim=parts.dim,
-        whole_dim=whole.dim,
+        parts_dim=len(parts),
+        whole_dim=len(whole),
         emergent=whole != parts,
-        close_dangling=glued.close_dangling,
+        close_dangling=spec.close_dangling,
     )

@@ -19,12 +19,17 @@ Gauss-Jordan on the leftmost remaining column and serves ``rref``,
 solution with free coordinates zero, for Zassenhaus's first-half-first
 intersection, and for the kernel's RREF. ``_eliminate_forward`` is forward
 elimination on the column in the fewest rows (ties to the highest column) to
-keep the fill down; each pivot row retires once it has cleared its column.
-It serves ``kernel_basis``, which back-substitutes one kernel vector per free
-column, and ``rank_of``, which counts its steps: a rank needs no column order.
-The ties leave the low columns free, so the kernel vectors mostly are the
-kernel's RREF already; where one is not, ``_eliminate`` canonicalizes them,
-so the output is the same.
+keep the fill down, pivoting only on the columns its caller allows; each
+pivot row retires once it has cleared its column. ``kernel_basis`` and
+``rank_of`` allow every column: the first back-substitutes
+(``_back_substitute``) one kernel vector per free column, the second counts
+the steps, since a rank needs no column order. The ties leave the low columns
+free, so the kernel vectors mostly are the kernel's RREF already; where one
+is not, ``_eliminate`` canonicalizes them, so the output is the same.
+``circuits.phenome`` allows only the columns of the variables it hides, so
+the rows that never pivot are the equations of the projection onto the
+others, and it back-substitutes their kernel through the pivot rows to check
+them.
 ``mat_mul(A, B)`` multiplies nonzeros over B's common denominator and divides
 by one gcd per result row. B's rows must be canonical, because a row it
 selects is returned as it is; every caller passes the rows of a ``LinMap`` or
@@ -369,27 +374,31 @@ def _eliminate(m: list[dict[int, int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _eliminate_forward(m: list[dict[int, int]]) -> list[tuple[int, int]]:
-    """``_eliminate``'s arithmetic, in place, as forward elimination in min-degree order.
+def _eliminate_forward(m: list[dict[int, int]], cols) -> list[tuple[int, int]]:
+    """``_eliminate``'s arithmetic, in place, as forward elimination in min-degree
+    order that pivots only on the columns in ``cols``.
 
-    Each step pivots on the column that appears in the fewest rows (ties to
-    the highest column), in the shortest row that contains it (ties to the
-    lower row index), so the fill stays small on sparse input such as circuit
-    equations (Markowitz 1957; Tinney and Walker 1967). The pivot row clears
-    its column from the other rows and retires: it leaves the column index
-    ``where`` and is never updated again. A lazy heap of (row count, -column)
-    finds the next pivot: an entry whose count is stale is dropped, and each
-    step pushes a fresh entry for every column of the pivot row.
+    Each step pivots on the column of cols that appears in the fewest rows
+    (ties to the highest column), in the shortest row that contains it (ties
+    to the lower row index), so the fill stays small on sparse input such as
+    circuit equations (Markowitz 1957; Tinney and Walker 1967). The pivot row
+    clears its column from the other rows and retires: it leaves the column
+    index ``where`` and is never updated again. A lazy heap of (row count,
+    -column) finds the next pivot: an entry whose count is stale is dropped,
+    and each step pushes a fresh entry for every column of cols in the pivot
+    row.
 
     Returns the steps (pivot row, pivot column) in order. A pivot row holds a
-    positive entry at its pivot column and no earlier step's pivot column,
-    and the rows that never pivot end empty.
+    positive entry at its pivot column and no earlier step's pivot column.
+    The rows that never pivot end with no column of cols: empty when cols
+    holds every column, and otherwise the equations that the rows imply on
+    the other columns.
     """
     where: dict[int, set[int]] = {}
     for i, row in enumerate(m):
         for j in row:
             where.setdefault(j, set()).add(i)
-    heap = [(len(rs), -j) for j, rs in where.items()]
+    heap = [(len(rs), -j) for j, rs in where.items() if j in cols]
     heapify(heap)
     steps: list[tuple[int, int]] = []
     while heap:
@@ -439,7 +448,8 @@ def _eliminate_forward(m: list[dict[int, int]]) -> list[tuple[int, int]]:
                         row[j] //= g
         rs.clear()
         for j, _ in entries:
-            heappush(heap, (len(where[j]), -j))
+            if j in cols:
+                heappush(heap, (len(where[j]), -j))
     return steps
 
 
@@ -458,7 +468,7 @@ def rref(rows, ncols: int) -> tuple[Rows, tuple[int, ...]]:
 def rank_of(rows, ncols: int) -> int:
     """The rank over Q: the number of forward-elimination steps. ncols is the
     column count; only the columns present are read."""
-    return len(_eliminate_forward(_ints(rows)))
+    return len(_eliminate_forward(_ints(rows), range(ncols)))
 
 
 def _unit_rows_at(rows) -> dict[int, int]:
@@ -508,6 +518,33 @@ def _disjoint_kernel(rows, ncols: int) -> Rows | None:
     )
 
 
+def _back_substitute(x: dict[int, int], back) -> int:
+    """Solve the pivot rows ``back``, pairs (pivot row, pivot column) latest
+    step first, for their pivot columns, in place, given x's other coordinates.
+
+    x is kept integral: a pivot p that does not divide the row's sum scales x
+    by p/gcd. Returns the product of those scalings, the factor by which the
+    coordinates x held on entry have grown.
+    """
+    scale = 1
+    for prow, c in back:
+        s = 0
+        for j, y in prow.items():
+            v = x.get(j)
+            if v:
+                s += y * v
+        if s:
+            p = prow[c]
+            g = gcd(s, p)
+            if g != p:
+                a = p // g
+                scale *= a
+                for j in x:
+                    x[j] *= a
+            x[c] = -s // g
+    return scale
+
+
 def kernel_basis(rows, ncols: int) -> Rows:
     """Canonical basis of the right kernel (itself in row-echelon form).
 
@@ -523,7 +560,7 @@ def kernel_basis(rows, ncols: int) -> Rows:
     if direct is not None:
         return direct
     m = _ints(rows)
-    steps = _eliminate_forward(m)
+    steps = _eliminate_forward(m, range(ncols))
     pivot_cols = {c for _, c in steps}
     back = [(m[r], c) for r, c in reversed(steps)]
     basis = []
@@ -531,22 +568,8 @@ def kernel_basis(rows, ncols: int) -> Rows:
     for fc in range(ncols):
         if fc in pivot_cols:
             continue
-        # x is kept integral: a pivot p that does not divide the sum scales x by p/gcd
         x = {fc: 1}
-        for prow, c in back:
-            s = 0
-            for j, y in prow.items():
-                v = x.get(j)
-                if v:
-                    s += y * v
-            if s:
-                p = prow[c]
-                g = gcd(s, p)
-                if g != p:
-                    a = p // g
-                    for j in x:
-                        x[j] *= a
-                x[c] = -s // g
+        _back_substitute(x, back)
         canonical = canonical and min(x) == fc
         basis.append(x)
     if canonical:

@@ -212,3 +212,35 @@ def _close_rows(c1: Circuit, c2: Circuit, pairs, universum: VectObj):
         names.append(f"ext:{label}")
         closed.append(label)
     return tuple(names), tuple(rows), tuple(closed)
+
+
+# How ``syscat.circuits.emergence_report`` read emergence before it eliminated
+# each part's hidden variables from its equations: each part's phenome
+# projected from its full kernel, the whole's from the glued circuit's system.
+# The reference the elimination route must match, report for report and
+# error for error.
+
+def full_phenome(system, obs):
+    """The behavior of system projected onto the observed variables."""
+    from syscat.errors import MismatchError
+    from syscat.systems import behavior_image, project_latent
+    from syscat.vect import projection_onto
+
+    for n in obs:
+        if n not in system.universum.vars:
+            raise MismatchError(f"unknown observable variable {n!r}")
+    return behavior_image(project_latent(system, projection_onto(system.universum, obs))[1])
+
+
+def full_emergence_report(c1: Circuit, c2: Circuit, spec, names):
+    from syscat.circuits import EmergenceReport, _glue_compiled, compile_circuit
+    from syscat.errors import MismatchError
+
+    obs = tuple(names)
+    k1, k2 = compile_circuit(c1), compile_circuit(c2)
+    parts = full_phenome(k1.system, obs).intersect(full_phenome(k2.system, obs))
+    glued = _glue_compiled(k1, k2, spec)
+    if not glued.preservation.equal:
+        raise MismatchError("stacked equations disagree with the pullback route")
+    whole = full_phenome(glued.system, obs)
+    return EmergenceReport(obs, parts.dim, whole.dim, whole != parts, spec.close_dangling)

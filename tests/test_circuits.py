@@ -1,3 +1,4 @@
+import importlib
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from syscat import carriers, vect
+from syscat import carriers, circuits, vect
 from syscat.circuits import (
     Circuit,
     GlueSpec,
@@ -27,7 +28,7 @@ from syscat.circuits import (
     voltage_var,
 )
 from syscat.equations import EquationMorphism, EquationRep, check_preservation, pullback_equations
-from syscat.errors import GlueError, MismatchError, ParseError
+from syscat.errors import DomainError, GlueError, MismatchError, ParseError
 from syscat.systems import (
     SystemMorphism,
     behavior_image,
@@ -38,6 +39,7 @@ from syscat.systems import (
 from syscat.vect import LinMap, Subspace, VectObj
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
+BENCH = CIRCUITS.parent / "bench"
 
 S_TEXT = """\
 circuit S
@@ -334,18 +336,40 @@ def test_glue_ranks_only_in_its_certificates(circuits_dir, monkeypatch, close):
     assert seen == ["rank_of"] * (2 if close else 1)
 
 
+def augmented(c: Circuit, extra) -> Circuit:
+    """c with the nodes extra declared as isolated terminals, as an emergence
+    part declares the other part's outer terminals."""
+    return replace(c, nodes=c.nodes + tuple(extra), terminals=c.terminals + tuple(extra))
+
+
+def aug_ladders(n: int):
+    """Two augmented n-rung ladders chained at a's right and b's left end, voltages
+    and currents, with the four outer voltages shared by name and observed."""
+    outer_a, outer_b = ("an0", "ag0"), (f"bn{n}", f"bg{n}")
+    spec = GlueSpec("AB", tuple((voltage_var(x), voltage_var(x)) for x in outer_a + outer_b) + (
+        (f"v_an{n}", "v_bn0"), (f"v_ag{n}", "v_bg0"), (f"i_ar{n - 1}", "i_br0"), (f"i_aw{n - 1}", "i_bw0"),
+    ))
+    obs = tuple(voltage_var(x) for x in outer_a + outer_b)
+    return augmented(ladder("a", n), outer_b), augmented(ladder("b", n), outer_a), spec, obs
+
+
 @pytest.mark.parametrize("close", [False, True])
-def test_emergence_ranks_once_per_certificate(circuits_dir, monkeypatch, close):
-    # each phenome's projection holds a unit row per observed variable, which
-    # settles its rank, so the only ranks are the glue's certificates
-    left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S_aug.ckt", "P_aug.ckt"))
-    spec = replace(parse_glue((circuits_dir / "SP_aug.glue").read_text()), close_dangling=close)
-    seen = []
-    rank_of = vect.rank_of
-    monkeypatch.setattr(vect, "rank_of", lambda *a: seen.append(a) or rank_of(*a))
-    rep = emergence_report(left, right, spec, ("v_a", "v_b", "v_i", "v_j"))
-    assert (rep.parts_dim, rep.whole_dim) == ((4, 1) if close else (4, 3))
-    assert len(seen) == (2 if close else 1)
+def test_emergence_runs_only_cut_sized_kernels(monkeypatch, close):
+    # no glue, certificate, pullback, rank, RREF or solve, no part's system
+    # (its equalizer), and every kernel is over the kept variables of a part
+    left, right, spec, obs = aug_ladders(6)
+    seen, widths = [], []
+    for owner, name in ((circuits, "_glue_compiled"), (circuits, "certified_kernel_rep"),
+                        (carriers, "pullback"), (carriers, "equalizer"),
+                        (vect, "rank_of"), (vect, "rref"), (vect, "solve_matrix")):
+        monkeypatch.setattr(owner, name, lambda *a, _n=name: seen.append(_n))
+    kernel_basis = vect.kernel_basis
+    monkeypatch.setattr(vect, "kernel_basis", lambda rows, n: widths.append(n) or kernel_basis(rows, n))
+    rep = emergence_report(left, right, replace(spec, close_dangling=close), obs)
+    assert (rep.parts_dim, rep.whole_dim) == (4, 2 if close else 3)
+    assert seen == []
+    # a part has 34 variables; it keeps 6 voltages, 2 glued currents and, closed, 2 more
+    assert max(widths) == (10 if close else 8)
 
 
 def test_glue_close_dangling_collapses_to_a_line():
@@ -484,7 +508,7 @@ def test_circuit_kernels_are_read_off_canonical(circuit, forward):
 def test_grid_kernel_is_canonicalized_once():
     compiled = compile_circuit(ugrid("a", 3))
     rows, dim = compiled.rep.f1.rows, compiled.universum.dim
-    free = set(range(dim)) - {c for _, c in vect._eliminate_forward(vect._ints(rows))}
+    free = set(range(dim)) - {c for _, c in vect._eliminate_forward(vect._ints(rows), range(dim))}
     got, forwards, canonicalized = _kernel_paths(rows, dim)
     assert free != {min(m) for _, m in got}  # the kernel's RREF pivots
     assert (forwards, canonicalized) == (1, 1)
@@ -729,28 +753,42 @@ def test_orientation_reversal_changes_nothing_observable():
     )
     assert flipped == behavior_image(cr.system)
     obs = ("v_a", "v_c")
-    assert phenome(cf.system, obs).dim == phenome(cr.system, obs).dim
+    assert phenome(cf.rep.f1.rows, cf.universum, obs) == phenome(cr.rep.f1.rows, cr.universum, obs)
 
 
 # -- phenomes and emergence ------------------------------------------------------
 
 def test_phenome_of_all_variables_is_the_behavior():
+    # nothing is hidden, so the equations are the circuit's own rows
     c = compile_circuit(parse_netlist(S_TEXT))
-    ph = phenome(c.system, c.universum.vars)
-    assert ph.dim == behavior_image(c.system).dim
+    eqs, basis = phenome(c.rep.f1.rows, c.universum, c.universum.vars)
+    assert Subspace.from_rows(c.universum, basis) == behavior_image(c.system)
+    assert Subspace.from_rows(c.universum, eqs) == Subspace.from_rows(c.universum, c.rep.f1.rows)
 
 
 def test_phenome_unknown_variable():
     c = compile_circuit(parse_netlist(S_TEXT))
     with pytest.raises(MismatchError):
-        phenome(c.system, ("v_a", "v_nope"))
+        phenome(c.rep.f1.rows, c.universum, ("v_a", "v_nope"))
+
+
+def test_phenome_rejects_a_solution_that_changes_the_kept_variables(monkeypatch):
+    # the zero vector solves every equation, so only the comparison on the kept
+    # variables catches a back-substitution that loses them; no rows survive
+    # the elimination here, so the kernel is written without back-substitution
+    c = compile_circuit(parse_netlist(S_TEXT))
+    assert phenome(c.rep.f1.rows, c.universum, ("v_a", "v_c")) == ((), ((1, {0: 1}), (1, {1: 1})))
+    monkeypatch.setattr(vect, "_back_substitute", lambda x, back: x.clear() or 1)
+    with pytest.raises(MismatchError, match="eliminated equations disagree"):
+        phenome(c.rep.f1.rows, c.universum, ("v_a", "v_c"))
 
 
 def test_augmented_phenomes_are_full():
     s, p, _ = aug_circuits()
     obs = ("v_a", "v_b", "v_i", "v_j")
-    assert phenome(compile_circuit(s).system, obs).dim == 4
-    assert phenome(compile_circuit(p).system, obs).dim == 4
+    for c in (compile_circuit(s), compile_circuit(p)):
+        eqs, basis = phenome(c.rep.f1.rows, c.universum, obs)
+        assert len(basis) == 4 and not any(m for _, m in eqs)
 
 
 def test_emergence_open_and_closed():
@@ -763,16 +801,94 @@ def test_emergence_open_and_closed():
 
 
 def test_whole_phenome_is_contained_in_parts():
+    # on the full route, and the report gives the dims of that route's two spaces
     s, p, spec = aug_circuits()
     obs = ("v_a", "v_b", "v_i", "v_j")
     k1, k2 = compile_circuit(s), compile_circuit(p)
-    parts = behavior_image(phenome(k1.system, obs).system).intersect(
-        behavior_image(phenome(k2.system, obs).system)
-    )
+    parts = oracles.full_phenome(k1.system, obs).intersect(oracles.full_phenome(k2.system, obs))
     for close in (False, True):
-        glued = glue(s, p, replace(spec, close_dangling=close))
-        whole = behavior_image(phenome(glued.system, obs).system)
+        whole = oracles.full_phenome(glue(s, p, replace(spec, close_dangling=close)).system, obs)
         assert whole.leq(parts)
+        rep = emergence_report(s, p, replace(spec, close_dangling=close), obs)
+        assert (rep.parts_dim, rep.whole_dim, rep.emergent) == (parts.dim, whole.dim, whole != parts)
+
+
+def _outcome(report, case):
+    try:
+        return report(*case)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def emergence_cases(draw):
+    """A ladder and a ladder or grid, each declaring the other's outer nodes as
+    isolated terminals identified by name, joined at some junction voltages
+    and maybe currents, open or closed, observed at shared names.
+
+    Some draws observe a name that the left side identifies with a different
+    name while the right keeps it, glue the current of a terminal that closing
+    closes (the left ladder's n0 has one end, r0), observe a name one part
+    lacks or a name twice, or identify a variable that does not exist.
+    """
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 4))
+        right, outer_b, entry = ladder("b", m), (f"bn{m}", f"bg{m}"), ["bn0", "bg0"]
+    else:
+        k = draw(st.integers(2, 3))
+        right, outer_b, entry = ugrid("b", k), (f"bx{k - 1}_{k - 1}",), ["bx0_0", f"bx0_{k - 1}"]
+    outer_a = ("an0", "ag0")
+    alias = (f"an{n}",) if draw(st.booleans()) else ()
+    left, right = augmented(ladder("a", n), outer_b), augmented(right, outer_a + alias)
+    idents = [(voltage_var(x), voltage_var(x)) for x in outer_a + outer_b]
+    joins = list(zip([f"an{n}", f"ag{n}"], draw(st.permutations(entry))))
+    idents += [(voltage_var(a), voltage_var(b)) for a, b in joins[:draw(st.integers(len(alias), 2))]]
+    currents = draw(st.permutations([current_var(e.ident) for e in right.elements]))
+    if draw(st.booleans()):
+        idents.append(("i_ar0", currents[0]))
+    if draw(st.booleans()):
+        idents.append((current_var(draw(st.sampled_from(left.elements[1:] or left.elements)).ident), currents[-1]))
+    if draw(st.integers(0, 9)) == 9:
+        idents.append(("v_nope", voltage_var(entry[0])))
+    shared = [voltage_var(x) for x in outer_a + outer_b + alias]
+    obs = draw(st.lists(st.sampled_from(shared), min_size=1, unique=True, max_size=5))
+    if draw(st.integers(0, 4)) == 4:
+        obs.insert(draw(st.integers(0, len(obs))), draw(st.sampled_from(["v_an1", "i_ar0", *obs[:1]])))
+    return left, right, GlueSpec("AB", tuple(idents), draw(st.booleans())), tuple(obs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(emergence_cases())
+def test_emergence_matches_the_full_route(case):
+    # equal reports or the same typed error as the full kernels, glue and projection
+    assert _outcome(emergence_report, case) == _outcome(oracles.full_emergence_report, case)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 101])
+def test_bench_emergence_ops_match_the_full_route(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(BENCH))
+    generate = importlib.import_module("generate")
+    for op in generate.plan("emergence", seed):
+        left, right, spec = (parse(op.files[name]) for parse, name in zip(
+            (parse_netlist, parse_netlist, parse_glue), op.argv[1:4]))
+        case = (left, right, replace(spec, close_dangling=op.close), op.observe)
+        assert emergence_report(*case) == oracles.full_emergence_report(*case)
+
+
+@pytest.mark.parametrize("close", [False, True])
+def test_emergence_stops_where_the_elimination_pivots_on_a_kept_variable(monkeypatch, close):
+    # the observed v_an0 pivots too: ker of the left rows leaves it free, but
+    # back-substitution solves for it, so a basis vector changes on a kept variable
+    left, right, spec, obs = aug_ladders(3)
+    forward = vect._eliminate_forward
+
+    def pivoting_on_v_an0(m, cols):
+        return forward(m, set(cols) | {0})  # v_an0 is the first variable of the left ladder
+
+    monkeypatch.setattr(vect, "_eliminate_forward", pivoting_on_v_an0)
+    with pytest.raises(MismatchError, match="eliminated equations disagree"):
+        emergence_report(left, right, replace(spec, close_dangling=close), obs)
 
 
 def test_no_emergence_without_internal_interaction():
