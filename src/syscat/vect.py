@@ -55,10 +55,12 @@ it is absent:
   cone's row beside the unit row of j. One ``mat_mul`` checks the candidate
   against every row of the cone; if any differs, no map exists. Otherwise
   ``solve_matrix``.
-- ``classify``: r unit rows of distinct columns prove the rank is at least r,
-  so r is the rank when it reaches min(dom.dim, cod.dim): a unit row per
-  domain coordinate, as above, or per codomain coordinate, as in a
-  projection onto observed variables. Otherwise ``rank_of``.
+- ``classify``: an inclusion's kept basis in canonical RREF has distinct
+  pivots, so its length is the rank, and the inclusion's rows are not built.
+  Otherwise r unit rows of distinct columns prove the rank is at least r, so
+  r is the rank when it reaches min(dom.dim, cod.dim): a unit row per domain
+  coordinate, as above, or per codomain coordinate, as in a projection onto
+  observed variables. Otherwise ``rank_of``.
 - ``kernel_basis``: rows whose supports are pairwise disjoint constrain
   disjoint columns, and ``_disjoint_kernel`` writes the kernel's RREF
   directly; this covers every pullback of coordinate maps and every kernel
@@ -70,7 +72,9 @@ it is absent:
   row touching another's pivot) are kept as given. Otherwise ``rref``.
 
 The inclusions ``equalizer``, ``image_factorize`` and ``subobject_map`` build
-keep the basis they transpose, and ``image`` reads it back.
+keep their canonical basis and transpose it on first read of their rows;
+``image`` and ``classify`` read the basis, so an inclusion whose rows nothing
+reads, such as the behavior ``behavior`` prints, never builds them.
 
 Computed subobjects (kernels, images, pullback objects) come back with
 generated ``k<i>`` coordinate names.
@@ -237,7 +241,17 @@ class LinMap:
     dom: VectObj
     cod: VectObj
     rows: Rows
-    _basis = None  # the canonical RREF rows a map built by ``_inclusion`` is the transpose of
+    _basis = None  # the canonical RREF basis an ``_inclusion`` keeps
+
+    @cached_property
+    def rows(self) -> Rows:
+        """Set by every constructor but ``_inclusion``, whose rows, the
+        transpose of its basis, are built on first read and kept.
+
+        The dataclass records this descriptor as the field's default, which
+        nothing reads: ``__init__`` is written out, not generated.
+        """
+        return _transpose(self._basis, self.cod.dim)
 
     def __init__(self, dom: VectObj, cod: VectObj, matrix):
         """The map with a dense matrix: cod.dim rows of dom.dim ints, Fractions or 'p/q' strings."""
@@ -665,12 +679,18 @@ def terminal_map(obj: VectObj) -> LinMap:
 def classify(f: LinMap) -> tuple[bool, bool]:
     """(mono, epi) from one rank: full column rank and full row rank.
 
-    r unit rows of distinct columns prove the rank is at least r, so when r is
-    min(dom.dim, cod.dim) it is the rank, without elimination.
+    An inclusion's kept basis in canonical RREF has distinct pivots, so its
+    rows are independent and their number is the rank; its rows are not
+    built. Otherwise r unit rows of distinct columns prove the rank is at
+    least r, so when r is min(dom.dim, cod.dim) it is the rank, without
+    elimination.
     """
-    r = len(_unit_rows_at(f.rows))
-    if r != min(f.dom.dim, f.cod.dim):
-        r = rank_of(f.rows, f.dom.dim)
+    if f._basis is not None and _is_canonical_rref(f._basis):
+        r = len(f._basis)
+    else:
+        r = len(_unit_rows_at(f.rows))
+        if r != min(f.dom.dim, f.cod.dim):
+            r = rank_of(f.rows, f.dom.dim)
     return r == f.dom.dim, r == f.cod.dim
 
 
@@ -860,9 +880,17 @@ class Subspace:
 
 def _inclusion(dom: VectObj, cod: VectObj, basis: Rows) -> LinMap:
     """The map sending coordinate i of dom to row i of basis, canonical RREF rows
-    over cod.dim columns. The map keeps basis for ``image``."""
-    f = LinMap.from_rows(dom, cod, _transpose(basis, cod.dim))
-    object.__setattr__(f, "_basis", basis)
+    over cod.dim columns.
+
+    basis must hold one row per coordinate of dom, each with its columns below
+    cod.dim. The map keeps only basis and builds its rows, the transpose, on
+    first read; ``image`` and ``classify`` read the basis.
+    """
+    if len(basis) != dom.dim:
+        raise MismatchError(f"basis has {len(basis)} rows, domain dimension is {dom.dim}")
+    _check_columns(basis, cod.dim, "a basis row")
+    f = LinMap.__new__(LinMap)
+    f.__dict__.update(dom=dom, cod=cod, _basis=basis)
     return f
 
 
@@ -870,9 +898,9 @@ def image(f: LinMap) -> Subspace:
     """The column space of f, in canonical form.
 
     The inclusions that ``equalizer``, ``image_factorize`` and ``subobject_map``
-    build are transposed canonical bases and keep them, so their image is read
-    from that basis without transposing back; ``Subspace`` still checks that
-    it is canonical RREF. Any other map's columns are transposed and reduced.
+    build keep their canonical basis, so their image is that basis, without
+    transposing; ``Subspace`` still checks that it is canonical RREF. Any other
+    map's columns are transposed and reduced.
     """
     basis = f._basis
     if basis is None:

@@ -327,13 +327,16 @@ def test_glue_ranks_only_in_its_certificates(circuits_dir, monkeypatch, close):
     # counts: the open glue's, and with closing the closed one's
     left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
     spec = parse_glue((circuits_dir / "SP.glue").read_text())
-    seen = []
+    seen, reps = [], []
     for name in ("solve_matrix", "rank_of", "rref"):
         kernel = getattr(vect, name)
         monkeypatch.setattr(vect, name, lambda *a, _n=name, _k=kernel: seen.append(_n) or _k(*a))
+    certify = circuits.certified_kernel_rep
+    monkeypatch.setattr(circuits, "certified_kernel_rep", lambda *a: reps.append(certify(*a)) or reps[-1])
     res = glue(left, right, replace(spec, close_dangling=close))
     assert res.preservation.equal and res.behavior.dim == (1 if close else 4)
     assert seen == ["rank_of"] * (2 if close else 1)
+    assert len(reps) == len(seen) and None not in reps  # each certificate holds
 
 
 def augmented(c: Circuit, extra) -> Circuit:

@@ -44,6 +44,41 @@ def test_behavior_json_roundtrip(circuits_dir, capsys):
     assert all(isinstance(x, str) for row in report["behavior"]["basis"] for x in row)
 
 
+def bench_ladder(n: int) -> str:
+    """A ladder as the benchmark draws it: rail n of resistors r, rail g of
+    wires w, rungs s of resistors, the four ends as terminals."""
+    lines = [f"circuit ladder{n}", "node " + " ".join(f"{k}{i}" for k in "ng" for i in range(n + 1)),
+             f"terminal n0 g0 n{n} g{n}"]
+    for i in range(n):
+        lines += [f"resistor r{i} n{i} n{i + 1} {i + 1}/{i + 2}", f"wire w{i} g{i} g{i + 1}",
+                  f"resistor s{i} n{i + 1} g{i + 1} {2 * i + 3}"]
+    return "\n".join(lines) + "\n"
+
+
+def bench_grid(k: int) -> str:
+    """A k x k grid as the benchmark draws it: every fifth edge a wire, the
+    others rational resistors, the four corners as terminals."""
+    lines = [f"circuit grid{k}", "node " + " ".join(f"x{x}y{y}" for y in range(k) for x in range(k)),
+             f"terminal x0y0 x0y{k - 1} x{k - 1}y0 x{k - 1}y{k - 1}"]
+    edges = [(f"{tag}{x}_{y}", f"x{x}y{y}", f"x{x2}y{y2}") for y in range(k) for x in range(k)
+             for tag, x2, y2 in (("h", x + 1, y), ("v", x, y + 1)) if x2 < k and y2 < k]
+    for i, (name, a, b) in enumerate(edges):
+        lines.append(f"wire {name} {a} {b}" if i % 5 == 0 else f"resistor {name} {a} {b} {i + 2}/{i % 7 + 1}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("netlist", [bench_ladder(14), bench_grid(5)], ids=["ladder14", "grid5"])
+def test_behavior_never_transposes_its_inclusion(netlist, tmp_path, capsys):
+    # behavior prints the kernel's basis, which its inclusion keeps, so the
+    # inclusion's rows are never built
+    path = tmp_path / "c.ckt"
+    path.write_text(netlist)
+    with mock.patch.object(vect, "_transpose", wraps=vect._transpose) as transpose:
+        code, out, _ = run_cli(["behavior", str(path), "--json"], capsys)
+    assert code == 0 and json.loads(out)["behavior"]["dim"] == 4
+    assert transpose.call_count == 0
+
+
 def test_behavior_missing_file_is_usage_error(tmp_path, capsys):
     code, _, err = run_cli(["behavior", str(tmp_path / "nope.ckt")], capsys)
     assert code == 2

@@ -12,9 +12,10 @@ The structural shortcuts (unit and empty rows of A in ``mat_mul``,
 single-entry columns in ``_transpose``, a unit row per domain coordinate in
 ``lift``, unit rows of min(dom, cod) distinct columns in ``classify``, disjoint
 row supports in ``kernel_basis``, rows already in canonical RREF in
-``Subspace``, the kept basis of an inclusion in ``image``) are drawn on
-purpose, together with inputs that just miss each condition, and checked
-against the same references. ``kernel_basis`` has one more: the vectors
+``Subspace``, the kept basis of an inclusion in ``image`` and ``classify``,
+whose rows are built only when read) are drawn on purpose, together with
+inputs that just miss each condition, and checked against the same
+references. ``kernel_basis`` has one more: the vectors
 back-substituted after its forward elimination skip the canonicalizing
 ``_eliminate`` when none has an entry left of its own free column; the
 random rows here take both paths, and ``tests/test_circuits.py`` pins which
@@ -30,10 +31,13 @@ from contextlib import nullcontext
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syscat import carriers, vect
+from syscat.errors import MismatchError, NonInjectiveInclusion
+from syscat.systems import System
 from syscat.vect import LinMap, VectObj
 
 import dense_kernels
@@ -667,6 +671,69 @@ def test_image_of_other_maps_matches_dense_reference(data):
     g = vect.compose(inc, data.draw(linmaps(x, inc.dom)))
     for h in (f, g):
         assert_identical(vect.image(h).basis, _image_reference(h))
+
+
+@st.composite
+def canonical_bases(draw):
+    """(dom, cod, basis): basis the canonical rows of a random matrix's row
+    space, of no rows, or of all of cod (a random invertible matrix's), with
+    cod of dimension 0 to 6 and dom of one coordinate per basis row."""
+    cod = _space("z", draw(DIMS))
+    kind = draw(st.sampled_from(("random", "empty", "full")))
+    if kind == "random":
+        rows, _ = draw(sparse_rows(ncols=cod.dim))
+    elif kind == "empty":
+        rows = ()
+    else:
+        rows = draw(invertible(cod)).matrix
+    basis = vect.Subspace(cod, rows).rows
+    return _space("b", len(basis)), cod, basis
+
+
+@settings(deadline=None, max_examples=150)
+@given(canonical_bases(), st.data())
+def test_an_inclusion_reads_as_its_transposed_basis(case, data):
+    # an inclusion keeps only its basis; each reader must see the map of the
+    # transposed rows, and classify and image read the basis before any row
+    dom, cod, basis = case
+    eager = LinMap.from_rows(dom, cod, vect._transpose(basis, cod.dim))
+
+    def lazy():
+        return vect._inclusion(dom, cod, basis)
+
+    kind, space = carriers.classify_map(eager), vect.image(eager)
+    with _forbidden("_transpose"):
+        assert carriers.classify_map(lazy()) == kind
+        assert vect.image(lazy()) == space
+    assert lazy() == eager and eager == lazy()
+    assert hash(lazy()) == hash(eager)
+    f = lazy()
+    assert f.rows == eager.rows and f.rows is f.rows
+    assert_identical(lazy().matrix, eager.matrix)
+    f = lazy()
+    assert [f.column(j) for j in range(dom.dim)] == [eager.column(j) for j in range(dom.dim)]
+    v = data.draw(st.tuples(*[NONZERO] * dom.dim))
+    assert lazy().apply(v) == eager.apply(v)
+
+
+@pytest.mark.parametrize("dom_dim, basis", [
+    (2, ((1, {0: 1}),)),
+    (0, ((1, {0: 1}),)),
+    (1, ((1, {3: 1}),)),
+    (1, ((1, {-1: 1}),)),
+], ids=["fewer-rows", "more-rows", "column-past-cod", "negative-column"])
+def test_an_inclusion_checks_its_basis(dom_dim, basis):
+    with pytest.raises(MismatchError):
+        vect._inclusion(_space("b", dom_dim), _space("z", 3), basis)
+
+
+def test_a_system_refuses_an_inclusion_of_a_repeated_row():
+    # two rows, rank one: only a basis in canonical RREF may be ranked by its length
+    row = (1, {0: 1, 2: 5})
+    with pytest.raises(NonInjectiveInclusion):
+        System(vect._inclusion(_space("b", 2), _space("z", 3), (row, row)))
+    # independent rows that are not canonical RREF are ranked by elimination
+    System(vect._inclusion(_space("b", 2), _space("z", 3), ((1, {0: 1, 1: 1}), (1, {1: 1}))))
 
 
 def _unchanged(fn, *args):
