@@ -80,6 +80,7 @@ from .systems import System, behavior_image, systems_equal
 from .vect import LinMap, Subspace, VectObj
 
 _NAME = re.compile(r"^[A-Za-z0-9_.\-]+$")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class Circuit:
                 raise ParseError(f"element {e.ident!r} references an undeclared node")
             if e.n1 == e.n2:
                 raise ParseError(f"element {e.ident!r} is a self-loop")
-            if isinstance(e, Resistor) and e.resistance <= 0:
+            if isinstance(e, Resistor) and e.resistance.numerator <= 0:
                 raise ParseError(f"resistor {e.ident!r} must have positive resistance")
 
 
@@ -135,17 +136,19 @@ def current_var(ident: str) -> str:
     return f"i_{ident}"
 
 
-def _check_name(tok: str, what: str, line: int) -> str:
-    if not _NAME.match(tok):
-        raise ParseError(f"invalid {what} {tok!r}", line)
-    return tok
+def _check_names(toks, what: str, line: int):
+    for tok in toks:
+        if not _NAME.match(tok):
+            raise ParseError(f"invalid {what} {tok!r}", line)
 
 
 def _parse_rational(tok: str, line: int) -> Fraction:
-    if not re.match(r"^[+-]?[0-9]+(/[0-9]+)?$", tok):
+    m = _RATIONAL.fullmatch(tok)
+    if m is None:
         raise ParseError(f"expected an exact rational (int or p/q), got {tok!r}", line)
+    p, q = m.groups()
     try:
-        return Fraction(tok)
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {tok!r}", line) from None
     except ValueError:  # more digits than int() converts from a string
@@ -154,9 +157,9 @@ def _parse_rational(tok: str, line: int) -> Fraction:
 
 def _directive_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped:
-            yield lineno, stripped.split()
+        toks = raw.split("#", 1)[0].split()
+        if toks:
+            yield lineno, toks
 
 
 def parse_netlist(text: str) -> Circuit:
@@ -171,27 +174,32 @@ def parse_netlist(text: str) -> Circuit:
                 raise ParseError("duplicate circuit header", lineno)
             if len(args) != 1:
                 raise ParseError("circuit header takes exactly one name", lineno)
-            name = _check_name(args[0], "circuit name", lineno)
+            _check_names(args, "circuit name", lineno)
+            name = args[0]
             continue
         if name is None:
             raise ParseError("the first directive must be 'circuit <name>'", lineno)
         if kind == "node":
             if not args:
                 raise ParseError("node directive needs at least one id", lineno)
-            nodes.extend(_check_name(a, "node id", lineno) for a in args)
+            _check_names(args, "node id", lineno)
+            nodes += args
         elif kind == "terminal":
             if not args:
                 raise ParseError("terminal directive needs at least one id", lineno)
-            terminals.extend(_check_name(a, "node id", lineno) for a in args)
+            _check_names(args, "node id", lineno)
+            terminals += args
         elif kind == "resistor":
             if len(args) != 4:
                 raise ParseError("resistor takes: id n1 n2 value", lineno)
-            ident, n1, n2 = (_check_name(a, "id", lineno) for a in args[:3])
-            elements.append(Resistor(ident, n1, n2, _parse_rational(args[3], lineno)))
+            ident, n1, n2, value = args
+            _check_names((ident, n1, n2), "id", lineno)
+            elements.append(Resistor(ident, n1, n2, _parse_rational(value, lineno)))
         elif kind == "wire":
             if len(args) != 3:
                 raise ParseError("wire takes: id n1 n2", lineno)
-            ident, n1, n2 = (_check_name(a, "id", lineno) for a in args)
+            ident, n1, n2 = args
+            _check_names(args, "id", lineno)
             elements.append(Wire(ident, n1, n2))
         else:
             raise ParseError(f"unknown directive {kind!r}", lineno)

@@ -5,6 +5,10 @@ whose two routes disagree (its report is printed all the same); 2 usage or
 input-parsing error.
 Rationals are always printed as ``p/q`` (or a plain integer), never as
 decimals; with ``--json`` every command emits a machine-readable report.
+Every report is written by one writer, ``_dumps``, byte-identical to
+``json.dumps(report, indent=2)`` for the values reports hold (dicts with str
+keys, lists, strs, ints and bools); it refuses a float, or any other value,
+with ``TypeError``.
 
 With ``--close-dangling``, glue's ``behavior`` is the closed interconnection,
 while ``syntax_dim``, ``semantics_dim`` and ``preservation_equal`` describe
@@ -18,9 +22,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from pathlib import Path
 
@@ -44,6 +48,37 @@ def _positive_int(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
+
+
+def _dumps(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` for dicts with str keys, lists, strs, ints and bools.
+
+    Strings go through ``json``'s own C escaper, without a call of their own
+    when they sit in a list, such as a basis row. ``indent`` is the newline
+    and indentation that close obj's brackets.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [encode_basestring_ascii(x) if type(x) is str else _dumps(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"report keys must be str, not {type(k).__name__}")
+            items.append(encode_basestring_ascii(k) + ": " + _dumps(v, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"a report holds no {type(obj).__name__}")
 
 
 def _behavior_json(sub) -> dict:
@@ -87,7 +122,7 @@ def cmd_behavior(args, out) -> int:
             },
             "behavior": behavior,
         }
-        out.write(json.dumps(report, indent=2) + "\n")
+        out.write(_dumps(report) + "\n")
         return 0
     out.write(f"circuit {compiled.name}: dim(U)={compiled.universum.dim} dim(B)={sub.dim}\n")
     out.write("universum: " + " ".join(compiled.universum.vars) + "\n")
@@ -126,7 +161,7 @@ def cmd_glue(args, out) -> int:
             "preservation_equal": pres.equal,
             "closed_terminals": list(result.closed_terminals),
         }
-        out.write(json.dumps(report, indent=2) + "\n")
+        out.write(_dumps(report) + "\n")
         return 0 if pres.equal else 1
     out.write(
         f"glued universum: dim={result.universum.dim}\n"
@@ -146,7 +181,7 @@ def cmd_emergence(args, out) -> int:
     observed = [v for v in args.observe.split(",") if v]
     report = emergence_report(left, right, spec, observed)
     if args.json:
-        out.write(json.dumps(report.to_json(), indent=2) + "\n")
+        out.write(_dumps(report.to_json()) + "\n")
         return 0
     out.write(
         f"parts={report.parts_dim} whole={report.whole_dim} "
@@ -158,7 +193,7 @@ def cmd_emergence(args, out) -> int:
 def cmd_check(args, out) -> int:
     report = run_law(args.law, args.seed, args.trials)
     if args.json:
-        out.write(json.dumps(report.to_json(), indent=2) + "\n")
+        out.write(_dumps(report.to_json()) + "\n")
         return 0 if report.ok else 1
     for suite in report.suites:
         status = "pass" if suite.ok else "FAIL"

@@ -716,7 +716,10 @@ def pullback(f1: LinMap, f2: LinMap) -> tuple[VectObj, LinMap, LinMap]:
 def equalizer(f: LinMap, g: LinMap) -> tuple[VectObj, LinMap]:
     if f.dom != g.dom or f.cod != g.cod:
         raise MismatchError("equalizer: maps must be a parallel pair")
-    rows = [(1, m) for m in _stack(f.rows, g.rows, 0, -1)]
+    if any(m for _, m in g.rows):
+        rows = [(1, m) for m in _stack(f.rows, g.rows, 0, -1)]
+    else:  # g = 0, as in every kernel representation; kernel_basis copies f's rows
+        rows = f.rows
     basis = kernel_basis(rows, f.dom.dim)
     obj = VectObj(_kernel_names(len(basis)))
     return obj, _inclusion(obj, f.dom, basis)

@@ -106,32 +106,129 @@ def test_parse_degenerate_and_comments():
     assert c.nodes == ("n",) and c.elements == ()
 
 
-@pytest.mark.parametrize(
-    "text, fragment",
-    [
-        ("circuit X\nnode a\nresistor r a a 1\n", "self-loop"),
-        ("circuit X\nnode a b\nresistor r a b 1\nwire r a b\n", "duplicate element"),
-        ("circuit X\nnode a\nwire w a q\n", "undeclared node"),
-        ("circuit X\nnode a b\nresistor r a b 0\n", "positive resistance"),
-        ("circuit X\nnode a b\nresistor r a b -1/2\n", "positive resistance"),
-        ("circuit X\nnode a b\nresistor r a b 1.5\n", "exact rational"),
-        ("circuit X\n", "no nodes"),
-        ("node a\n", "first directive"),
-        ("circuit X\nnode a\nterminal q\n", "not a declared node"),
-        ("circuit X\nnode a\nfrobnicate a\n", "unknown directive"),
-    ],
-)
-def test_parse_errors(text, fragment):
-    with pytest.raises(ParseError) as err:
-        parse_netlist(text)
-    assert fragment in str(err.value)
-
-
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_netlist("circuit X\nnode a b\n\nresistor r a b 1.5\n")
     assert err.value.line == 4
     assert "line 4" in str(err.value)
+
+
+_H = "circuit X\nnode a b\n"
+_NOT_RATIONAL = "expected an exact rational (int or p/q), got {!r}"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    pytest.param("circuit X!\n", "invalid circuit name 'X!'", 1, id="bad-circuit-name"),
+    pytest.param("circuit X\nnode a b!\n", "invalid node id 'b!'", 2, id="bad-node-id"),
+    pytest.param(_H + "terminal a b/c\n", "invalid node id 'b/c'", 3, id="bad-terminal-id"),
+    pytest.param(_H + "resistor r? a b 1\n", "invalid id 'r?'", 3, id="bad-element-id"),
+    pytest.param(_H + "wire w a b$\n", "invalid id 'b$'", 3, id="bad-element-node"),
+    pytest.param(_H + "resistor r a b! 1.5\n", "invalid id 'b!'", 3, id="names-before-value"),
+    pytest.param(_H + "resistor r a b 1.5\n", _NOT_RATIONAL.format("1.5"), 3, id="decimal"),
+    pytest.param(_H + "resistor r a b 1e3\n", _NOT_RATIONAL.format("1e3"), 3, id="exponent"),
+    pytest.param(_H + "resistor r a b 1/-2\n", _NOT_RATIONAL.format("1/-2"), 3, id="signed-denominator"),
+    pytest.param(_H + "resistor r a b 1/\n", _NOT_RATIONAL.format("1/"), 3, id="empty-denominator"),
+    pytest.param(_H + "resistor r a b +-1\n", _NOT_RATIONAL.format("+-1"), 3, id="two-signs"),
+    pytest.param(_H + "resistor r a b 1_000\n", _NOT_RATIONAL.format("1_000"), 3, id="underscore"),
+    pytest.param(_H + "resistor r a b ١٢\n", _NOT_RATIONAL.format("١٢"), 3,
+                 id="non-ascii-digits"),
+    pytest.param(_H + "resistor r a b 1/0\n", "zero denominator in '1/0'", 3, id="zero-denominator"),
+    pytest.param(_H + "resistor r a b 1/" + "7" * 5000 + "\n",
+                 "too many digits in the value 1/" + "7" * 18 + "...", 3, id="too-many-digits"),
+    pytest.param(_H + "resistor r a b " + "7" * 5000 + "/0\n",
+                 "too many digits in the value " + "7" * 20 + "...", 3, id="too-many-digits-over-0"),
+    pytest.param(_H + "resistor r a b\n", "resistor takes: id n1 n2 value", 3, id="resistor-arity-3"),
+    pytest.param(_H + "resistor r a b 1 2\n", "resistor takes: id n1 n2 value", 3, id="resistor-arity-5"),
+    pytest.param(_H + "wire w a\n", "wire takes: id n1 n2", 3, id="wire-arity-2"),
+    pytest.param(_H + "wire w! a b c\n", "wire takes: id n1 n2", 3, id="arity-before-names"),
+    pytest.param("circuit X\nnode\n", "node directive needs at least one id", 2, id="empty-node"),
+    pytest.param(_H + "terminal\n", "terminal directive needs at least one id", 3, id="empty-terminal"),
+    pytest.param(_H + "frobnicate a\n", "unknown directive 'frobnicate'", 3, id="unknown-directive"),
+    pytest.param("# only a comment\n\n", "missing circuit header", None, id="missing-header"),
+    pytest.param("node a\n", "the first directive must be 'circuit <name>'", 1, id="first-directive"),
+    pytest.param("\n# c\nnode a\n", "the first directive must be 'circuit <name>'", 3,
+                 id="directive-before-header"),
+    pytest.param("circuit A\n# c\ncircuit B\nnode a\n", "duplicate circuit header", 3,
+                 id="duplicate-header"),
+    pytest.param("circuit A B\nnode a\n", "circuit header takes exactly one name", 1, id="two-names"),
+    pytest.param("circuit X\n", "circuit declares no nodes", None, id="no-nodes"),
+    pytest.param("circuit X\nnode a\nresistor r a a 1\n", "element 'r' is a self-loop", None, id="self-loop"),
+    pytest.param("circuit X\nnode a\nresistor r a a 0\n", "element 'r' is a self-loop", None,
+                 id="self-loop-before-resistance"),
+    pytest.param(_H + "resistor r a b 0\n", "resistor 'r' must have positive resistance", None,
+                 id="zero-resistance"),
+    pytest.param(_H + "resistor r a b -1/2\n", "resistor 'r' must have positive resistance", None,
+                 id="negative-resistance"),
+    pytest.param(_H + "resistor r a b -0/5\n", "resistor 'r' must have positive resistance", None,
+                 id="signed-zero-resistance"),
+    pytest.param(_H + "wire w a q\n", "element 'w' references an undeclared node", None,
+                 id="undeclared-node"),
+    pytest.param(_H + "wire w q q\n", "element 'w' references an undeclared node", None,
+                 id="undeclared-before-self-loop"),
+    pytest.param(_H + "terminal q\n", "terminal 'q' is not a declared node", None,
+                 id="undeclared-terminal"),
+    pytest.param("circuit X\nnode a b\nnode a\n", "duplicate node declaration", None, id="duplicate-node"),
+    pytest.param(_H + "resistor r a b 1\nwire r a b\n", "duplicate element id 'r'", None,
+                 id="duplicate-element"),
+])
+def test_parse_errors(text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_netlist(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+_NAMES = st.text(alphabet="ABCXYZabcxyz0123456789_.-", min_size=1, max_size=6)
+
+
+@st.composite
+def printed_circuits(draw):
+    """A ladder or grid circuit and a netlist that declares it: names from
+    ``_NAME``'s alphabet, values written as p, +p or p/q, nodes split over
+    several lines, comments and blank lines in between."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 5))  # rungs; rails n0..nk and g0..gk
+        n_nodes = 2 * (k + 1)
+        edges = [(i, i + 1) for i in range(k)] + [(k + 1 + i, k + 2 + i) for i in range(k)]
+        edges += [(i, k + 1 + i) for i in range(1, k + 1)]
+    else:
+        w, h = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+        n_nodes = w * h
+        edges = [(y * w + x, y * w + x + 1) for y in range(h) for x in range(w - 1)]
+        edges += [(y * w + x, (y + 1) * w + x) for y in range(h - 1) for x in range(w)]
+    nodes = draw(st.lists(_NAMES, min_size=n_nodes, max_size=n_nodes, unique=True))
+    idents = draw(st.lists(_NAMES, min_size=len(edges), max_size=len(edges), unique=True))
+    terminals = draw(st.lists(st.sampled_from(nodes), unique=True))
+    name = draw(_NAMES)
+    lines = [f"circuit {name}"]
+    cut = draw(st.integers(1, n_nodes))
+    lines += ["node " + " ".join(nodes[:cut]), "", "node " + " ".join(nodes[cut:])]
+    if cut == n_nodes:
+        lines.pop()
+    if terminals:
+        lines.append("terminal " + " ".join(terminals) + "  # open to the environment")
+    elements = []
+    for ident, (a, b) in zip(idents, edges):
+        if draw(st.booleans()):
+            a, b = b, a
+        if draw(st.booleans()):
+            elements.append(Wire(ident, nodes[a], nodes[b]))
+            lines.append(f"wire {ident} {nodes[a]} {nodes[b]}")
+            continue
+        p, q = draw(st.integers(1, 10**30)), draw(st.integers(1, 10**6))
+        form = draw(st.sampled_from(["p", "+p", "p/q"]))
+        value = {"p": str(p), "+p": f"+{p}", "p/q": f"{p}/{q}"}[form]
+        elements.append(Resistor(ident, nodes[a], nodes[b], Fraction(p, q if form == "p/q" else 1)))
+        lines.append(f"\tresistor {ident} {nodes[a]} {nodes[b]} {value}")
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n# end\n"]))
+    return text, Circuit(name, tuple(nodes), tuple(terminals), tuple(elements))
+
+
+@settings(deadline=None, max_examples=150)
+@given(printed_circuits())
+def test_printed_circuits_parse_back(case):
+    text, circuit = case
+    assert parse_netlist(text) == circuit
 
 
 def test_parse_glue_forms():

@@ -161,6 +161,43 @@ def test_behavior_json_formats_entries_as_fractions(m):
     assert cli._behavior_json(sub)["basis"] == [[str(x) for x in row] for row in sub.basis]
 
 
+# every character json escapes by name, a control character it writes as
+# \u00XX, non-ASCII ones (a surrogate pair and a lone surrogate), and plain ones
+_JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€😀\ud800ab:,[]{}'))
+_REPORT_VALUES = st.recursive(
+    st.booleans() | st.integers() | _JSON_TEXT | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_REPORT_VALUES)
+def test_report_writer_matches_json_indent_2(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    1.5, 0.0, None, {1: "a"}, {None: 1}, {"a": [1, 2.0]}, ["a", None], {"a": {"b": {(): 1}}},
+], ids=["float", "zero-float", "None", "int-key", "None-key", "nested-float", "nested-None",
+        "nested-tuple-key"])
+def test_report_writer_refuses_floats_none_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+@pytest.mark.parametrize("netlist", [bench_ladder(14), bench_grid(5)], ids=["ladder14", "grid5"])
+def test_behavior_stacks_no_rows(netlist, tmp_path, capsys):
+    # a kernel representation equalizes f with the zero map, so the
+    # equalizer hands f's own rows to kernel_basis instead of stacking f - 0
+    path = tmp_path / "c.ckt"
+    path.write_text(netlist)
+    with mock.patch.object(vect, "_stack", wraps=vect._stack) as stack:
+        code, out, _ = run_cli(["behavior", str(path), "--json"], capsys)
+    assert code == 0 and json.loads(out)["behavior"]["dim"] == 4
+    assert stack.call_count == 0
+
+
 def test_glue_text_output(circuits_dir, capsys):
     code, out, _ = run_cli(
         ["glue", str(circuits_dir / "S.ckt"), str(circuits_dir / "P.ckt"),

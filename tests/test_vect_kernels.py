@@ -756,6 +756,9 @@ def test_kernels_never_mutate_their_input_rows(data):
     _unchanged(vect.rref, rows, ncols)
     _unchanged(vect.rank_of, rows, ncols)
     _unchanged(vect.kernel_basis, rows, ncols)
+    # an equalizer with the zero map hands f's own rows to kernel_basis
+    f = LinMap.from_rows(_space("x", ncols), _space("y", len(rows)), tuple(rows))
+    _unchanged(vect.equalizer, f, vect.zero_map(f.dom, f.cod))
     _unchanged(vect.solve_matrix, rows, ncols, rows, ncols)
     a_dense, ncols, b_dense, bcols = data.draw(linear_systems())
     _unchanged(vect.solve_matrix, vect.to_sparse(a_dense), ncols, vect.to_sparse(b_dense), bcols)
