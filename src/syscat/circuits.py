@@ -45,11 +45,12 @@ if the certificate fails, are solved exactly and compared with it. The
 comparison is the result's ``preservation``; interpretation must commute with
 the gluing, up to a bug.
 With the spec's ``close_dangling`` the glued graph's terminals of at most one
-element end get zero-external-current rows E, built like the current-balance
-rows. The closed behavior is K . eq(E . K, 0), a kernel over the glued
-behavior's dim K columns, certified by the stacked and the E rows together.
-The result's system is then the closed one, while ``preservation`` still
-compares the two routes of the open interconnection.
+element end get zero-external-current rows ``ext:``, built like the
+current-balance rows: closing a terminal interconnects with {i = 0}, which is
+one more equation. The closed behavior is the kernel of the stacked rows and
+the ``ext:`` rows together, solved exactly. The result's system is then the
+closed one, while ``preservation`` still compares the two routes of the open
+interconnection.
 
 Emergence compares the interconnection of the parts' phenomes with the
 phenome of the interconnection, on observed variables, and works on
@@ -402,10 +403,12 @@ def glue(c1: Circuit, c2: Circuit, spec: GlueSpec) -> GlueResult:
     stacked equations' system (syntax), the pullback of the two behaviors
     included in the merged universum (semantics), and whether the two
     behaviors agree. Both systems live on the merged-name universum. When the
-    stacked equations certify the pullback, the two are one system and no
-    whole-circuit kernel is solved; otherwise the syntax system is the stacked
-    equations' exact kernel. With ``close_dangling`` the result's system is
-    the closed behavior, and the report still describes the open one.
+    stacked equations certify the pullback, the two are one system and the
+    open interconnection solves no whole-circuit kernel; otherwise the syntax
+    system is the stacked equations' exact kernel. With ``close_dangling`` the
+    result's system is the kernel of the stacked rows plus one ``ext:`` row
+    per closed terminal, and the report still describes the open
+    interconnection.
     """
     return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec)
 
@@ -438,16 +441,10 @@ def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> 
     nodes = _merged_nodes(k1, k2, rename1, rename2)
     closed = _closed_terminals(nodes) if spec.close_dangling else []
     if closed:
-        # the glued behavior K cut down to ker E, K . eq(E . K, 0), which the
-        # stacked and the E rows together certify or else solve
-        idx = {v: i for i, v in enumerate(glued.vars)}
-        ext_names, ext_rows = _node_rows("ext", closed, idx)
-        k = syntax.inclusion
-        ext = LinMap.from_rows(glued, VectObj(ext_names), ext_rows)
-        cut = arr_eq(kernel_rep(carriers.compose(ext, k))).inclusion
-        closed_rows = LinMap.from_rows(glued, VectObj(row_names + ext_names), stacked.rows + ext_rows)
-        candidate = System(carriers.compose(k, cut))
-        rep = certified_kernel_rep(closed_rows, candidate) or kernel_rep(closed_rows)
+        # closing interconnects with {i = 0}: the stacked rows plus one ext: row
+        # per closed terminal, solved
+        ext_names, ext_rows = _node_rows("ext", closed, {v: i for i, v in enumerate(glued.vars)})
+        rep = kernel_rep(LinMap.from_rows(glued, VectObj(row_names + ext_names), stacked.rows + ext_rows))
     return GlueResult(
         name=spec.name,
         rep=rep,

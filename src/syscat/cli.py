@@ -11,8 +11,9 @@ keys, lists, strs, ints and bools); it refuses a float, or any other value,
 with ``TypeError``.
 
 With ``--close-dangling``, glue's ``behavior`` is the closed interconnection,
-while ``syntax_dim``, ``semantics_dim`` and ``preservation_equal`` describe
-the cross-check of the open one, which the closing starts from.
+the kernel of the glued equations and one zero-current row per closed
+terminal, while ``syntax_dim``, ``semantics_dim`` and ``preservation_equal``
+describe the cross-check of the open one.
 
 The argument parser is built on the first ``main`` call and reused by every
 later call in the same process; importing the module builds nothing.

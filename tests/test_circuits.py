@@ -237,18 +237,76 @@ def test_parse_glue_forms():
     )
     assert spec.identifications == (("v_a", "v_b"), ("i_x", "i_y"), ("i_p=i_q", "i_r"))
     assert spec.close_dangling
-    for line, fragment in (
-        ("identify v_a v_b", "identify takes"),
-        ("identify v_a=v_b=v_c", "identify takes"),
-        ("identify v_a = v_b = v_c", "identify takes"),
-        ("identify v_a = v_b v_c", "single names"),
-    ):
-        with pytest.raises(ParseError, match=fragment):
-            parse_glue(f"glue G\n{line}\n")
-    with pytest.raises(ParseError):
-        parse_glue("glue G\noption quench\n")
-    with pytest.raises(ParseError):
-        parse_glue("identify v_a = v_b\n")
+
+
+_IDENTIFY = "identify takes: <leftVar> = <rightVar>"
+_SINGLE = "identified variables must be single names"
+_FIRST = "the first directive must be 'glue <name>'"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    pytest.param("glue A\n# c\nglue B\n", "duplicate glue header", 3, id="duplicate-header"),
+    pytest.param("glue\n", "glue header takes exactly one name", 1, id="header-no-name"),
+    pytest.param("\nglue A B\n", "glue header takes exactly one name", 2, id="header-two-names"),
+    pytest.param("identify v_a = v_b\n", _FIRST, 1, id="first-directive"),
+    pytest.param("# c\n\noption close_dangling\nglue G\n", _FIRST, 3, id="directive-before-header"),
+    pytest.param("glue G\nidentify\n", _IDENTIFY, 2, id="identify-nothing"),
+    pytest.param("glue G\nidentify v_a v_b\n", _IDENTIFY, 2, id="identify-no-equals"),
+    pytest.param("glue G\nidentify v_a =\n", _IDENTIFY, 2, id="identify-no-right"),
+    pytest.param("glue G\nidentify =v_b\n", _IDENTIFY, 2, id="identify-no-left"),
+    pytest.param("glue G\nidentify v_a=v_b=v_c\n", _IDENTIFY, 2, id="identify-two-equals-joined"),
+    pytest.param("glue G\nidentify v_a = v_b = v_c\n", _IDENTIFY, 2, id="identify-two-lone-equals"),
+    pytest.param("glue G\n\nidentify v_a= =v_b\n", _IDENTIFY, 3, id="identify-empty-middle"),
+    pytest.param("glue G\nidentify v_a = v_b v_c\n", _SINGLE, 2, id="right-not-single"),
+    pytest.param("glue G\nidentify v_a v_b = v_c\n", _SINGLE, 2, id="left-not-single"),
+    pytest.param("glue G\nidentify v_a v_b=v_c\n", _SINGLE, 2, id="left-not-single-joined"),
+    pytest.param("glue G\noption quench\n", "unknown option 'quench'", 2, id="unknown-option"),
+    pytest.param("glue G\noption\n", "unknown option ''", 2, id="option-without-name"),
+    pytest.param("glue G\noption close_dangling now\n", "unknown option 'close_dangling now'", 2,
+                 id="option-with-extra"),
+    pytest.param("glue G\nfrobnicate a\n", "unknown directive 'frobnicate'", 2, id="unknown-directive"),
+    pytest.param("# only a comment\n\n", "missing glue header", None, id="missing-header"),
+    pytest.param("", "missing glue header", None, id="empty"),
+])
+def test_parse_glue_errors(text, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_glue(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
+_MERGED = st.lists(_NAMES, min_size=1, max_size=3).map("=".join)
+
+
+@st.composite
+def printed_glues(draw):
+    """A glue spec and a text that declares it: sides that may be merged names
+    holding ``=`` (then written with ``=`` as a token of its own), ``option
+    close_dangling`` anywhere after the header, comments and blank lines."""
+    name = draw(_NAMES)
+    idents = draw(st.lists(st.tuples(_MERGED, _MERGED), max_size=5))
+    close = draw(st.booleans())
+    body = []
+    for l, r in idents:
+        eq = " = " if "=" in l + r else draw(st.sampled_from([" = ", "=", " =", "= ", "\t=\t"]))
+        body.append(f"identify {l}{eq}{r}")
+    if close:
+        body.insert(draw(st.integers(0, len(body))), "option close_dangling")
+    comment = st.text(alphabet="abc =#\t", max_size=8).map(lambda t: "#" + t)
+    lines = [draw(st.sampled_from(["", "  "])) + f"glue {name}"]
+    for line in body:
+        lines += draw(st.lists(st.sampled_from(["", " \t", "# note"]) | comment, max_size=2))
+        lines.append(draw(st.sampled_from(["", "\t", "  "])) + line + draw(st.sampled_from(["", "  ", " #x=y"])))
+    lead = draw(st.lists(comment | st.just(""), max_size=2))
+    text = "\n".join(lead + lines) + draw(st.sampled_from(["", "\n", "\n# end\n"]))
+    return text, GlueSpec(name, tuple(idents), close)
+
+
+@settings(deadline=None, max_examples=150)
+@given(printed_glues())
+def test_printed_glues_parse_back(case):
+    text, spec = case
+    assert parse_glue(text) == spec
 
 
 # -- compilation ---------------------------------------------------------------
@@ -395,8 +453,8 @@ def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, clo
     equalizer = carriers.equalizer
     monkeypatch.setattr(carriers, "equalizer", lambda f, g: seen.append(f) or equalizer(f, g))
     glue(left, right, replace(spec, close_dangling=close)).system
-    # left and right; with closing, eq(E . K, 0) over the glued behavior too;
-    # the stacked and the closed equations certify their systems, unsolved
+    # left and right; the stacked equations certify their system, unsolved;
+    # with closing, the third solves the closed equations (stacked and ext: rows)
     assert len(seen) == calls
 
 
@@ -420,8 +478,8 @@ def test_glue_pulls_back_only_the_behaviors(circuits_dir, monkeypatch, close):
 @pytest.mark.parametrize("close", [False, True])
 def test_glue_ranks_only_in_its_certificates(circuits_dir, monkeypatch, close):
     # every lift, mono check and subspace of a glue has a structural
-    # certificate; the only rank is the nullity each equation certificate
-    # counts: the open glue's, and with closing the closed one's
+    # certificate; the only rank is the nullity the one equation certificate
+    # counts, the open glue's, whether or not closing solves the closed rows
     left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
     spec = parse_glue((circuits_dir / "SP.glue").read_text())
     seen, reps = [], []
@@ -432,8 +490,25 @@ def test_glue_ranks_only_in_its_certificates(circuits_dir, monkeypatch, close):
     monkeypatch.setattr(circuits, "certified_kernel_rep", lambda *a: reps.append(certify(*a)) or reps[-1])
     res = glue(left, right, replace(spec, close_dangling=close))
     assert res.preservation.equal and res.behavior.dim == (1 if close else 4)
-    assert seen == ["rank_of"] * (2 if close else 1)
-    assert len(reps) == len(seen) and None not in reps  # each certificate holds
+    assert seen == ["rank_of"]
+    assert len(reps) == 1 and None not in reps  # the certificate holds
+
+
+def test_closing_solves_one_kernel_over_the_merged_names(circuits_dir, monkeypatch):
+    # each part's kernel (6 and 11 columns) and the behaviors' pullback over
+    # the shared block (4 + 4); closing adds the kernel of the closed rows over
+    # the 13 merged names, and no kernel over the glued behavior's columns
+    left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
+    spec = parse_glue((circuits_dir / "SP.glue").read_text())
+    widths = {}
+    kernel = vect.kernel_basis
+    for close in (False, True):
+        seen = widths[close] = []
+        monkeypatch.setattr(vect, "kernel_basis", lambda rows, n, _s=seen: _s.append(n) or kernel(rows, n))
+        res = glue(left, right, replace(spec, close_dangling=close))
+        res.behavior
+    assert widths[False] == [6, 11, 8]
+    assert widths[True] == widths[False] + [res.universum.dim] == [6, 11, 8, 13]
 
 
 def augmented(c: Circuit, extra) -> Circuit:
@@ -688,8 +763,9 @@ def test_semantics_route_is_the_pullback_through_the_universa(left, right, spec,
 
 
 def _kernel_of_equations(res):
-    """The behavior the glued equations give when solved exactly."""
-    return Subspace.from_rows(res.universum, vect.kernel_basis(res.rep.f1.rows, res.universum.dim))
+    """The canonical basis the glued equations give when solved exactly by the
+    dense reference, not by ``vect.kernel_basis``, which closing solves with."""
+    return oracles.dense_kernel_basis(res.rep.f1.matrix, res.universum.dim)
 
 
 @st.composite
@@ -717,11 +793,11 @@ def random_glues(draw):
 @settings(max_examples=40, deadline=None)
 @given(random_glues())
 def test_glue_behavior_is_the_kernel_of_its_equations(case):
-    # the certified pullback of the parts, open or cut down by E . K, is the
-    # behavior of the glued circuit's own equations (ext: rows included)
+    # the certified pullback of the parts (open), or the solved stacked and
+    # ext: rows (closed), is the dense kernel of the glued circuit's equations
     left, right, spec = case
     res = glue(left, right, spec)
-    assert res.behavior == _kernel_of_equations(res)
+    assert res.behavior.basis == _kernel_of_equations(res)
     assert res.preservation.equal
 
 
@@ -748,7 +824,7 @@ def test_glue_solves_its_equations_when_the_pullback_misses_a_vector(monkeypatch
     assert not res.preservation.equal
     assert res.preservation.syntax_system.behavior.dim == 4
     assert res.preservation.semantics_system.behavior.dim == 3
-    assert res.behavior == _kernel_of_equations(res)
+    assert res.behavior.basis == _kernel_of_equations(res)
     assert res.behavior.dim == (1 if close else 4)
 
 
