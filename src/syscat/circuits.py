@@ -229,6 +229,7 @@ def parse_glue(text: str) -> GlueSpec:
                 raise ParseError("duplicate glue header", lineno)
             if len(toks) != 2:
                 raise ParseError("glue header takes exactly one name", lineno)
+            _check_names(toks[1:], "glue name", lineno)
             name = toks[1]
             continue
         if name is None:
@@ -244,7 +245,9 @@ def parse_glue(text: str) -> GlueSpec:
                 raise ParseError("identify takes: <leftVar> = <rightVar>", lineno)
             if any(" " in s for s in sides):
                 raise ParseError("identified variables must be single names", lineno)
-            idents.append((sides[0], sides[1]))
+            left, right = sides  # either may be a merged name, names joined by "="
+            _check_names(f"{left}={right}".split("="), "identified variable", lineno)
+            idents.append((left, right))
         elif kind == "option":
             if toks[1:] != ["close_dangling"]:
                 raise ParseError(f"unknown option {' '.join(toks[1:])!r}", lineno)

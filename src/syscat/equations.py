@@ -22,7 +22,7 @@ from functools import cached_property
 from . import carriers, vect
 from .carriers import CarrierMap
 from .errors import MismatchError
-from .systems import System, SystemMorphism, make_morphism, pullback_systems, systems_equal
+from .systems import System, SystemMorphism, _proved, make_morphism, pullback_systems, systems_equal
 from .vect import LinMap
 
 
@@ -127,7 +127,13 @@ class EquationPullback:
 
 
 def pullback_equations(m: EquationMorphism, n: EquationMorphism) -> EquationPullback:
-    """Stack two representations over a common one, identifying shared variables."""
+    """Stack two representations over a common one, identifying shared variables.
+
+    Each map of the stacked pair is the ``pullback_map`` of the sources' maps,
+    the lift u_k with epb.proj_i . u_k = f_k . upb.proj_i for the sources'
+    f_k. Those are the squares of projection i, so the projections are not
+    checked again.
+    """
     if m.dst != n.dst:
         raise MismatchError("pullback requires morphisms into the same representation")
     upb = carriers.pullback(m.psi_u, n.psi_u)
@@ -136,8 +142,8 @@ def pullback_equations(m: EquationMorphism, n: EquationMorphism) -> EquationPull
         carriers.pullback_map(upb, epb, m.src.f1, n.src.f1),
         carriers.pullback_map(upb, epb, m.src.f2, n.src.f2),
     )
-    proj1 = EquationMorphism(rep, m.src, upb.proj1, epb.proj1)
-    proj2 = EquationMorphism(rep, n.src, upb.proj2, epb.proj2)
+    proj1 = _proved(EquationMorphism, rep, m.src, upb.proj1, epb.proj1)
+    proj2 = _proved(EquationMorphism, rep, n.src, upb.proj2, epb.proj2)
     return EquationPullback(rep, proj1, proj2)
 
 

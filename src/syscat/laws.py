@@ -3,13 +3,19 @@
 Each suite builds desk-sized instances, runs the construction under test, and
 counts failures. Everything is driven by a seeded ``random.Random`` so runs
 are reproducible.
+
+The Vect generators work on sparse int rows, the format of ``vect``: a
+random matrix is drawn row by row as canonical rows ``(1, {col: n})``, and the
+kernel multiples that make a random equation morphism's squares commute are
+added to its rows in integer arithmetic over each row's common denominator.
+No dense ``Fraction`` matrix is built.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import lcm
 
 from . import booldual, carriers, finset, vect
 from .equations import EquationMorphism, EquationRep, check_preservation
@@ -22,7 +28,7 @@ from .systems import (
     interconnect_shared,
     system_from_behavior,
 )
-from .vect import LinMap, Subspace, VectObj
+from .vect import LinMap, Rows, Subspace, VectObj
 
 
 @dataclass
@@ -120,14 +126,17 @@ def _vect_obj(rng: random.Random, prefix: str, lo: int, hi: int) -> VectObj:
     return VectObj(tuple(f"{prefix}{i}" for i in range(rng.randint(lo, hi))))
 
 
-def _matrix(rng: random.Random, rows: int, cols: int):
-    return tuple(
-        tuple(Fraction(rng.randint(-2, 2)) for _ in range(cols)) for _ in range(rows)
-    )
+def _int_rows(rng: random.Random, rows: int, cols: int) -> Rows:
+    """rows canonical rows of cols entries drawn from -2..2, row by row."""
+    out = []
+    for _ in range(rows):
+        entries = [rng.randint(-2, 2) for _ in range(cols)]
+        out.append((1, {j: n for j, n in enumerate(entries) if n}))
+    return tuple(out)
 
 
 def _linmap(rng: random.Random, dom: VectObj, cod: VectObj) -> LinMap:
-    return LinMap(dom, cod, _matrix(rng, cod.dim, dom.dim))
+    return LinMap.from_rows(dom, cod, _int_rows(rng, cod.dim, dom.dim))
 
 
 def _epi_linmap(rng: random.Random, dom: VectObj, cod: VectObj) -> LinMap:
@@ -136,6 +145,23 @@ def _epi_linmap(rng: random.Random, dom: VectObj, cod: VectObj) -> LinMap:
         f = _linmap(rng, dom, cod)
         if vect.classify(f)[1]:
             return f
+
+
+def _plus_kernel_multiples(rows: Rows, ncols: int, kernel: Rows, coeffs) -> Rows:
+    """Row i of rows plus the sum over k of kernel[k]'s entry i times coeffs[k].
+
+    The sum is taken in integers over one common denominator per row.
+    """
+    out = []
+    for i, (d, m) in enumerate(rows):
+        terms = [(q, b[i], c) for (q, b), c in zip(kernel, coeffs) if i in b]
+        den = lcm(d, *(q for q, _, _ in terms))
+        acc = [m.get(j, 0) * (den // d) for j in range(ncols)]
+        for q, x, c in terms:
+            for j, cj in enumerate(c):
+                acc[j] += x * (den // q) * cj
+        out.append(vect._canon(den, {j: n for j, n in enumerate(acc) if n}))
+    return tuple(out)
 
 
 def _vect_equation_cospan(rng: random.Random) -> tuple[EquationMorphism, EquationMorphism]:
@@ -149,17 +175,12 @@ def _vect_equation_cospan(rng: random.Random) -> tuple[EquationMorphism, Equatio
         psi_u = _linmap(rng, u, uc)
         psi_e = _epi_linmap(rng, e, ec)
         right_inv = vect.right_inverse(psi_e)
-        _, kernel = vect.equalizer(psi_e, vect.zero_map(e, ec))  # the kernel of psi_e
+        kernel = vect.kernel_basis(psi_e.rows, e.dim)  # canonical basis rows of ker psi_e
         maps = []
         for h in (shared.f1, shared.f2):
-            target = carriers.compose(h, psi_u)  # u -> ec
-            rows = [list(r) for r in vect.compose(right_inv, target).matrix]
-            for kvec in zip(*kernel.matrix):  # the kernel's basis vectors are its columns
-                coeffs = [Fraction(rng.randint(-1, 1)) for _ in range(u.dim)]
-                for i in range(e.dim):
-                    for j in range(u.dim):
-                        rows[i][j] += kvec[i] * coeffs[j]
-            maps.append(LinMap(u, e, tuple(tuple(r) for r in rows)))
+            base = vect.compose(right_inv, carriers.compose(h, psi_u)).rows  # u -> e
+            coeffs = [[rng.randint(-1, 1) for _ in range(u.dim)] for _ in kernel]
+            maps.append(LinMap.from_rows(u, e, _plus_kernel_multiples(base, u.dim, kernel, coeffs)))
         rep = EquationRep(maps[0], maps[1])
         return EquationMorphism(rep, shared, psi_u, psi_e)
 
@@ -167,7 +188,7 @@ def _vect_equation_cospan(rng: random.Random) -> tuple[EquationMorphism, Equatio
 
 
 def _subspace(rng: random.Random, ambient: VectObj) -> Subspace:
-    return Subspace(ambient, _matrix(rng, rng.randint(0, ambient.dim), ambient.dim))
+    return Subspace.from_rows(ambient, _int_rows(rng, rng.randint(0, ambient.dim), ambient.dim))
 
 
 def _gen_equation(rng: random.Random) -> GenEquation:

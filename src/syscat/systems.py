@@ -117,8 +117,25 @@ def compose_morphisms(b: SystemMorphism, a: SystemMorphism) -> SystemMorphism:
     )
 
 
+def _proved(cls, *components):
+    """The frozen dataclass ``cls(*components)``, built without ``__post_init__``.
+
+    Only for a morphism whose square the ``carriers.lift`` that built one of
+    its components has just proved, and whose components match its ends by
+    construction; every public constructor checks.
+    """
+    m = object.__new__(cls)
+    m.__dict__.update(zip(cls.__dataclass_fields__, components))
+    return m
+
+
 def make_morphism(src: System, dst: System, phi_u: CarrierMap) -> SystemMorphism:
-    """Restrict phi_u to the behaviors; fails if the image escapes dst's behavior."""
+    """Restrict phi_u to the behaviors; fails if the image escapes dst's behavior.
+
+    phi_b is the lift of phi_u . src.inclusion through dst.inclusion, so the
+    lift proves the morphism's square, dst.inclusion . phi_b = phi_u .
+    src.inclusion, and it is not checked again.
+    """
     if phi_u.dom != src.universum or phi_u.cod != dst.universum:
         raise MismatchError("phi_u must map the source universum to the target universum")
     moved = carriers.compose(phi_u, src.inclusion)
@@ -132,7 +149,7 @@ def make_morphism(src: System, dst: System, phi_u: CarrierMap) -> SystemMorphism
         j = next(j for j in range(moved.dom.dim) if not image.contains(moved.column(j)))
         vec = ", ".join(map(str, src.inclusion.column(j)))
         raise BehaviorEscapes(f"image of behavior vector [{vec}] lies outside the target behavior")
-    return SystemMorphism(src, dst, phi_b, phi_u)
+    return _proved(SystemMorphism, src, dst, phi_b, phi_u)
 
 
 @dataclass(frozen=True)
@@ -143,14 +160,19 @@ class SystemPullback:
 
 
 def pullback_systems(phi: SystemMorphism, psi: SystemMorphism) -> SystemPullback:
-    """Glue phi.src and psi.src over their common codomain system."""
+    """Glue phi.src and psi.src over their common codomain system.
+
+    The pullback's inclusion k is the ``pullback_map`` of the two sources'
+    inclusions, the lift with upb.proj_i . k = inclusion_i . bpb.proj_i. That
+    is the square of projection i, so the projections are not checked again.
+    """
     if phi.dst != psi.dst:
         raise MismatchError("pullback requires morphisms into the same system")
     bpb = carriers.pullback(phi.phi_b, psi.phi_b)
     upb = carriers.pullback(phi.phi_u, psi.phi_u)
     k = System(carriers.pullback_map(bpb, upb, phi.src.inclusion, psi.src.inclusion))
-    proj1 = SystemMorphism(k, phi.src, bpb.proj1, upb.proj1)
-    proj2 = SystemMorphism(k, psi.src, bpb.proj2, upb.proj2)
+    proj1 = _proved(SystemMorphism, k, phi.src, bpb.proj1, upb.proj1)
+    proj2 = _proved(SystemMorphism, k, psi.src, bpb.proj2, upb.proj2)
     return SystemPullback(k, proj1, proj2)
 
 

@@ -244,3 +244,95 @@ def full_emergence_report(c1: Circuit, c2: Circuit, spec, names):
         raise MismatchError("stacked equations disagree with the pullback route")
     whole = full_phenome(glued.system, obs)
     return EmergenceReport(obs, parts.dim, whole.dim, whole != parts, spec.close_dangling)
+
+
+# The law generators' instances as ``syscat.laws`` built them before it drew
+# sparse int rows: dense ``Fraction`` matrices through the dense ``LinMap`` and
+# ``Subspace`` constructors, and the kernel multiples added entry by entry.
+# Each makes the same ``rng`` calls in the same order as its counterpart.
+
+from syscat import carriers, vect  # noqa: E402
+from syscat.equations import EquationMorphism, EquationRep  # noqa: E402
+from syscat.finset import FinMap, FinObj  # noqa: E402
+from syscat.vect import LinMap, Subspace  # noqa: E402
+
+
+def _fin_obj(rng, prefix: str, lo: int, hi: int) -> FinObj:
+    return FinObj(tuple(f"{prefix}{i}" for i in range(rng.randint(lo, hi))))
+
+
+def _fin_map(rng, dom: FinObj, cod: FinObj) -> FinMap:
+    return FinMap(dom, cod, {x: rng.choice(cod.elements) for x in dom})
+
+
+def _fin_epi(rng, dom: FinObj, cod: FinObj) -> FinMap:
+    slots = list(dom.elements)
+    rng.shuffle(slots)
+    table = dict(zip(slots, cod.elements))
+    for label in slots[len(cod):]:
+        table[label] = rng.choice(cod.elements)
+    return FinMap(dom, cod, table)
+
+
+def dense_finset_equation_cospan(rng):
+    uc = _fin_obj(rng, "uc", 1, 3)
+    ec = _fin_obj(rng, "ec", 1, 2)
+    shared = EquationRep(_fin_map(rng, uc, ec), _fin_map(rng, uc, ec))
+
+    def leg(side: str) -> EquationMorphism:
+        u = _fin_obj(rng, f"u{side}", 1, 4)
+        e = _fin_obj(rng, f"e{side}", len(ec), 4)
+        psi_u = _fin_map(rng, u, uc)
+        psi_e = _fin_epi(rng, e, ec)
+        preimages = {t: [x for x in e if psi_e(x) == t] for t in ec}
+        tables = [{x: rng.choice(preimages[h(psi_u(x))]) for x in u} for h in (shared.f1, shared.f2)]
+        rep = EquationRep(FinMap(u, e, tables[0]), FinMap(u, e, tables[1]))
+        return EquationMorphism(rep, shared, psi_u, psi_e)
+
+    return leg("a"), leg("b")
+
+
+def _vect_obj(rng, prefix: str, lo: int, hi: int) -> VectObj:
+    return VectObj(tuple(f"{prefix}{i}" for i in range(rng.randint(lo, hi))))
+
+
+def _dense_matrix(rng, rows: int, cols: int):
+    return tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(cols)) for _ in range(rows))
+
+
+def dense_linmap(rng, dom: VectObj, cod: VectObj) -> LinMap:
+    return LinMap(dom, cod, _dense_matrix(rng, cod.dim, dom.dim))
+
+
+def dense_subspace(rng, ambient: VectObj) -> Subspace:
+    return Subspace(ambient, _dense_matrix(rng, rng.randint(0, ambient.dim), ambient.dim))
+
+
+def dense_vect_equation_cospan(rng):
+    uc = _vect_obj(rng, "uc", 1, 2)
+    ec = _vect_obj(rng, "ec", 1, 2)
+    shared = EquationRep(dense_linmap(rng, uc, ec), dense_linmap(rng, uc, ec))
+
+    def leg(side: str) -> EquationMorphism:
+        u = _vect_obj(rng, f"u{side}", 1, 4)
+        e = _vect_obj(rng, f"e{side}", ec.dim, 4)
+        psi_u = dense_linmap(rng, u, uc)
+        while True:  # resample until psi_e has full row rank
+            psi_e = dense_linmap(rng, e, ec)
+            if rank(psi_e.matrix, e.dim) == ec.dim:
+                break
+        right_inv = vect.right_inverse(psi_e)
+        _, kernel = vect.equalizer(psi_e, vect.zero_map(e, ec))
+        maps = []
+        for h in (shared.f1, shared.f2):
+            target = carriers.compose(h, psi_u)
+            rows = [list(r) for r in vect.compose(right_inv, target).matrix]
+            for kvec in zip(*kernel.matrix):  # the kernel's basis vectors are its columns
+                coeffs = [Fraction(rng.randint(-1, 1)) for _ in range(u.dim)]
+                for i in range(e.dim):
+                    for j in range(u.dim):
+                        rows[i][j] += kvec[i] * coeffs[j]
+            maps.append(LinMap(u, e, tuple(tuple(r) for r in rows)))
+        return EquationMorphism(EquationRep(maps[0], maps[1]), shared, psi_u, psi_e)
+
+    return leg("a"), leg("b")

@@ -260,6 +260,15 @@ _FIRST = "the first directive must be 'glue <name>'"
     pytest.param("glue G\nidentify v_a = v_b v_c\n", _SINGLE, 2, id="right-not-single"),
     pytest.param("glue G\nidentify v_a v_b = v_c\n", _SINGLE, 2, id="left-not-single"),
     pytest.param("glue G\nidentify v_a v_b=v_c\n", _SINGLE, 2, id="left-not-single-joined"),
+    pytest.param("glue S\u00e4!\nidentify v_a = v_b\n", "invalid glue name 'S\u00e4!'", 1, id="header-bad-name"),
+    pytest.param("glue G\nidentify v_c! = v_e\n", "invalid identified variable 'v_c!'", 2,
+                 id="left-bad-name"),
+    pytest.param("glue G\n\nidentify v_c=v_\u00e9\n", "invalid identified variable 'v_\u00e9'", 3,
+                 id="right-bad-name-joined"),
+    pytest.param("glue G\nidentify i_p=i_q! = i_r\n", "invalid identified variable 'i_q!'", 2,
+                 id="merged-side-bad-part"),
+    pytest.param("glue G\nidentify i_p==i_q = i_r\n", "invalid identified variable ''", 2,
+                 id="merged-side-empty-part"),
     pytest.param("glue G\noption quench\n", "unknown option 'quench'", 2, id="unknown-option"),
     pytest.param("glue G\noption\n", "unknown option ''", 2, id="option-without-name"),
     pytest.param("glue G\noption close_dangling now\n", "unknown option 'close_dangling now'", 2,

@@ -471,6 +471,29 @@ def test_importing_the_cli_builds_no_parser():
     assert (proc.stdout, proc.stderr) == ("0\n", "")
 
 
+def test_the_cli_imports_the_law_suites_only_for_check():
+    code = (
+        "import sys, syscat.cli as c\n"
+        "print('syscat.laws' in sys.modules)\n"
+        "c.main(['check', '--law', 'lattice', '--trials', '1'])\n"
+        "print('syscat.laws' in sys.modules)\n"
+    )
+    proc = fresh_process("-c", code)
+    assert proc.stdout.splitlines() == [
+        "False",
+        "lattice: meet = interconnection: 1/1 pass",
+        "lattice: modular law: 1/1 pass",
+        "True",
+    ]
+    assert proc.stderr == ""
+
+
+def test_law_choices_are_the_law_suites():
+    from syscat import laws
+
+    assert cli.LAW_NAMES == tuple(sorted(laws.LAWS))
+
+
 def test_reused_parser_matches_a_fresh_process(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
     assert cli.build_parser() is cli.build_parser()

@@ -22,7 +22,14 @@ from syscat.equations import (
 from syscat.errors import MismatchError
 from syscat.finset import FinMap, FinObj
 from syscat.laws import _finset_equation_cospan, _vect_equation_cospan
-from syscat.systems import System, SystemMorphism, behavior_image, system_from_behavior, systems_equal
+from syscat.systems import (
+    System,
+    SystemMorphism,
+    behavior_image,
+    pullback_systems,
+    system_from_behavior,
+    systems_equal,
+)
 from syscat.vect import LinMap, Subspace, VectObj
 
 
@@ -118,6 +125,36 @@ def test_equation_morphism_squares_are_checked():
         EquationMorphism(one, two, vect.identity(one.universum), vect.identity(one.codomain))
     half = LinMap(one.universum, one.universum, ((1, 0, 0), (0, 1, 0), (0, 0, "1/2")))
     assert EquationMorphism(one, two, half, vect.identity(one.codomain))
+
+
+@pytest.mark.parametrize("cospan", [_finset_equation_cospan, _vect_equation_cospan])
+def test_preservation_checks_no_square_a_lift_proved(cospan, monkeypatch):
+    # pullback_equations' two projections, the two arr_eq_morphism lifts and
+    # pullback_systems' two projections: each square is the equation of the
+    # lift that built the morphism's component
+    m, n = cospan(random.Random(5))
+    seen = []
+    for cls in (SystemMorphism, EquationMorphism):
+        post_init = cls.__post_init__
+        monkeypatch.setattr(
+            cls, "__post_init__", lambda x, _c=cls.__name__, _p=post_init: seen.append(_c) or _p(x)
+        )
+    assert check_preservation(m, n).equal
+    assert seen == []
+
+
+@pytest.mark.parametrize("cospan, seed", [(_finset_equation_cospan, 13), (_vect_equation_cospan, 14)])
+def test_morphisms_a_lift_proved_pass_the_public_checks(cospan, seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        m, n = cospan(rng)
+        pb = pullback_equations(m, n)
+        for k in (pb.proj1, pb.proj2):
+            assert EquationMorphism(k.src, k.dst, k.psi_u, k.psi_e) == k
+        lifted = (arr_eq_morphism(m), arr_eq_morphism(n))
+        spb = pullback_systems(*lifted)
+        for k in (*lifted, spb.proj1, spb.proj2):
+            assert SystemMorphism(k.src, k.dst, k.phi_b, k.phi_u) == k
 
 
 def test_arr_eq_morphism_identity_and_composite():
