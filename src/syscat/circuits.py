@@ -32,18 +32,18 @@ graph is both graphs renamed to the merged names, labels prefixed ``L.``/``R.``,
 with each identified voltage joining two nodes into one; the glue builds it.
 Interpretation preserves interconnection, so the glue reads the glued
 behavior from the parts and has the glued equations confirm it.
-Interconnection is variable sharing: the merged universum, with the maps
-``lift1``/``lift2`` that read each side's variables off it, is the pullback of
-the two universa over the shared block. So the semantics route pulls back only
-the two behaviors over that block and includes the result in the merged
-universum through ``lift1``/``lift2``; it is the answer. The syntax route is
-the glued circuit's own equations: both sides' rows stacked over the merged
-names, which are the rows, in order, that the generic pullback of the two
-representations over the shared block stacks. They certify the answer
-(``certified_kernel_rep``: A . K = 0 and the nullity of A is dim K), or,
-if the certificate fails, are solved exactly and compared with it. The
-comparison is the result's ``preservation``; interpretation must commute with
-the gluing, up to a bug.
+Interconnection is variable sharing: the merged universum, which reads each
+side's variables off their merged names, is the pullback of the two universa
+over the shared block. So the semantics route pulls back only the two
+behaviors over that block, and reads the result onto the merged names
+straight off the parts' canonical bases (``_pullback_basis``); it is the
+answer. The syntax route is the glued circuit's own equations: both sides'
+rows stacked over the merged names, which are the rows, in order, that the
+generic pullback of the two representations over the shared block stacks.
+They certify the answer (``certified_kernel_rep``: A . K = 0 and the nullity
+of A is dim K), or, if the certificate fails, are solved exactly and
+compared with it. The comparison is the result's ``preservation``;
+interpretation must commute with the gluing, up to a bug.
 With the spec's ``close_dangling`` the glued graph's terminals of at most one
 element end get zero-external-current rows ``ext:``, built like the
 current-balance rows: closing a terminal interconnects with {i = 0}, which is
@@ -72,9 +72,10 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
-from . import carriers, vect
+from . import vect
 from .equations import EquationRep, PreservationReport, arr_eq, certified_kernel_rep, kernel_rep
 from .errors import GlueError, MismatchError, ParseError
 from .systems import System, behavior_image, systems_equal
@@ -404,11 +405,12 @@ def glue(c1: Circuit, c2: Circuit, spec: GlueSpec) -> GlueResult:
     merged-name universum and the merged node graph, together with the
     preservation report of the two routes of the open interconnection: the
     stacked equations' system (syntax), the pullback of the two behaviors
-    included in the merged universum (semantics), and whether the two
-    behaviors agree. Both systems live on the merged-name universum. When the
-    stacked equations certify the pullback, the two are one system and the
-    open interconnection solves no whole-circuit kernel; otherwise the syntax
-    system is the stacked equations' exact kernel. With ``close_dangling`` the
+    over the identified variables, read off the parts' bases onto the merged
+    universum (semantics), and whether the two behaviors agree. Both systems
+    live on the merged-name universum. When the stacked equations certify the
+    pullback, the two are one system and the open interconnection solves no
+    whole-circuit kernel; otherwise the syntax system is the stacked
+    equations' exact kernel. With ``close_dangling`` the
     result's system is the kernel of the stacked rows plus one ``ext:`` row
     per closed terminal, and the report still describes the open
     interconnection.
@@ -416,26 +418,72 @@ def glue(c1: Circuit, c2: Circuit, spec: GlueSpec) -> GlueResult:
     return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec)
 
 
+def _behavior_rows(k: CompiledCircuit) -> vect.Rows:
+    """The canonical basis of k's behavior: the one its inclusion keeps, or
+    else its image's."""
+    inc = k.system.inclusion
+    return inc._rref if inc._rref is not None else vect.image(inc).rows
+
+
+def _pullback_basis(k1: CompiledCircuit, k2: CompiledCircuit, pairs, at) -> vect.Rows:
+    """The canonical basis, over the merged names, of the pullback of the two
+    behaviors over the identified variables; ``at`` holds the merged column of
+    each variable of k2, and k1's variables keep their columns.
+
+    With B1 and B2 the parts' canonical bases, a point of the pullback is a
+    pair (x, y) with x . B1 = y . B2 on every identified pair; one integer row
+    per pair over k1 + k2 columns (B1's column at the left variable, minus
+    B2's at the right one) cuts out the canonical basis C of those pairs. The
+    point x . B1 = y . B2 then reads, on the merged names, x . B1 on the left
+    variables and y . B2 on the right-only ones, so the basis is C . B, B
+    being B1 and B2 restricted to the right-only names, stacked. It is
+    canonical RREF already: the merged names list the left variables first,
+    C's rows lead with increasing columns and are zero at each other's leads,
+    and a row of C with x = 0 has y . B2 zero on the identified variables, so
+    it leads on a right-only name.
+    """
+    b1, b2 = _behavior_rows(k1), _behavior_rows(k2)
+    u1, u2, k = k1.universum, k2.universum, len(b1)
+    rows = []
+    for l, r, _ in pairs:
+        cl, cr = u1.index(l), u2.index(r)
+        col = [(i, d, m[cl]) for i, (d, m) in enumerate(b1) if cl in m]
+        col += [(k + i, d, -m[cr]) for i, (d, m) in enumerate(b2) if cr in m]
+        e = lcm(*(d for _, d, _ in col))
+        rows.append((1, {i: x * (e // d) for i, d, x in col}))
+    c = vect.kernel_basis(rows, k + len(b2))
+    n1 = u1.dim  # the right-only names are the merged columns past k1's
+    right = tuple(vect._canon(d, {at[j]: x for j, x in m.items() if at[j] >= n1}) for d, m in b2)
+    # B is block diagonal, so row (x, y) of C . B is x . B1 beside y . B2:
+    # each half is multiplied and reduced on its own, and two canonical
+    # halves over the lcm of their denominators make a canonical row
+    xs = vect.mat_mul(tuple(vect._canon(d, {i: v for i, v in m.items() if i < k}) for d, m in c), b1)
+    ys = vect.mat_mul(tuple(vect._canon(d, {i - k: v for i, v in m.items() if i >= k}) for d, m in c), right)
+    basis = []
+    for (p, x), (q, y) in zip(xs, ys):
+        if not (x and y):  # one half is (1, {}): the other is the row
+            basis.append((p, x) if x else (q, y))
+            continue
+        e = lcm(p, q)
+        basis.append((e, {j: v * (e // p) for j, v in x.items()} | {j: v * (e // q) for j, v in y.items()}))
+    return tuple(basis)
+
+
 def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> GlueResult:
     pairs, glued, rename1, rename2 = _merged_names(spec, k1.universum, k2.universum)
-    lift1 = vect.coordinate_map(glued, k1.universum, {m: v for v, m in rename1.items()})
-    lift2 = vect.coordinate_map(glued, k2.universum, {m: v for v, m in rename2.items()})
-    # the syntax route: both sides' equations stacked over the merged names
+    # the syntax route: both sides' equations stacked over the merged names,
+    # where the left's variables keep their columns
     f1, f2 = k1.rep.f1, k2.rep.f1
     row_names = tuple(f"L:{n}" for n in f1.cod.vars) + tuple(f"R:{n}" for n in f2.cod.vars)
+    at = [glued.index(rename2[v]) for v in k2.universum.vars]
     stacked = LinMap.from_rows(
-        glued, VectObj(row_names), carriers.compose(f1, lift1).rows + carriers.compose(f2, lift2).rows
+        glued, VectObj(row_names), f1.rows + tuple((d, {at[j]: x for j, x in m.items()}) for d, m in f2.rows)
     )
 
     # the semantics route: the pullback of the parts' behaviors over the
-    # shared block, included in the merged universum, which with lift1 and
-    # lift2 is already the pullback of the universa over that block
-    shared = VectObj(tuple(m for _, _, m in pairs))
-    psi1 = vect.coordinate_map(k1.universum, shared, {l: m for l, _, m in pairs})
-    psi2 = vect.coordinate_map(k2.universum, shared, {r: m for _, r, m in pairs})
-    i1, i2 = k1.system.inclusion, k2.system.inclusion
-    bpb = carriers.pullback(carriers.compose(psi1, i1), carriers.compose(psi2, i2))
-    semantics = System(carriers.pullback_map(bpb, carriers.PullbackResult(glued, lift1, lift2), i1, i2))
+    # identified variables, read off their bases onto the merged names
+    basis = _pullback_basis(k1, k2, pairs, at)
+    semantics = System(vect._inclusion(VectObj(vect._kernel_names(len(basis))), glued, basis))
     # the stacked equations certify it as their system, or else are solved
     rep = certified_kernel_rep(stacked, semantics) or kernel_rep(stacked)
     syntax = arr_eq(rep)
@@ -471,7 +519,7 @@ def phenome(rows, space: VectObj, names) -> tuple[vect.Rows, vect.Rows]:
     hold none. They are row combinations of rows, so their kernel holds the
     projection. The converse is checked: each basis vector, placed on names,
     is back-substituted through the hidden pivot rows into a vector X over
-    space whose coordinates on names must not change, and one ``mat_mul``
+    space whose coordinates on names must not change, and ``annihilates``
     must confirm rows . X = 0; otherwise ``MismatchError``.
     """
     kept = [space.index(n) for n in names]
@@ -490,7 +538,7 @@ def phenome(rows, space: VectObj, names) -> tuple[vect.Rows, vect.Rows]:
         a = vect._back_substitute(x, back)
         unchanged = unchanged and all(x.get(c, 0) == a * v.get(j, 0) for j, c in enumerate(kept))
         xs.append((1, x))
-    if not unchanged or any(p for _, p in vect.mat_mul(rows, vect._transpose(xs, space.dim))):
+    if not unchanged or not vect.annihilates(rows, xs):
         raise MismatchError("eliminated equations disagree with the equations they come from")
     return eqs, basis
 

@@ -63,13 +63,15 @@ def certified_kernel_rep(f: LinMap, candidate: System) -> EquationRep | None:
     with equality exactly when span K = ker f. Any other outcome (a candidate
     outside the kernel or missing part of it, or a nullity below dim K, which
     only a broken ``vect.rank_of`` gives) leaves the answer to the equalizer:
-    None.
+    None. f . K = 0 is one sparse dot of each row of f with each column of K,
+    read off the basis an inclusion keeps, or else off K's transpose.
     """
     rep = kernel_rep(f)
     k = candidate.inclusion
     if k.cod != f.dom:
         raise MismatchError("the candidate system does not live on the equations' universum")
-    if any(m for _, m in vect.mat_mul(f.rows, k.rows)):
+    columns = k._basis if k._basis is not None else vect._transpose(k.rows, k.dom.dim)
+    if not vect.annihilates(f.rows, columns):
         return None
     if f.dom.dim - vect.rank_of(f.rows, f.dom.dim) != k.dom.dim:
         return None

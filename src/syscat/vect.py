@@ -30,12 +30,13 @@ is not, ``_eliminate`` canonicalizes them, so the output is the same.
 the rows that never pivot are the equations of the projection onto the
 others, and it back-substitutes their kernel through the pivot rows to check
 them.
-``mat_mul(A, B)`` multiplies nonzeros over B's common denominator and divides
-by one gcd per result row. B's rows must be canonical, because a row it
-selects is returned as it is; every caller passes the rows of a ``LinMap`` or
-rows taken from them: ``compose``, ``commutes``, and the candidate ``u`` that
-``lift`` checks. Identities, zero maps, product projections and coordinate
-maps are built as rows directly.
+``mat_mul(A, B)`` multiplies each result row's nonzeros over the common
+denominator of the rows of B it reads and divides by one gcd. B's rows must
+be canonical, because a row it selects is returned as it is; every caller
+passes the rows of a ``LinMap``, rows taken from them, or canonical basis
+rows: ``compose``, ``commutes``, the candidate ``u`` that ``lift`` checks,
+and the parts' bases ``circuits.glue`` combines. Identities, zero maps,
+product projections and coordinate maps are built as rows directly.
 
 Most maps an interconnection builds only re-index variables. Equalizer
 arrows, pullback projections and subobject inclusions are transposed RREF
@@ -45,8 +46,7 @@ structure in one pass over the nonzeros, and multiply or eliminate only where
 it is absent:
 
 - ``mat_mul``: a unit row ``(1, {k: 1})`` of A yields row k of B as it is,
-  and an empty row of A yields ``(1, {})``. B's common denominator and its
-  rows rescaled to it are built only if some row of A is neither.
+  and an empty row of A yields ``(1, {})``; only the other rows multiply.
 - ``_transpose``: a column holding a single entry n/q becomes
   ``(q // g, {i: n // g})`` with g = gcd(n, q), without the lcm and the gcd
   over a column; most columns of pullback projections are such columns.
@@ -71,10 +71,13 @@ it is absent:
   primitive, its pivot its first column with value 1, pivots increasing, no
   row touching another's pivot) are kept as given. Otherwise ``rref``.
 
-The inclusions ``equalizer``, ``image_factorize`` and ``subobject_map`` build
-keep their canonical basis and transpose it on first read of their rows;
-``image`` and ``classify`` read the basis, so an inclusion whose rows nothing
-reads, such as the behavior ``behavior`` prints, never builds them.
+The inclusions ``equalizer``, ``image_factorize``, ``subobject_map`` and
+``circuits.glue`` build keep their canonical basis and transpose it on first
+read of their rows; ``image`` and ``classify`` read the basis, so an
+inclusion whose rows nothing reads, such as the behavior ``behavior`` prints,
+never builds them. ``_inclusion`` checks the basis once, and ``classify``
+and ``image`` read that verdict; ``annihilates`` tests A . K = 0 against the
+basis directly.
 
 Computed subobjects (kernels, images, pullback objects) come back with
 generated ``k<i>`` coordinate names.
@@ -241,7 +244,8 @@ class LinMap:
     dom: VectObj
     cod: VectObj
     rows: Rows
-    _basis = None  # the canonical RREF basis an ``_inclusion`` keeps
+    _basis = None  # the basis an ``_inclusion`` keeps, one row per domain coordinate
+    _rref = None  # that basis, if it is canonical RREF
 
     @cached_property
     def rows(self) -> Rows:
@@ -612,11 +616,11 @@ def mat_mul(a_rows, b_rows) -> Rows:
 
     A unit row ``(1, {k: 1})`` of A selects row k of B, returned as is, and an
     empty row gives ``(1, {})``. Any other row i is computed as
-    (A d_i) @ (B e) over the ints, then divided by d_i e: d_i is the
-    denominator of row i of A, e the lcm of those of B, and e and B rescaled
-    to it are built for the first such row.
+    (A d_i) @ (B e_i) over the ints, then divided by d_i e_i: d_i is the
+    denominator of row i of A and e_i the lcm of the denominators of the rows
+    of B that row i uses, so rows of B with large denominators inflate only
+    the result rows that read them.
     """
-    b_items = None
     out = []
     for d, a in a_rows:
         if len(a) == 1 and d == 1:
@@ -627,20 +631,37 @@ def mat_mul(a_rows, b_rows) -> Rows:
         elif not a:
             out.append((1, {}))
             continue
-        if b_items is None:
-            e = lcm(*(q for q, _ in b_rows))
-            b_items = [
-                tuple(m.items()) if q == e else tuple((j, y * (e // q)) for j, y in m.items())
-                for q, m in b_rows
-            ]
+        e = lcm(*(b_rows[k][0] for k in a))
         acc: dict[int, int] = {}
         for k, x in a.items():
-            for j, y in b_items[k]:
+            q, m = b_rows[k]
+            if q != e:
+                x *= e // q
+            for j, y in m.items():
                 acc[j] = acc.get(j, 0) + x * y
         if 0 in acc.values():
             acc = {j: v for j, v in acc.items() if v}
         out.append(_canon(d * e, acc))
     return tuple(out)
+
+
+def annihilates(rows, vecs) -> bool:
+    """Whether every row is orthogonal to every vector: A . V^T = 0, for rows A
+    and vectors V over the same columns, both (d, m) with d > 0.
+
+    One sparse dot per pair, over the row's entries; a zero test reads no
+    denominator, so nothing is transposed, multiplied out or reduced.
+    """
+    for _, v in vecs:
+        for _, a in rows:
+            s = 0
+            for j, x in a.items():
+                y = v.get(j)
+                if y:
+                    s += x * y
+            if s:
+                return False
+    return True
 
 
 # -- categorical operations -------------------------------------------------
@@ -650,7 +671,10 @@ def identity(obj: VectObj) -> LinMap:
 
 
 def zero_map(dom: VectObj, cod: VectObj) -> LinMap:
-    return LinMap.from_rows(dom, cod, _zero_rows(cod.dim))
+    # one empty row per codomain coordinate: no column to check
+    f = LinMap.__new__(LinMap)
+    f.__dict__.update(dom=dom, cod=cod, rows=_zero_rows(cod.dim))
+    return f
 
 
 def compose(g: LinMap, f: LinMap) -> LinMap:
@@ -685,8 +709,8 @@ def classify(f: LinMap) -> tuple[bool, bool]:
     least r, so when r is min(dom.dim, cod.dim) it is the rank, without
     elimination.
     """
-    if f._basis is not None and _is_canonical_rref(f._basis):
-        r = len(f._basis)
+    if f._rref is not None:
+        r = len(f._rref)
     else:
         r = len(_unit_rows_at(f.rows))
         if r != min(f.dom.dim, f.cod.dim):
@@ -887,24 +911,30 @@ def _inclusion(dom: VectObj, cod: VectObj, basis: Rows) -> LinMap:
 
     basis must hold one row per coordinate of dom, each with its columns below
     cod.dim. The map keeps only basis and builds its rows, the transpose, on
-    first read; ``image`` and ``classify`` read the basis.
+    first read. basis is checked once here: ``_rref`` keeps it when it is
+    canonical RREF, and ``image`` and ``classify`` read that.
     """
     if len(basis) != dom.dim:
         raise MismatchError(f"basis has {len(basis)} rows, domain dimension is {dom.dim}")
     _check_columns(basis, cod.dim, "a basis row")
     f = LinMap.__new__(LinMap)
     f.__dict__.update(dom=dom, cod=cod, _basis=basis)
+    if _is_canonical_rref(basis):
+        f.__dict__["_rref"] = basis
     return f
 
 
 def image(f: LinMap) -> Subspace:
     """The column space of f, in canonical form.
 
-    The inclusions that ``equalizer``, ``image_factorize`` and ``subobject_map``
-    build keep their canonical basis, so their image is that basis, without
-    transposing; ``Subspace`` still checks that it is canonical RREF. Any other
-    map's columns are transposed and reduced.
+    An inclusion whose kept basis ``_inclusion`` found canonical has that
+    basis as its image, neither transposed nor checked again. Any other map's
+    columns are transposed and reduced.
     """
+    if f._rref is not None:
+        s = Subspace.__new__(Subspace)
+        s.__dict__.update(ambient=f.cod, rows=f._rref)
+        return s
     basis = f._basis
     if basis is None:
         basis = _transpose(f.rows, f.dom.dim)

@@ -469,9 +469,9 @@ def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, clo
 
 @pytest.mark.parametrize("close", [False, True], ids=["open", "closed"])
 def test_glue_pulls_back_only_the_behaviors(circuits_dir, monkeypatch, close):
-    # the merged universum with lift1, lift2 is the universa's pullback already,
-    # so a glue builds one pullback (the behaviors'), one lift (its inclusion
-    # into the merged names) and no system morphism
+    # the behaviors' pullback is read off the parts' bases straight onto the
+    # merged names: no categorical pullback, no lift through the universa's
+    # pullback and no system morphism
     left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
     spec = parse_glue((circuits_dir / "SP.glue").read_text())
     seen = Counter()
@@ -481,7 +481,7 @@ def test_glue_pulls_back_only_the_behaviors(circuits_dir, monkeypatch, close):
     post_init = SystemMorphism.__post_init__
     monkeypatch.setattr(SystemMorphism, "__post_init__", lambda m: seen.update(["morphism"]) or post_init(m))
     glue(left, right, replace(spec, close_dangling=close))
-    assert (seen["pullback"], seen["lift"], seen["morphism"]) == (1, 1, 0)
+    assert (seen["pullback"], seen["lift"], seen["morphism"]) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("close", [False, True])
@@ -743,17 +743,24 @@ def test_stacked_equations_are_the_syntax_pullback(left, right, spec):
     assert res.preservation.equal
 
 
+def _lifts(k1, k2, res):
+    """Each side's map reading its variables off the merged names."""
+    by_left = {l: m for l, _, m in res.merged}
+    by_right = {r: m for _, r, m in res.merged}
+    u1, u2 = k1.universum, k2.universum
+    return (
+        vect.coordinate_map(res.universum, u1, {by_left.get(v, v): v for v in u1.vars}),
+        vect.coordinate_map(res.universum, u2, {by_right.get(v, v): v for v in u2.vars}),
+    )
+
+
 def _assert_semantics_through_the_universa(left, right, spec):
     """glue's semantics route has the inclusion of the route through the
     universa's pullback: ``interconnect_shared`` of the parts, carried onto the
     merged names by the lift through lift1 and lift2, which is an iso."""
     res = glue(left, right, spec)
     k1, k2 = compile_circuit(left), compile_circuit(right)
-    by_left = {l: m for l, _, m in res.merged}
-    by_right = {r: m for _, r, m in res.merged}
-    u1, u2 = k1.universum, k2.universum
-    lift1 = vect.coordinate_map(res.universum, u1, {by_left.get(v, v): v for v in u1.vars})
-    lift2 = vect.coordinate_map(res.universum, u2, {by_right.get(v, v): v for v in u2.vars})
+    lift1, lift2 = _lifts(k1, k2, res)
     psi1, psi2 = _shared_block(k1, k2, res.merged)
     upb = carriers.pullback(psi1, psi2)
     alpha = carriers.lift((lift1, lift2), (upb.proj1, upb.proj2))
@@ -816,18 +823,62 @@ def test_random_semantics_route_is_the_pullback_through_the_universa(case):
     _assert_semantics_through_the_universa(*case)
 
 
+def _categorical_semantics(k1, k2, res):
+    """The inclusion of the behaviors' pullback built categorically: the
+    pullback of the behaviors over the shared block, and the ``pullback_map``
+    onto the merged universum, the universa's pullback with ``_lifts``."""
+    psi1, psi2 = _shared_block(k1, k2, res.merged)
+    i1, i2 = k1.system.inclusion, k2.system.inclusion
+    bpb = carriers.pullback(carriers.compose(psi1, i1), carriers.compose(psi2, i2))
+    return carriers.pullback_map(bpb, carriers.PullbackResult(res.universum, *_lifts(k1, k2, res)), i1, i2)
+
+
+@st.composite
+def random_reglues(draw):
+    """A glued result of ``random_glues`` and a third ladder or grid, in either
+    order, with up to three voltages of each identified."""
+    left, right, spec = draw(random_glues())
+    first = glue(left, right, spec)
+    third = compile_circuit(ladder("c", draw(st.integers(1, 3))) if draw(st.booleans()) else ugrid("c", 2))
+    n = draw(st.integers(0, 3))
+    ours = draw(st.permutations([v for v in first.universum.vars if v.startswith("v_")]))[:n]
+    theirs = draw(st.permutations([v for v in third.universum.vars if v.startswith("v_")]))[:n]
+    if draw(st.booleans()):
+        return first, third, GlueSpec("ABC", tuple(zip(ours, theirs)), draw(st.booleans()))
+    return third, first, GlueSpec("CAB", tuple(zip(theirs, ours)), draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_glues())
+def test_random_basis_semantics_is_the_categorical_pullback(case):
+    # the basis read off the parts' bases is the inclusion the categorical
+    # route builds, row for row, is canonical RREF as built, and the glued
+    # equations certify it
+    left, right, spec = case
+    res = glue(left, right, spec)
+    got = res.preservation.semantics_system.inclusion
+    assert got == _categorical_semantics(compile_circuit(left), compile_circuit(right), res)
+    assert got._rref is got._basis
+    assert res.preservation.syntax_system is res.preservation.semantics_system
+
+
+@settings(max_examples=30, deadline=None)
+@given(random_reglues())
+def test_reglued_basis_semantics_is_the_categorical_pullback(case):
+    k1, k2, spec = case
+    res = _glue_compiled(k1, k2, spec)
+    got = res.preservation.semantics_system.inclusion
+    assert got == _categorical_semantics(k1, k2, res)
+    assert got._rref is got._basis
+    assert res.preservation.equal
+
+
 @pytest.mark.parametrize("close", [False, True], ids=["open", "closed"])
 def test_glue_solves_its_equations_when_the_pullback_misses_a_vector(monkeypatch, close):
     # a semantics route that loses a kernel vector fails the certificate, and
     # the answer is the stacked equations' exact kernel, reported as a mismatch
-    pullback_map = carriers.pullback_map
-
-    def short(*args):
-        inc = pullback_map(*args)
-        keep = VectObj(inc.dom.vars[:-1])
-        return carriers.compose(inc, vect.coordinate_map(keep, inc.dom, {v: v for v in keep.vars}))
-
-    monkeypatch.setattr(carriers, "pullback_map", short)
+    pullback_basis = circuits._pullback_basis
+    monkeypatch.setattr(circuits, "_pullback_basis", lambda *a: pullback_basis(*a)[:-1])
     s, p = sp_circuits()
     res = glue(s, p, replace(parse_glue(SP_GLUE), close_dangling=close))
     assert not res.preservation.equal

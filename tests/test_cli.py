@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from syscat import carriers, circuits, cli, vect
+from syscat import circuits, cli, vect
 from syscat.circuits import Resistor
 from syscat.cli import main
 from syscat.vect import LinMap, Subspace, VectObj
@@ -321,22 +321,20 @@ def _in_circuits(argv, circuits_dir):
 
 @pytest.mark.parametrize("flags", [[], ["--close-dangling"]], ids=["open", "closed"])
 def test_glue_reports_a_wrong_transport(flags, circuits_dir, monkeypatch, capsys):
-    # the lift through (lift1, lift2) carries the behaviors' pullback onto the
-    # merged names; a wrong one puts the semantics route outside the stacked
-    # equations' kernel, so the certificate fails and the equations are solved
+    # the semantics step carries the behaviors' pullback onto the merged
+    # names; a wrong one puts it outside the stacked equations' kernel, so the
+    # certificate fails and the equations are solved
     argv = _in_circuits(SP_GLUE_ARGV, circuits_dir) + flags + ["--json"]
     _, out, _ = run_cli(argv, capsys)
     want = json.loads(out)
-    lift = carriers.lift
+    pullback_basis = circuits._pullback_basis
 
-    def doubling_v_a(ms, fs):
-        u = lift(ms, fs)
-        if len(ms) == 2 and "v_c=v_e" in ms[0].dom.vars:  # through (lift1, lift2)
-            rows = ((1, {0: 2}),) + vect._unit_rows(range(1, u.cod.dim))
-            u = carriers.compose(LinMap.from_rows(u.cod, u.cod, rows), u)
-        return u
+    def doubling_v_a(*args):
+        # v_a, the left's first variable, is merged coordinate 0
+        basis = pullback_basis(*args)
+        return tuple(vect._canon(d, {j: 2 * x if j == 0 else x for j, x in m.items()}) for d, m in basis)
 
-    monkeypatch.setattr(carriers, "lift", doubling_v_a)
+    monkeypatch.setattr(circuits, "_pullback_basis", doubling_v_a)
     code, out, _ = run_cli(argv, capsys)
     report = json.loads(out)
     assert code == 1 and report["preservation_equal"] is False

@@ -283,6 +283,39 @@ def test_mat_mul_selects_unit_rows_and_matches_dense_reference(case):
             assert row is b_rows[next(iter(a))]
 
 
+# pairwise coprime denominators of 127 to 381 bits, as in the bases of large glues
+BIG_DENOMINATORS = (2**127 - 1, 3**160, 5**110 * 7, 11**90, 13**100 * 17**3)
+
+
+@st.composite
+def mixed_denominator_products(draw):
+    """Dense A and B where each row of B has its own large denominator, or a
+    product of a few, and each row of A reads only some rows of B."""
+    inner, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    dens = st.lists(st.sampled_from(BIG_DENOMINATORS), min_size=1, max_size=3)
+    b = []
+    for _ in range(inner):
+        d = 1
+        for q in draw(dens):
+            d *= q
+        b.append([Fraction(draw(st.integers(-10**40, 10**40)), d) if draw(st.booleans()) else Fraction(0)
+                  for _ in range(ncols)])
+    a = [[draw(st.sampled_from((Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(5, 2**61 - 1))))
+          for _ in range(inner)] for _ in range(draw(st.integers(0, 6)))]
+    return a, b, inner
+
+
+@settings(deadline=None, max_examples=150)
+@given(mixed_denominator_products())
+def test_mat_mul_matches_dense_reference_on_mixed_large_denominators(case):
+    # each result row is scaled by the lcm of only the rows of B it reads, and
+    # still comes back canonical and equal to the dense product
+    a, b, inner = case
+    got = vect.mat_mul(vect.to_sparse(a), vect.to_sparse(b))
+    dense_kernels.canonical(got)
+    assert got == vect.to_sparse(oracles.dense_mat_mul(a, b, inner))
+
+
 def test_mat_mul_returns_the_selected_row_itself():
     rows = ((1, {0: 1}), (3, {0: 2, 2: -1}))
     assert vect.mat_mul(((1, {1: 1}),), rows)[0] is rows[1]
@@ -725,6 +758,20 @@ def test_an_inclusion_reads_as_its_transposed_basis(case, data):
 def test_an_inclusion_checks_its_basis(dom_dim, basis):
     with pytest.raises(MismatchError):
         vect._inclusion(_space("b", dom_dim), _space("z", 3), basis)
+
+
+def test_an_inclusion_checks_its_basis_once():
+    # _inclusion's verdict serves classify and image, however often they read
+    # it, and the zero map of a kernel representation has no column to check
+    f = LinMap(_space("x", 4), _space("z", 2), ((1, 2, 0, -1), (0, 1, 1, 3)))
+    want = vect.Subspace(f.dom, ((1, 0, -3, 1), (0, 1, -7, 2)))
+    with mock.patch.object(vect, "_is_canonical_rref", wraps=vect._is_canonical_rref) as canonical, \
+            mock.patch.object(vect, "_check_columns", wraps=vect._check_columns) as columns:
+        _, inc = vect.equalizer(f, vect.zero_map(f.dom, f.cod))
+        s = System(inc)
+        assert s.image == vect.image(inc) == want
+        assert carriers.classify_map(inc) == carriers.MapClass(True, False)
+    assert (canonical.call_count, columns.call_count) == (1, 1)
 
 
 def test_a_system_refuses_an_inclusion_of_a_repeated_row():
