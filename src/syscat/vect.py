@@ -11,25 +11,26 @@ Rows are shared between values and never mutated.
 
 The exact kernels (``rref``, ``rank_of``, ``kernel_basis``, ``solve_matrix``,
 ``mat_mul``) take and return rows; they read any row ``(d, m)`` with d > 0,
-except ``mat_mul``'s right factor, and return canonical rows. Two
-fraction-free eliminations share one arithmetic. ``_eliminate`` is
-Gauss-Jordan on the leftmost remaining column and serves ``rref``,
-``solve_matrix``, ``Subspace.intersect`` and the canonicalizing pass of
-``kernel_basis``; each needs that column order, for the unique RREF, for the
-solution with free coordinates zero, for Zassenhaus's first-half-first
-intersection, and for the kernel's RREF. ``_eliminate_forward`` is forward
-elimination on the column in the fewest rows (ties to the highest column) to
-keep the fill down, pivoting only on the columns its caller allows; each
-pivot row retires once it has cleared its column. ``kernel_basis`` and
-``rank_of`` allow every column: the first back-substitutes
-(``_back_substitute``) one kernel vector per free column, the second counts
-the steps, since a rank needs no column order. The ties leave the low columns
-free, so the kernel vectors mostly are the kernel's RREF already; where one
-is not, ``_eliminate`` canonicalizes them, so the output is the same.
-``circuits.phenome`` allows only the columns of the variables it hides, so
-the rows that never pivot are the equations of the projection onto the
-others, and it back-substitutes their kernel through the pivot rows to check
-them.
+except ``mat_mul``'s right factor, and return canonical rows. One
+fraction-free elimination, ``_eliminate_forward``, serves them all. It
+pivots only on the columns its caller allows, in one of two orders. By
+default it takes the column in the fewest rows (ties to the highest column)
+to keep the fill down, and each pivot row retires once it has cleared its
+column. ``kernel_basis`` and ``rank_of`` allow every column: the first
+back-substitutes (``_back_substitute``) one kernel vector per free column,
+the second counts the steps, since a rank needs no column order. Asked for
+``reduced`` rows, it takes the columns from left to right and clears each
+pivot column from the retired rows too, so its pivot rows are the RREF. That
+serves the callers that need the leftmost pivot set: ``rref``, for the
+unique RREF; ``solve_matrix``, for the solution with free coordinates zero;
+``Subspace.intersect``, for Zassenhaus's first-half-first intersection; and
+the canonicalizing pass of ``kernel_basis``. The min-degree ties leave the
+low columns free, so the kernel vectors mostly are the kernel's RREF
+already; where one is not, that pass canonicalizes them, so the output is
+the same. ``circuits.phenome`` allows only the columns of the variables it
+hides, so the rows that never pivot are the equations of the projection onto
+the others, and it back-substitutes their kernel through the pivot rows to
+check them.
 ``mat_mul(A, B)`` multiplies each result row's nonzeros over the common
 denominator of the rows of B it reads and divides by one gcd. B's rows must
 be canonical, because a row it selects is returned as it is; every caller
@@ -338,73 +339,32 @@ def _stack(a_rows, b_rows, shift: int, sign: int) -> list[dict[int, int]]:
     return out
 
 
-def _eliminate(m: list[dict[int, int]], ncols: int) -> list[int]:
-    """Fraction-free Gauss-Jordan elimination of sparse int rows, in place.
+def _eliminate_forward(m: list[dict[int, int]], cols, reduced: bool = False) -> list[tuple[int, int]]:
+    """Fraction-free elimination of sparse int rows, in place, pivoting only on
+    the columns in ``cols``.
 
-    Returns the pivot columns. Afterwards row i < len(pivots) of m has a
-    positive entry at pivots[i] and no other pivot column, and the rows below
-    are empty: dividing each kept row by its pivot gives the RREF. Each pivot
-    row is made primitive with a positive pivot p, and p clears column c from
-    a row with entry f as (p/g)*row - (f/g)*prow, g = gcd(p, f). A row scaled
-    by p/g != 1 is then divided by the gcd of its entries: without that, the
-    scalings multiply and the integers grow exponentially on dense input. A
-    row that was not scaled only had a multiple of a primitive row subtracted.
-    """
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if c in m[i]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        g = gcd(*prow.values())
-        if prow[c] < 0:
-            g = -g
-        if g != 1:
-            for j in prow:
-                prow[j] //= g
-        p = prow[c]
-        entries = tuple(prow.items())
-        for i, row in enumerate(m):
-            f = row.get(c)
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                if a != 1:
-                    for j in row:
-                        row[j] *= a
-                for j, y in entries:
-                    x = row.get(j, 0) - b * y
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-                if a != 1:
-                    g = gcd(*row.values())
-                    if g > 1:
-                        for j in row:
-                            row[j] //= g
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return pivots
+    Each step makes its pivot row primitive with a positive pivot p, and p
+    clears column c from a row with entry f as (p/g)*row - (f/g)*prow,
+    g = gcd(p, f). A row scaled by p/g != 1 is then divided by the gcd of its
+    entries: without that, the scalings multiply and the integers grow
+    exponentially on dense input. A row that was not scaled only had a
+    multiple of a primitive row subtracted. The pivot row is the shortest row
+    that holds c and has not pivoted (ties to the lower row index).
 
+    By default each step pivots on the column of cols that appears in the
+    fewest rows (ties to the highest column), so the fill stays small on
+    sparse input such as circuit equations (Markowitz 1957; Tinney and Walker
+    1967). The pivot row clears its column from the other rows and retires:
+    it leaves the column index ``where`` and is never updated again. A lazy
+    heap of (row count, -column) finds the next pivot: an entry whose count is
+    stale is dropped, and each step pushes a fresh entry for every column of
+    cols in the pivot row.
 
-def _eliminate_forward(m: list[dict[int, int]], cols) -> list[tuple[int, int]]:
-    """``_eliminate``'s arithmetic, in place, as forward elimination in min-degree
-    order that pivots only on the columns in ``cols``.
-
-    Each step pivots on the column of cols that appears in the fewest rows
-    (ties to the highest column), in the shortest row that contains it (ties
-    to the lower row index), so the fill stays small on sparse input such as
-    circuit equations (Markowitz 1957; Tinney and Walker 1967). The pivot row
-    clears its column from the other rows and retires: it leaves the column
-    index ``where`` and is never updated again. A lazy heap of (row count,
-    -column) finds the next pivot: an entry whose count is stale is dropped,
-    and each step pushes a fresh entry for every column of cols in the pivot
-    row.
+    With ``reduced`` the steps take the columns of cols from left to right,
+    and a retired row stays in ``where`` for its other columns, so every
+    later pivot column is cleared from it too. The pivot rows then end with
+    no pivot column but their own, and each over its pivot is a row of the
+    RREF: the pivots are the leftmost independent columns of cols.
 
     Returns the steps (pivot row, pivot column) in order. A pivot row holds a
     positive entry at its pivot column and no earlier step's pivot column.
@@ -416,16 +376,22 @@ def _eliminate_forward(m: list[dict[int, int]], cols) -> list[tuple[int, int]]:
     for i, row in enumerate(m):
         for j in row:
             where.setdefault(j, set()).add(i)
-    heap = [(len(rs), -j) for j, rs in where.items() if j in cols]
+    heap = [(0, j) if reduced else (len(rs), -j) for j, rs in where.items() if j in cols]
     heapify(heap)
-    steps: list[tuple[int, int]] = []
+    steps: dict[int, int] = {}  # pivot row -> pivot column, in step order
     while heap:
         count, c = heappop(heap)
-        c = -c
-        rs = where[c]
-        if count != len(rs) or not rs:
+        if reduced:
+            rs = where[c]
+            live = rs - steps.keys()
+        else:
+            c = -c
+            rs = live = where[c]
+            if count != len(rs):
+                continue
+        if not live:
             continue
-        _, r = min((len(m[i]), i) for i in rs)
+        _, r = min((len(m[i]), i) for i in live)
         prow = m[r]
         g = gcd(*prow.values())
         if prow[c] < 0:
@@ -434,11 +400,11 @@ def _eliminate_forward(m: list[dict[int, int]], cols) -> list[tuple[int, int]]:
             for j in prow:
                 prow[j] //= g
         p = prow[c]
-        steps.append((r, c))
-        for j in prow:
+        steps[r] = c
+        for j in (c,) if reduced else prow:
             where[j].discard(r)
         entries = tuple((j, y) for j, y in prow.items() if j != c)
-        # inline here and in _eliminate: a shared per-row helper slows laws' thousands of tiny eliminations
+        # inline: a per-row helper slows laws' thousands of tiny eliminations
         for i in rs:
             row = m[i]
             f = row.pop(c)
@@ -465,22 +431,24 @@ def _eliminate_forward(m: list[dict[int, int]], cols) -> list[tuple[int, int]]:
                     for j in row:
                         row[j] //= g
         rs.clear()
-        for j, _ in entries:
-            if j in cols:
-                heappush(heap, (len(where[j]), -j))
-    return steps
+        if not reduced:
+            for j, _ in entries:
+                if j in cols:
+                    heappush(heap, (len(where[j]), -j))
+    return list(steps.items())
 
 
-def _reduced(m: list[dict[int, int]], pivots) -> Rows:
-    """The canonical RREF rows of eliminated int rows: each kept row over its pivot."""
-    return tuple(_canon(row[c], row) for row, c in zip(m, pivots))
+def _reduced(m: list[dict[int, int]], steps) -> Rows:
+    """The canonical RREF rows of int rows after a ``reduced`` elimination:
+    each pivot row over its pivot."""
+    return tuple(_canon(m[r][c], m[r]) for r, c in steps)
 
 
 def rref(rows, ncols: int) -> tuple[Rows, tuple[int, ...]]:
     """Reduced row-echelon form; returns the nonzero rows and pivot columns."""
     m = _ints(rows)
-    pivots = _eliminate(m, ncols)
-    return _reduced(m, pivots), tuple(pivots)
+    steps = _eliminate_forward(m, range(ncols), reduced=True)
+    return _reduced(m, steps), tuple(c for _, c in steps)
 
 
 def rank_of(rows, ncols: int) -> int:
@@ -572,7 +540,7 @@ def kernel_basis(rows, ncols: int) -> Rows:
     x[fc] = 1, the other free columns 0. When no vector has an entry left of
     its own free column, these vectors are the kernel's RREF, which is unique;
     high-column ties leave the low columns free, so that is the common case.
-    Otherwise ``_eliminate`` canonicalizes them.
+    Otherwise a ``reduced`` elimination canonicalizes them.
     """
     direct = _disjoint_kernel(rows, ncols)
     if direct is not None:
@@ -592,22 +560,26 @@ def kernel_basis(rows, ncols: int) -> Rows:
         basis.append(x)
     if canonical:
         return tuple(_canon(x[min(x)], x) for x in basis)
-    return _reduced(basis, _eliminate(basis, ncols))
+    return _reduced(basis, _eliminate_forward(basis, range(ncols), reduced=True))
 
 
-def solve_matrix(a_rows, ncols: int, b_rows, bcols: int) -> Rows | None:
+def solve_matrix(a_rows, ncols: int, b_rows) -> Rows | None:
     """The rows of one exact solution X of A @ X = B, or None if inconsistent.
 
-    Free coordinates are set to zero, so the solution is unique exactly when A
-    has full column rank (the only case the callers rely on).
+    [A | B] is eliminated ``reduced`` on A's columns, so the pivots are A's
+    leftmost independent columns; a row left nonzero reads 0 = a nonzero row
+    of B. The other, free coordinates of X are zero. That makes X unique
+    even when A has dependent columns: ``right_inverse`` of a map that is not
+    mono relies on it, and so do the law instances built from one.
     """
     m = _stack(a_rows, b_rows, ncols, 1)
-    pivots = _eliminate(m, ncols + bcols)
-    if pivots and pivots[-1] >= ncols:
+    steps = _eliminate_forward(m, range(ncols), reduced=True)
+    if len(steps) < sum(map(bool, m)):
         return None
     x = list(_zero_rows(ncols))
-    for row, p in zip(m, pivots):
-        x[p] = _canon(row[p], {j - ncols: y for j, y in row.items() if j >= ncols})
+    for r, c in steps:
+        row = m[r]
+        x[c] = _canon(row[c], {j - ncols: y for j, y in row.items() if j >= ncols})
     return tuple(x)
 
 
@@ -775,13 +747,13 @@ def lift(ms, fs) -> LinMap | None:
     if len(at) == dom.dim:
         u = tuple(b[at[j]] for j in range(dom.dim))
         return LinMap.from_rows(apex, dom, u) if mat_mul(a, u) == b else None
-    sol = solve_matrix(a, dom.dim, b, apex.dim)
+    sol = solve_matrix(a, dom.dim, b)
     return None if sol is None else LinMap.from_rows(apex, dom, sol)
 
 
 def right_inverse(f: LinMap) -> LinMap | None:
     """A map r with f . r = id (free coordinates zero), or None if f is not epi."""
-    sol = solve_matrix(f.rows, f.dom.dim, _unit_rows(range(f.cod.dim)), f.cod.dim)
+    sol = solve_matrix(f.rows, f.dom.dim, _unit_rows(range(f.cod.dim)))
     return None if sol is None else LinMap.from_rows(f.cod, f.dom, sol)
 
 
@@ -880,13 +852,13 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
         # Zassenhaus: reduce the rows (a | a) and (b | 0); the reduced rows whose
-        # first half is zero span the intersection in their second half.
+        # first half is zero are the intersection's RREF in their second half.
         n = self.ambient.dim
         m = [a | {n + j: x for j, x in a.items()} for _, a in self.rows]
         m += _ints(other.rows)
-        pivots = _eliminate(m, 2 * n)
+        steps = _eliminate_forward(m, range(2 * n), reduced=True)
         common = tuple(
-            (1, {j - n: x for j, x in row.items()}) for row, c in zip(m, pivots) if c >= n
+            _canon(m[r][c], {j - n: x for j, x in m[r].items()}) for r, c in steps if c >= n
         )
         return Subspace.from_rows(self.ambient, common)
 

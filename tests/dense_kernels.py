@@ -33,7 +33,7 @@ def kernel_basis(rows, ncols: int):
 
 
 def solve_matrix(a_rows, ncols: int, b_rows, bcols: int):
-    sol = vect.solve_matrix(vect.to_sparse(a_rows), ncols, vect.to_sparse(b_rows), bcols)
+    sol = vect.solve_matrix(vect.to_sparse(a_rows), ncols, vect.to_sparse(b_rows))
     return None if sol is None else vect.to_dense(canonical(sol), bcols)
 
 

@@ -23,6 +23,22 @@ def nullity(rows, ncols) -> int:
     return ncols - rank(rows, ncols)
 
 
+def intersection(rows_a, rows_b, ncols):
+    """The canonical RREF basis of the intersection of two row spaces, as
+    Fraction rows, by sympy: each nullspace vector (x, y) of [A^T | -B^T]
+    gives the common vector A^T x."""
+    if not rows_a or not rows_b:
+        return ()
+    at, bt = sym(rows_a, ncols).T, sym(rows_b, ncols).T
+    common = [at * z[: len(rows_a), :] for z in sympy.Matrix.hstack(at, -bt).nullspace()]
+    if not common:
+        return ()
+    reduced, pivots = sympy.Matrix.hstack(*common).T.rref()
+    return tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in reduced.row(i)) for i in range(len(pivots))
+    )
+
+
 def row_space_equal(rows_a, rows_b, ncols) -> bool:
     a, b = sym(rows_a, ncols), sym(rows_b, ncols)
     ra, rb = a.rank(), b.rank()
@@ -321,13 +337,16 @@ def dense_vect_equation_cospan(rng):
             psi_e = dense_linmap(rng, e, ec)
             if rank(psi_e.matrix, e.dim) == ec.dim:
                 break
-        right_inv = vect.right_inverse(psi_e)
-        _, kernel = vect.equalizer(psi_e, vect.zero_map(e, ec))
+        # psi_e's right inverse with free coordinates zero, and its kernel's
+        # canonical basis, from the dense references rather than from vect
+        unit = tuple(tuple(Fraction(int(i == j)) for j in range(ec.dim)) for i in range(ec.dim))
+        right_inv = LinMap(ec, e, dense_solve_matrix(psi_e.matrix, e.dim, unit, ec.dim))
+        kernel = dense_kernel_basis(psi_e.matrix, e.dim)
         maps = []
         for h in (shared.f1, shared.f2):
             target = carriers.compose(h, psi_u)
             rows = [list(r) for r in vect.compose(right_inv, target).matrix]
-            for kvec in zip(*kernel.matrix):  # the kernel's basis vectors are its columns
+            for kvec in kernel:
                 coeffs = [Fraction(rng.randint(-1, 1)) for _ in range(u.dim)]
                 for i in range(e.dim):
                     for j in range(u.dim):

@@ -277,8 +277,8 @@ def drop_first_reduced_row(monkeypatch):
     forward = vect._eliminate_forward
     calls = []
 
-    def dropping(m, cols):
-        steps = forward(m, cols)
+    def dropping(m, cols, reduced=False):
+        steps = forward(m, cols, reduced)
         if not calls:
             pivoted = {r for r, _ in steps}
             next(row for i, row in enumerate(m) if row and i not in pivoted).clear()

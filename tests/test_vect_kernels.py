@@ -6,8 +6,8 @@
 agree entry for entry and every entry must be a ``Fraction``. The linear-map
 constructions (``compose``, ``pullback``, ``equalizer``, ``image_factorize``,
 ``lift``, and ``carriers.pullback_map`` over two products) are checked the
-same way through their dense ``matrix`` views. Ranks and row spaces are
-refereed independently by sympy.
+same way through their dense ``matrix`` views. Ranks, row spaces and
+``Subspace.intersect`` are refereed independently by sympy.
 The structural shortcuts (unit and empty rows of A in ``mat_mul``,
 single-entry columns in ``_transpose``, a unit row per domain coordinate in
 ``lift``, unit rows of min(dom, cod) distinct columns in ``classify``, disjoint
@@ -17,7 +17,7 @@ whose rows are built only when read) are drawn on purpose, together with
 inputs that just miss each condition, and checked against the same
 references. ``kernel_basis`` has one more: the vectors
 back-substituted after its forward elimination skip the canonicalizing
-``_eliminate`` when none has an entry left of its own free column; the
+pass when none has an entry left of its own free column; the
 random rows here take both paths, and ``tests/test_circuits.py`` pins which
 path compiled circuits take. Rows are shared between values, so a last test
 checks that no kernel changes the rows it is given.
@@ -580,7 +580,7 @@ def disjoint_rows(draw):
 @given(disjoint_rows())
 def test_kernel_of_disjoint_rows_matches_dense_reference(m):
     rows, ncols = m
-    with _forbidden("_eliminate_forward"), _forbidden("_eliminate"):
+    with _forbidden("_eliminate_forward"):
         got = dense_kernels.kernel_basis(rows, ncols)
     assert_identical(got, oracles.dense_kernel_basis(rows, ncols))
     assert len(got) == oracles.nullity(rows, ncols)
@@ -631,6 +631,38 @@ def test_subspace_keeps_exactly_canonical_rref_rows(m):
     # sparse rows compare their scale too, which the dense view would hide
     assert sub.rows == vect.to_sparse(want)
     dense_kernels.canonical(sub.rows)
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two subspaces of one ambient space of dim 0-6, each the zero space, the
+    full space or the span of sparse rows; the second may also span rows of
+    the first, so that the two meet."""
+    n = draw(DIMS)
+    ambient = _space("x", n)
+
+    def subspace(shared=()):
+        kind = draw(st.sampled_from(("zero", "full", "rows", "rows")))
+        if kind == "zero":
+            return vect.Subspace(ambient, ())
+        if kind == "full":
+            return vect.Subspace(ambient, [[int(i == j) for j in range(n)] for i in range(n)])
+        rows, _ = draw(sparse_rows(ncols=n, max_rows=6))
+        return vect.Subspace(ambient, rows + shared)
+
+    a = subspace()
+    shared = tuple(draw(st.lists(st.sampled_from(a.basis), max_size=2))) if a.basis else ()
+    return a, subspace(shared)
+
+
+@settings(deadline=None, max_examples=200)
+@given(subspace_pairs())
+def test_intersect_matches_sympy(pair):
+    a, b = pair
+    want = oracles.intersection(a.basis, b.basis, a.ambient.dim)
+    for meet in (a & b, b & a):
+        dense_kernels.canonical(meet.rows)
+        assert_identical(meet.basis, want)
 
 
 @st.composite
@@ -806,9 +838,9 @@ def test_kernels_never_mutate_their_input_rows(data):
     # an equalizer with the zero map hands f's own rows to kernel_basis
     f = LinMap.from_rows(_space("x", ncols), _space("y", len(rows)), tuple(rows))
     _unchanged(vect.equalizer, f, vect.zero_map(f.dom, f.cod))
-    _unchanged(vect.solve_matrix, rows, ncols, rows, ncols)
-    a_dense, ncols, b_dense, bcols = data.draw(linear_systems())
-    _unchanged(vect.solve_matrix, vect.to_sparse(a_dense), ncols, vect.to_sparse(b_dense), bcols)
+    _unchanged(vect.solve_matrix, rows, ncols, rows)
+    a_dense, ncols, b_dense, _ = data.draw(linear_systems())
+    _unchanged(vect.solve_matrix, vect.to_sparse(a_dense), ncols, vect.to_sparse(b_dense))
     ms, fs, _ = data.draw(coordinate_cones())
     family = tuple(m.rows for m in ms), tuple(f.rows for f in fs)
     before = copy.deepcopy(family)
