@@ -47,9 +47,16 @@ interpretation must commute with the gluing, up to a bug.
 With the spec's ``close_dangling`` the glued graph's terminals of at most one
 element end get zero-external-current rows ``ext:``, built like the
 current-balance rows: closing a terminal interconnects with {i = 0}, which is
-one more equation. The closed behavior is the kernel of the stacked rows and
-the ``ext:`` rows together, solved exactly. The result's system is then the
-closed one, while ``preservation`` still compares the two routes of the open
+one more equation, and interpretation preserves that interconnection too. So
+the closed behavior is read on the semantics side, off the canonical basis K
+of the open behavior that the stacked rows A certified (or, if they did not,
+of their exact kernel): span K is ker A, so ker A cut by the ``ext:`` rows E
+is Y . K, with Y the canonical basis of ker(E . K), a kernel over dim K
+columns. Each ``ext:`` row has at most one entry, so E . K is read off K's
+entries at the closed currents. Y . K is canonical RREF as built, since Y
+and K are; it is checked against the ``ext:`` rows on its way out, and the
+result's system is then the closed one, with the stacked and ``ext:`` rows as
+its equations. ``preservation`` still compares the two routes of the open
 interconnection.
 
 Emergence compares the interconnection of the parts' phenomes with the
@@ -76,7 +83,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import vect
-from .equations import EquationRep, PreservationReport, arr_eq, certified_kernel_rep, kernel_rep
+from .equations import EquationRep, PreservationReport, arr_eq, certified_kernel_rep, kernel_rep, solved_kernel_rep
 from .errors import GlueError, MismatchError, ParseError
 from .systems import System, behavior_image, systems_equal
 from .vect import LinMap, Subspace, VectObj
@@ -410,19 +417,29 @@ def glue(c1: Circuit, c2: Circuit, spec: GlueSpec) -> GlueResult:
     live on the merged-name universum. When the stacked equations certify the
     pullback, the two are one system and the open interconnection solves no
     whole-circuit kernel; otherwise the syntax system is the stacked
-    equations' exact kernel. With ``close_dangling`` the
-    result's system is the kernel of the stacked rows plus one ``ext:`` row
-    per closed terminal, and the report still describes the open
-    interconnection.
+    equations' exact kernel. With ``close_dangling`` the result's equations
+    are the stacked rows plus one ``ext:`` row per closed terminal, and its
+    system is that open behavior cut by the ``ext:`` rows, a kernel over the
+    open behavior's coordinates rather than the merged names; the report
+    still describes the open interconnection.
     """
     return _glue_compiled(compile_circuit(c1), compile_circuit(c2), spec)
 
 
-def _behavior_rows(k: CompiledCircuit) -> vect.Rows:
-    """The canonical basis of k's behavior: the one its inclusion keeps, or
+def _behavior_rows(s: System) -> vect.Rows:
+    """The canonical basis of s's behavior: the one its inclusion keeps, or
     else its image's."""
-    inc = k.system.inclusion
+    inc = s.inclusion
     return inc._rref if inc._rref is not None else vect.image(inc).rows
+
+
+def _coefficient_row(*parts) -> vect.Row:
+    """One integer row over the coordinates of stacked bases: for each part
+    (basis, c, sign, at), sign times column c of basis at coordinates at + i,
+    all over the lcm of the denominators of the basis rows that hold c."""
+    col = [(at + i, d, sign * m[c]) for b, c, sign, at in parts for i, (d, m) in enumerate(b) if c in m]
+    e = lcm(*(d for _, d, _ in col))
+    return (1, {i: x * (e // d) for i, d, x in col})
 
 
 def _pullback_basis(k1: CompiledCircuit, k2: CompiledCircuit, pairs, at) -> vect.Rows:
@@ -442,15 +459,9 @@ def _pullback_basis(k1: CompiledCircuit, k2: CompiledCircuit, pairs, at) -> vect
     and a row of C with x = 0 has y . B2 zero on the identified variables, so
     it leads on a right-only name.
     """
-    b1, b2 = _behavior_rows(k1), _behavior_rows(k2)
+    b1, b2 = _behavior_rows(k1.system), _behavior_rows(k2.system)
     u1, u2, k = k1.universum, k2.universum, len(b1)
-    rows = []
-    for l, r, _ in pairs:
-        cl, cr = u1.index(l), u2.index(r)
-        col = [(i, d, m[cl]) for i, (d, m) in enumerate(b1) if cl in m]
-        col += [(k + i, d, -m[cr]) for i, (d, m) in enumerate(b2) if cr in m]
-        e = lcm(*(d for _, d, _ in col))
-        rows.append((1, {i: x * (e // d) for i, d, x in col}))
+    rows = [_coefficient_row((b1, u1.index(l), 1, 0), (b2, u2.index(r), -1, k)) for l, r, _ in pairs]
     c = vect.kernel_basis(rows, k + len(b2))
     n1 = u1.dim  # the right-only names are the merged columns past k1's
     right = tuple(vect._canon(d, {at[j]: x for j, x in m.items() if at[j] >= n1}) for d, m in b2)
@@ -492,10 +503,18 @@ def _glue_compiled(k1: CompiledCircuit, k2: CompiledCircuit, spec: GlueSpec) -> 
     nodes = _merged_nodes(k1, k2, rename1, rename2)
     closed = _closed_terminals(nodes) if spec.close_dangling else []
     if closed:
-        # closing interconnects with {i = 0}: the stacked rows plus one ext: row
-        # per closed terminal, solved
+        # closing interconnects with {i = 0}: one ext: row per closed terminal,
+        # at most one entry each. With K the open behavior's canonical basis,
+        # span K = ker A, so the closed behavior is ker(E . K) . K, canonical
+        # RREF as built since both factors are
         ext_names, ext_rows = _node_rows("ext", closed, {v: i for i, v in enumerate(glued.vars)})
-        rep = kernel_rep(LinMap.from_rows(glued, VectObj(row_names + ext_names), stacked.rows + ext_rows))
+        k = _behavior_rows(syntax)
+        ek = [_coefficient_row(*((k, c, s, 0) for c, s in e.items())) for _, e in ext_rows]
+        basis = vect.mat_mul(vect.kernel_basis(ek, len(k)), k)
+        if not vect.annihilates(ext_rows, basis):
+            raise MismatchError("the closed behavior does not solve its ext: rows")
+        closing = LinMap.from_rows(glued, VectObj(row_names + ext_names), stacked.rows + ext_rows)
+        rep = solved_kernel_rep(closing, basis)
     return GlueResult(
         name=spec.name,
         rep=rep,

@@ -4,14 +4,18 @@ An equation representation is a pair f1, f2 : U -> E; the system it describes
 has the equalizer of the pair as its inclusion. Each representation is
 interpreted once, and ``arr_eq`` and ``arr_eq_morphism`` reuse its system.
 That system is either computed on first read (``EquationRep.system``, the
-equalizer) or given by ``certified_kernel_rep``, the one construction that
-hands a representation a system it did not compute: a kernel representation
-(f, 0) with a candidate system whose inclusion K satisfies f . K = 0 and
-whose dimension is the nullity of f over Q, which holds exactly when
-span K = ker f. Pullbacks here
-stack equations while identifying shared variables, and the interpretation
-into systems preserves them — `check_preservation` is the law's check over
-generic pullbacks: it computes both routes and compares.
+equalizer) or handed to a kernel representation (f, 0) by one of two
+constructions. ``certified_kernel_rep`` takes a candidate system whose
+inclusion K satisfies f . K = 0 and whose dimension is the nullity of f over
+Q, which holds exactly when span K = ker f. ``solved_kernel_rep`` takes the
+canonical basis of ker f that its caller solved from a kernel it already
+holds, with no certificate: glue's closing reads the kernel of the stacked
+rows A and ``ext:`` rows E off the certified basis K of ker A, as the rows
+Y . K with Y the canonical basis of ker(E . K), which is exact because
+span K = ker A. Pullbacks here stack equations while identifying shared
+variables, and the interpretation into systems preserves them —
+`check_preservation` is the law's check over generic pullbacks: it computes
+both routes and compares.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from . import carriers, vect
 from .carriers import CarrierMap
 from .errors import MismatchError
 from .systems import System, SystemMorphism, _proved, make_morphism, pullback_systems, systems_equal
-from .vect import LinMap
+from .vect import LinMap, VectObj
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,17 @@ def certified_kernel_rep(f: LinMap, candidate: System) -> EquationRep | None:
     if f.dom.dim - vect.rank_of(f.rows, f.dom.dim) != k.dom.dim:
         return None
     rep.__dict__["system"] = candidate  # the kept value ``EquationRep.system`` reads
+    return rep
+
+
+def solved_kernel_rep(f: LinMap, basis: vect.Rows) -> EquationRep:
+    """The pair (f, 0) whose system is the inclusion of ``basis``: the
+    canonical RREF basis of ker f, which the caller solved from a kernel it
+    already holds. No certificate runs: the system is built as the equalizer
+    would build it, and ``vect._inclusion`` checks the basis's shape and
+    whether it is canonical, as for any inclusion."""
+    rep = kernel_rep(f)
+    rep.__dict__["system"] = System(vect._inclusion(VectObj(vect._kernel_names(len(basis))), f.dom, basis))
     return rep
 
 

@@ -36,7 +36,8 @@ denominator of the rows of B it reads and divides by one gcd. B's rows must
 be canonical, because a row it selects is returned as it is; every caller
 passes the rows of a ``LinMap``, rows taken from them, or canonical basis
 rows: ``compose``, ``commutes``, the candidate ``u`` that ``lift`` checks,
-and the parts' bases ``circuits.glue`` combines. Identities, zero maps,
+the parts' bases ``circuits.glue`` combines, and the open behavior's basis
+its closing cuts down. Identities, zero maps,
 product projections and coordinate maps are built as rows directly.
 
 Most maps an interconnection builds only re-index variables. Equalizer
@@ -358,7 +359,10 @@ def _eliminate_forward(m: list[dict[int, int]], cols, reduced: bool = False) -> 
     it leaves the column index ``where`` and is never updated again. A lazy
     heap of (row count, -column) finds the next pivot: an entry whose count is
     stale is dropped, and each step pushes a fresh entry for every column of
-    cols in the pivot row.
+    cols in the pivot row. On a ladder every step is a singleton: its column
+    lies in one row, which is taken without a search, and no other row holds
+    the column, so nothing is updated. A pivot row of one entry becomes the
+    unit row of its column without a gcd.
 
     With ``reduced`` the steps take the columns of cols from left to right,
     and a retired row stays in ``where`` for its other columns, so every
@@ -391,19 +395,22 @@ def _eliminate_forward(m: list[dict[int, int]], cols, reduced: bool = False) -> 
                 continue
         if not live:
             continue
-        _, r = min((len(m[i]), i) for i in live)
+        r = next(iter(live)) if len(live) == 1 else min((len(m[i]), i) for i in live)[1]
         prow = m[r]
-        g = gcd(*prow.values())
-        if prow[c] < 0:
-            g = -g
-        if g != 1:
-            for j in prow:
-                prow[j] //= g
+        if len(prow) == 1:
+            prow[c] = 1
+        else:
+            g = gcd(*prow.values())
+            if prow[c] < 0:
+                g = -g
+            if g != 1:
+                for j in prow:
+                    prow[j] //= g
         p = prow[c]
         steps[r] = c
         for j in (c,) if reduced else prow:
             where[j].discard(r)
-        entries = tuple((j, y) for j, y in prow.items() if j != c)
+        entries = tuple((j, y) for j, y in prow.items() if j != c) if rs else ()
         # inline: a per-row helper slows laws' thousands of tiny eliminations
         for i in rs:
             row = m[i]
@@ -432,8 +439,8 @@ def _eliminate_forward(m: list[dict[int, int]], cols, reduced: bool = False) -> 
                         row[j] //= g
         rs.clear()
         if not reduced:
-            for j, _ in entries:
-                if j in cols:
+            for j in prow:
+                if j != c and j in cols:
                     heappush(heap, (len(where[j]), -j))
     return list(steps.items())
 

@@ -455,17 +455,18 @@ def test_glue_series_parallel_dimensions():
     assert systems_equal(res.preservation.syntax_system, res.preservation.semantics_system)
 
 
-@pytest.mark.parametrize("close, calls", [(False, 2), (True, 3)], ids=["open", "closed"])
-def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, close, calls):
+@pytest.mark.parametrize("close", [False, True], ids=["open", "closed"])
+def test_glue_interprets_each_representation_once(circuits_dir, monkeypatch, close):
     left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
     spec = parse_glue((circuits_dir / "SP.glue").read_text())
     seen = []
     equalizer = carriers.equalizer
     monkeypatch.setattr(carriers, "equalizer", lambda f, g: seen.append(f) or equalizer(f, g))
     glue(left, right, replace(spec, close_dangling=close)).system
-    # left and right; the stacked equations certify their system, unsolved;
-    # with closing, the third solves the closed equations (stacked and ext: rows)
-    assert len(seen) == calls
+    # left and right; the stacked equations certify their system, unsolved,
+    # and closing reads the closed system off it, so the closed equations
+    # (stacked and ext: rows) are not solved either
+    assert len(seen) == 2
 
 
 @pytest.mark.parametrize("close", [False, True], ids=["open", "closed"])
@@ -489,7 +490,7 @@ def test_glue_pulls_back_only_the_behaviors(circuits_dir, monkeypatch, close):
 def test_glue_ranks_only_in_its_certificates(circuits_dir, monkeypatch, close):
     # every lift, mono check and subspace of a glue has a structural
     # certificate; the only rank is the nullity the one equation certificate
-    # counts, the open glue's, whether or not closing solves the closed rows
+    # counts, the open glue's, whether or not closing cuts its behavior down
     left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
     spec = parse_glue((circuits_dir / "SP.glue").read_text())
     seen, reps = [], []
@@ -504,10 +505,10 @@ def test_glue_ranks_only_in_its_certificates(circuits_dir, monkeypatch, close):
     assert len(reps) == 1 and None not in reps  # the certificate holds
 
 
-def test_closing_solves_one_kernel_over_the_merged_names(circuits_dir, monkeypatch):
+def test_closing_solves_one_kernel_over_the_open_behavior(circuits_dir, monkeypatch):
     # each part's kernel (6 and 11 columns) and the behaviors' pullback over
-    # the shared block (4 + 4); closing adds the kernel of the closed rows over
-    # the 13 merged names, and no kernel over the glued behavior's columns
+    # the shared block (4 + 4); closing adds the kernel of E . K over the open
+    # behavior's 4 coordinates, and no kernel over the 13 merged names
     left, right = (parse_netlist((circuits_dir / f).read_text()) for f in ("S.ckt", "P.ckt"))
     spec = parse_glue((circuits_dir / "SP.glue").read_text())
     widths = {}
@@ -518,7 +519,23 @@ def test_closing_solves_one_kernel_over_the_merged_names(circuits_dir, monkeypat
         res = glue(left, right, replace(spec, close_dangling=close))
         res.behavior
     assert widths[False] == [6, 11, 8]
-    assert widths[True] == widths[False] + [res.universum.dim] == [6, 11, 8, 13]
+    assert widths[True] == widths[False] + [res.preservation.syntax_system.behavior.dim] == [6, 11, 8, 4]
+
+
+def test_closing_a_terminal_with_no_element_end_changes_nothing():
+    # two resistors in parallel between two terminals, and an isolated
+    # terminal z: every terminal with an element has two ends, so closing
+    # closes only z and qz, whose ext: rows are zero, and the closed behavior
+    # is the open one
+    c = parse_netlist("circuit c\nnode a b z\nterminal a b z\nresistor r a b 1\nresistor s a b 2\n")
+    spec = GlueSpec("g", (("v_a", "v_qa"),))
+    open_, closed = (glue(c, prefixed(c, "q"), replace(spec, close_dangling=x)) for x in (False, True))
+    assert closed.closed_terminals == ("L.z", "R.qz")
+    assert closed.rep.codomain.vars[-2:] == ("ext:L.z", "ext:R.qz")
+    assert closed.rep.f1.rows[-2:] == ((1, {}), (1, {}))
+    assert closed.behavior == open_.behavior
+    assert closed.behavior.basis == _kernel_of_equations(closed)
+    assert closed.preservation.equal
 
 
 def augmented(c: Circuit, extra) -> Circuit:
@@ -781,7 +798,7 @@ def test_semantics_route_is_the_pullback_through_the_universa(left, right, spec,
 
 def _kernel_of_equations(res):
     """The canonical basis the glued equations give when solved exactly by the
-    dense reference, not by ``vect.kernel_basis``, which closing solves with."""
+    dense reference, not by ``vect.kernel_basis``."""
     return oracles.dense_kernel_basis(res.rep.f1.matrix, res.universum.dim)
 
 
@@ -810,7 +827,7 @@ def random_glues(draw):
 @settings(max_examples=40, deadline=None)
 @given(random_glues())
 def test_glue_behavior_is_the_kernel_of_its_equations(case):
-    # the certified pullback of the parts (open), or the solved stacked and
+    # the certified pullback of the parts (open), or that behavior cut by the
     # ext: rows (closed), is the dense kernel of the glued circuit's equations
     left, right, spec = case
     res = glue(left, right, spec)

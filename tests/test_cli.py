@@ -271,6 +271,27 @@ def test_glue_prints_a_failed_cross_check(flags, circuits_dir, monkeypatch, caps
     assert (report["syntax_dim"], report["semantics_dim"]) == (5, 4)
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_glue_stops_on_a_closed_basis_its_ext_rows_refuse(flags, circuits_dir, monkeypatch, capsys):
+    # a stand-in kernel of E . K that returns every coordinate of the open
+    # behavior, which the ext: rows do not annihilate: the closed basis is
+    # checked on its way out, so nothing is printed as the closed behavior
+    kernel_basis = vect.kernel_basis
+
+    def everything_for_closing(rows, ncols):
+        if sys._getframe(1).f_code.co_name == "_glue_compiled":
+            return vect._unit_rows(range(ncols))
+        return kernel_basis(rows, ncols)
+
+    monkeypatch.setattr(vect, "kernel_basis", everything_for_closing)
+    argv = ["glue", str(circuits_dir / "S.ckt"), str(circuits_dir / "P.ckt"), str(circuits_dir / "SP.glue")]
+    code, out, err = run_cli(argv + ["--close-dangling"] + flags, capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # the open glue runs no such kernel
+    assert run_cli(argv + flags, capsys)[0] == 0
+
+
 def drop_first_reduced_row(monkeypatch):
     """Make the first elimination lose its first reduced row, a row left with
     no hidden column: in emergence, one of the left part's kept equations."""

@@ -29,6 +29,7 @@ entries gives negative pivots.
 import copy
 from contextlib import nullcontext
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -170,6 +171,80 @@ def test_negative_pivots_are_normalized():
     got, pivots = dense_kernels.rref(rows, 3)
     assert_identical(got, oracles.dense_rref(rows, 3)[0])
     assert got == ((1, 0, 20), (0, 1, 10)) and pivots == (0, 1)
+
+
+def _min_degree_model(m, cols):
+    """The min-degree order, written plainly over int rows m: each step pivots
+    on an allowed column held by the fewest live (not yet pivoted) rows, ties
+    to the highest column, in the shortest live row holding it, ties to the
+    lowest index. That row is made primitive with a positive pivot p and
+    clears the column from the other live rows as (p/g)*row - (f/g)*prow,
+    g = gcd(p, f), a scaled row then divided by its gcd. Returns the steps,
+    the final rows, and how many live rows held each step's column."""
+    m, live = [dict(row) for row in m], set(range(len(m)))
+    steps, held = [], []
+    while True:
+        where = {c: [i for i in sorted(live) if c in m[i]] for c in cols}
+        where = {c: rs for c, rs in where.items() if rs}
+        if not where:
+            return steps, m, held
+        c = min(where, key=lambda j: (len(where[j]), -j))
+        r = min(where[c], key=lambda i: (len(m[i]), i))
+        g = gcd(*m[r].values()) if m[r][c] > 0 else -gcd(*m[r].values())
+        prow = m[r] = {j: x // g for j, x in m[r].items()}
+        live.remove(r)
+        for i in where[c]:
+            if i != r:
+                g = gcd(prow[c], m[i][c])
+                a, b = prow[c] // g, m[i][c] // g
+                row = {j: a * m[i].get(j, 0) - b * prow.get(j, 0) for j in m[i].keys() | prow.keys()}
+                g = gcd(*row.values()) if a != 1 else 1
+                m[i] = {j: x // g for j, x in row.items() if x}
+        steps.append((r, c))
+        held.append(len(where[c]))
+
+
+@st.composite
+def singleton_cascades(draw):
+    """Int rows whose every min-degree step finds its column in one live row,
+    as in a ladder: the edges of a random forest over the columns, two
+    entries each, and some single-entry rows, in random order."""
+    ncols = draw(st.integers(1, 16))
+    entry = st.integers(-9, 9).filter(bool)
+    rows = [{j: draw(entry)} for j in draw(st.sets(st.integers(0, ncols - 1), max_size=3))]
+    for j in range(1, ncols):
+        if draw(st.booleans()):
+            rows.append({draw(st.integers(0, j - 1)): draw(entry), j: draw(entry)})
+    # a single-entry row at a column an edge also holds puts two rows there
+    rows = [r for r in rows if len(r) == 2 or sum(next(iter(r)) in q for q in rows) == 1]
+    return draw(st.permutations(rows)), ncols
+
+
+@st.composite
+def eliminations(draw):
+    """Int rows and the columns allowed to pivot (all of them, or some), and
+    whether every step must be a singleton."""
+    cascade = draw(st.booleans())
+    if cascade:
+        m, ncols = draw(singleton_cascades())
+    else:
+        dense, ncols = draw(sparse_rows())
+        m = vect._ints(vect.to_sparse(dense))
+    cols = range(ncols) if draw(st.booleans()) else draw(st.sets(st.integers(0, ncols - 1)))
+    return m, ncols, cols, cascade
+
+
+@settings(deadline=None, max_examples=300)
+@given(eliminations())
+def test_min_degree_elimination_follows_its_order(case):
+    m, ncols, cols, cascade = case
+    want, rows, held = _min_degree_model(m, cols)
+    got = vect._eliminate_forward(m, cols)
+    assert got == want and m == rows
+    # a pivot row of one entry ends as the unit row of its column
+    assert all(m[r] == {c: 1} for r, c in got if len(m[r]) == 1)
+    if cascade and set(cols) == set(range(ncols)):
+        assert held == [1] * len(got)
 
 
 # the shape of a pullback of coordinate maps: few rows, many columns
