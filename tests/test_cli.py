@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from syscat import circuits, cli, vect
+from syscat import circuits, cli, equations, generalized, vect
 from syscat.circuits import Resistor
 from syscat.cli import main
 from syscat.vect import LinMap, Subspace, VectObj
@@ -462,6 +462,93 @@ def test_check_trials_below_one_is_usage_error(law, trials, capsys):
     assert "--trials" in capsys.readouterr().err
 
 
+def test_check_non_integer_trials_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--law", "lattice", "--trials", "abc"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def drop_first_diagonal_hom(monkeypatch):
+    """Make Hom(diagonal(g), e) lose its first morphism, so it is smaller than Hom(g, ObjEq e)."""
+    homs = generalized.homs_from_diagonal
+    monkeypatch.setattr(generalized, "homs_from_diagonal", lambda g, e: homs(g, e)[1:])
+
+
+def ignore_the_probe(monkeypatch):
+    """Make the composite m . probe come out as m, which breaks naturality unless probe is the identity."""
+    monkeypatch.setattr(generalized, "compose_gen_morphisms", lambda b, a: b)
+
+
+def one_transpose_per_hom_set(monkeypatch):
+    """Make every transpose g => ObjEq e the first one computed between the same
+    two systems, so the transpositions are no longer mutually inverse."""
+    transpose = generalized._transpose_to_objeq
+    first = {}
+
+    def the_first(t, eqs, target, g):
+        m = transpose(t, eqs, target, g)
+        return first.setdefault((m.src, m.dst), m)
+
+    monkeypatch.setattr(generalized, "_transpose_to_objeq", the_first)
+
+
+def pull_back_the_left_leg_twice(monkeypatch):
+    """Make the semantic pullback of (m, n) the pullback of (m, m), over another universum."""
+    pullback = equations.pullback_systems
+    monkeypatch.setattr(equations, "pullback_systems", lambda f, g: pullback(f, f))
+
+
+def test_check_prints_a_failed_law(monkeypatch, capsys):
+    drop_first_diagonal_hom(monkeypatch)
+    code, out, _ = run_cli(["check", "--law", "adjunction", "--trials", "3"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "adjunction: hom-set bijection: 1/3 FAIL",
+        "  failed: |Hom(diag g, e)|=2 |Hom(g, ObjEq e)|=3",
+        "  failed: |Hom(diag g, e)|=0 |Hom(g, ObjEq e)|=1",
+    ]
+    # preservation records no detail, so a failure is named by its trial
+    pull_back_the_left_leg_twice(monkeypatch)
+    code, out, _ = run_cli(["check", "--law", "preservation", "--trials", "2"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "preservation: finset: 0/2 FAIL",
+        "  failed: trial 1",
+        "  failed: trial 2",
+        "preservation: vect: 0/1 FAIL",
+        "  failed: trial 1",
+    ]
+
+
+@pytest.mark.parametrize("law,fault", [
+    ("adjunction", drop_first_diagonal_hom),
+    ("adjunction", ignore_the_probe),
+    ("adjunction", one_transpose_per_hom_set),
+    ("preservation", pull_back_the_left_leg_twice),
+], ids=["hom-set sizes", "naturality", "transposes", "preservation"])
+def test_a_failed_check_lists_at_most_its_first_failures(law, fault, monkeypatch, capsys):
+    # every suite fails more than ten of its trials: five are printed, ten kept in the report
+    fault(monkeypatch)
+    argv = ["check", "--law", law, "--trials", "60"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    shown = {}
+    for line in out.splitlines():
+        if line.startswith("  failed: "):
+            shown[suite] += 1
+        else:
+            suite = line
+            shown[suite] = 0
+    assert all(suite.endswith(" FAIL") and n == 5 for suite, n in shown.items())
+    code, out, _ = run_cli(argv + ["--json"], capsys)
+    report = json.loads(out)
+    assert code == 1 and report["ok"] is False
+    assert len(report["suites"]) == len(shown)
+    for s in report["suites"]:
+        assert s["total"] - s["passed"] > 10 and len(s["failures"]) == 10
+
+
 def test_outputs_are_deterministic(circuits_dir, capsys):
     args = ["check", "--law", "adjunction", "--trials", "5"]
     _, first, _ = run_cli(args, capsys)
@@ -507,6 +594,20 @@ def test_the_cli_imports_the_law_suites_only_for_check():
     assert proc.stderr == ""
 
 
+def test_the_package_root_binds_only_its_modules():
+    code = (
+        "import sys, syscat\n"
+        "print(sorted(n for n in vars(syscat) if not n.startswith('_')))\n"
+        "print(syscat.__version__)\n"
+        "print('syscat.cli' in sys.modules, 'syscat.laws' in sys.modules)\n"
+    )
+    proc = fresh_process("-c", code)
+    modules = ["booldual", "carriers", "circuits", "equations", "errors", "finset", "generalized",
+               "systems", "vect"]
+    assert proc.stdout.splitlines() == [str(modules), "0.1.0", "False False"]
+    assert proc.stderr == ""
+
+
 def test_law_choices_are_the_law_suites():
     from syscat import laws
 
@@ -517,7 +618,7 @@ def test_reused_parser_matches_a_fresh_process(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to the terminal width
     assert cli.build_parser() is cli.build_parser()
     usage = [["check"], ["check", "--law", "nope"], ["check", "--law", "lattice", "--trials", "0"],
-             ["--help"]]
+             ["check", "--law", "lattice", "--trials", "abc"], ["--help"]]
     for argv in usage + test_cli_golden.CASES:
         proc = fresh_process("-m", "syscat.cli", *argv)
         fresh = {"argv": argv, "stdout": proc.stdout, "stderr": proc.stderr, "exit": proc.returncode}
