@@ -4,9 +4,9 @@ The two carriers, finite sets (``finset``) and rational vector spaces
 (``vect``), are modules with the same interface: ``identity``, ``compose``,
 ``commutes``, ``product``, ``pullback``, ``equalizer``, ``image_factorize``,
 ``classify`` (mono, epi), ``terminal_obj``, ``terminal_map``, ``lift``,
-``image`` and ``subobject_map``. One table picks the module from the type of
-the arguments, so each function here is one call into it and the rest of the
-library stays carrier-agnostic. Values of different carriers, or values that
+``image``, ``subobject_map`` and ``escape_witness``. One table picks the
+module from the type of the arguments, so each function here is one call into
+it and the rest of the library stays carrier-agnostic. Values of different carriers, or values that
 belong to no carrier, raise ``MismatchError``.
 
 A subobject is a value of its carrier: a frozenset of labels in FinSet, a
@@ -131,6 +131,16 @@ def image(f: CarrierMap):
 def subobject_map(universum: CarrierObj, behavior) -> CarrierMap:
     """The canonical inclusion of a subobject of universum; ``MismatchError`` if it lies elsewhere."""
     return _carrier(universum).subobject_map(universum, behavior)
+
+
+def escape_witness(inclusion: CarrierMap, moved: CarrierMap, image) -> str:
+    """The first behavior point, or basis vector, that moved sends outside image.
+
+    inclusion is a system's inclusion and moved a map from its behavior into
+    the universum that image, a subobject, lives in. The point is named as a
+    label, the basis vector in inclusion's codomain coordinates.
+    """
+    return _carrier(inclusion, moved).escape_witness(inclusion, moved, image)
 
 
 def terminal_obj(carrier: str) -> CarrierObj:

@@ -28,11 +28,11 @@ import dataclasses
 import sys
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from math import gcd
 from pathlib import Path
 
 from .circuits import compile_circuit, emergence_report, glue, parse_glue, parse_netlist
 from .errors import DomainError, ParseError
+from .vect import row_text
 
 
 # the keys of ``laws.LAWS``, sorted: the choices of ``check --law``
@@ -88,19 +88,11 @@ def _dumps(obj, indent: str = "\n") -> str:
 
 
 def _behavior_json(sub) -> dict:
-    """The behavior with every entry formatted, before anything is written.
-
-    Entry j of the sparse row (d, {j: n}) is n/d, written as ``str(Fraction)``
-    writes it: reduced, and without ``/1``; an absent column is ``"0"``.
-    """
-    ncols, basis = sub.ambient.dim, []
+    """The behavior with every entry formatted by ``vect.row_text``, before
+    anything is written."""
+    ncols = sub.ambient.dim
     try:
-        for d, m in sub.rows:
-            row = ["0"] * ncols
-            for j, n in m.items():
-                g = gcd(n, d)
-                row[j] = str(n // g) if g == d else f"{n // g}/{d // g}"
-            basis.append(row)
+        basis = [row_text(row, ncols) for row in sub.rows]
     except ValueError:  # an int past Python's int-to-text conversion limit
         raise DomainError(
             f"a behavior entry has more than {sys.get_int_max_str_digits()} digits, "

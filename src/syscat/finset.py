@@ -189,6 +189,14 @@ def lift(ms, fs) -> FinMap | None:
     return FinMap(apex, dom, table)
 
 
+def escape_witness(inclusion: FinMap, moved: FinMap, image: frozenset[str]) -> str:
+    """The first point of moved's domain that moved sends outside image; see
+    ``carriers.escape_witness``. A point is its own label in inclusion's
+    codomain too, so inclusion is not read."""
+    b = next(b for b in moved.dom if moved(b) not in image)
+    return f"behavior point {b!r}"
+
+
 def all_maps(dom: FinObj, cod: FinObj) -> Iterator[FinMap]:
     """Every total function dom -> cod. Exponential; keep domains small."""
     if len(dom) == 0:

@@ -1,8 +1,10 @@
 """Randomized and exhaustive law suites behind the ``check`` CLI command.
 
 Each suite builds desk-sized instances, runs the construction under test, and
-counts failures. Everything is driven by a seeded ``random.Random`` so runs
-are reproducible.
+counts failures. A failed trial is listed by its number and what differed:
+the hom-set sizes and the false flags, the two behaviors' sizes or universa,
+the four dims of the modular law, or the duality identities that failed.
+Everything is driven by a seeded ``random.Random`` so runs are reproducible.
 
 The Vect generators work on sparse int rows, the format of ``vect``: a
 random matrix is drawn row by row as canonical rows ``(1, {col: n})``, and the
@@ -38,12 +40,14 @@ class SuiteResult:
     total: int = 0
     failures: list[str] = field(default_factory=list)
 
-    def record(self, ok: bool, detail: str = ""):
+    def record(self, ok: bool, why=None):
+        """Count a trial. A failed one is listed as ``trial N``, followed by
+        ``why()`` when given, so its detail is built only on failure."""
         self.total += 1
         if ok:
             self.passed += 1
         else:
-            self.failures.append(detail or f"trial {self.total}")
+            self.failures.append(f"trial {self.total}: {why()}" if why else f"trial {self.total}")
 
     @property
     def ok(self) -> bool:
@@ -213,17 +217,34 @@ def _gen_equation(rng: random.Random) -> GenEquation:
 
 # -- suites --------------------------------------------------------------------
 
+def _false(checks: dict) -> str:
+    """The names of the checks that came out false."""
+    return ", ".join(name for name, ok in checks.items() if not ok)
+
+
+def _size(x) -> str:
+    """A behavior's size: the dim of a Vect object or subspace, else its points."""
+    return f"dim {x.dim}" if isinstance(x, (VectObj, Subspace)) else f"{len(x)} points"
+
+
+def _preservation_failure(report) -> str:
+    syn, sem = report.syntax_system, report.semantics_system
+    if syn.universum != sem.universum:
+        return "the universa differ"
+    return f"syntax behavior {_size(syn.behavior)}, semantics behavior {_size(sem.behavior)}"
+
+
 def preservation_suite(seed: int, trials: int = 200) -> LawReport:
     """``trials`` FinSet cospans, then a quarter as many (at least one) Vect cospans."""
     rng = random.Random(seed)
     fs = SuiteResult("finset")
     for _ in range(trials):
-        m, n = _finset_equation_cospan(rng)
-        fs.record(check_preservation(m, n).equal)
+        report = check_preservation(*_finset_equation_cospan(rng))
+        fs.record(report.equal, lambda: _preservation_failure(report))
     vs = SuiteResult("vect")
     for _ in range(max(1, trials // 4)):
-        m, n = _vect_equation_cospan(rng)
-        vs.record(check_preservation(m, n).equal)
+        report = check_preservation(*_vect_equation_cospan(rng))
+        vs.record(report.equal, lambda: _preservation_failure(report))
     return LawReport("preservation", [fs, vs])
 
 
@@ -257,12 +278,17 @@ def duality_suite(seed: int, trials: int = 500) -> LawReport:
         t = _obj(rng, "t", 1, RANDOM_MAX)
         f = _finmap(rng, s, t)
         phi = booldual.functor_F(f)
-        rnd.record(
-            booldual.functor_G(phi) == f
-            and booldual.functor_F(booldual.functor_G(phi)) == phi
-            and booldual.duality_classify(f).consistent
-        )
+        g = booldual.functor_G(phi)
+        checks = {"G.F=id": g == f, "F.G=id": booldual.functor_F(g) == phi,
+                  "mono/epi swap": booldual.duality_classify(f).consistent}
+        rnd.record(all(checks.values()), lambda: "false: " + _false(checks))
     return LawReport("duality", [gf, cl, fg, rnd])
+
+
+def _adjunction_failure(report) -> str:
+    flags = {"bijection_ok": report.bijection_ok, "naturality_ok": report.naturality_ok}
+    sizes = f"|Hom(diag g, e)|={report.diagonal_homs} |Hom(g, ObjEq e)|={report.objeq_homs}"
+    return f"{sizes}, false: {_false(flags)}"
 
 
 def adjunction_suite(seed: int, trials: int = 50) -> LawReport:
@@ -274,10 +300,7 @@ def adjunction_suite(seed: int, trials: int = 50) -> LawReport:
         cod = _obj(rng, "h", 1, 3)
         g = GeneralizedSystem(_finmap(rng, dom, cod))
         report = adjunction_check(g, e)
-        suite.record(
-            report.ok,
-            f"|Hom(diag g, e)|={report.diagonal_homs} |Hom(g, ObjEq e)|={report.objeq_homs}",
-        )
+        suite.record(report.ok, lambda: _adjunction_failure(report))
     return LawReport("adjunction", [suite])
 
 
@@ -301,14 +324,19 @@ def lattice_suite(seed: int, trials: int = 100) -> LawReport:
             System(carriers.compose(pb.proj1.phi_u, pb.system.inclusion))
         )
         expected = BehaviorLattice(u).meet(b1, b2)
-        meet.record(via_pullback == expected)
+        meet.record(
+            via_pullback == expected,
+            lambda: f"pullback meet {_size(via_pullback)}, lattice meet {_size(expected)}",
+        )
     modular = SuiteResult("modular law")
     for _ in range(trials):
         u = _vect_obj(rng, "u", 1, 6)
         a, b = _subspace(rng, u), _subspace(rng, u)
         lat = BehaviorLattice(u)
+        join, cap = lat.join(a, b), lat.meet(a, b)
         modular.record(
-            a.dim + b.dim == lat.join(a, b).dim + lat.meet(a, b).dim
+            a.dim + b.dim == join.dim + cap.dim,
+            lambda: f"dims a={a.dim} b={b.dim} a+b={join.dim} a&b={cap.dim}",
         )
     return LawReport("lattice", [meet, modular])
 

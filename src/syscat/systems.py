@@ -15,7 +15,6 @@ from functools import cached_property
 from . import carriers
 from .carriers import CarrierMap, CarrierObj
 from .errors import BehaviorEscapes, MismatchError, NonInjectiveInclusion, NotEpi
-from .finset import FinMap
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,7 @@ def system_from_behavior(universum: CarrierObj, behavior) -> System:
 
 
 def systems_equal(s1: System, s2: System) -> bool:
-    # a FinObj never equals a VectObj, so systems of different carriers differ
+    # objects of different carriers are never equal, so neither are their systems
     return s1.universum == s2.universum and behavior_image(s1) == behavior_image(s2)
 
 
@@ -141,14 +140,8 @@ def make_morphism(src: System, dst: System, phi_u: CarrierMap) -> SystemMorphism
     moved = carriers.compose(phi_u, src.inclusion)
     phi_b = carriers.lift((dst.inclusion,), (moved,))
     if phi_b is None:
-        # name the first behavior point, or basis vector, whose image escapes
-        image = behavior_image(dst)
-        if isinstance(phi_u, FinMap):
-            b = next(b for b in src.behavior if moved(b) not in image)
-            raise BehaviorEscapes(f"image of behavior point {b!r} lies outside the target behavior")
-        j = next(j for j in range(moved.dom.dim) if not image.contains(moved.column(j)))
-        vec = ", ".join(map(str, src.inclusion.column(j)))
-        raise BehaviorEscapes(f"image of behavior vector [{vec}] lies outside the target behavior")
+        witness = carriers.escape_witness(src.inclusion, moved, behavior_image(dst))
+        raise BehaviorEscapes(f"image of {witness} lies outside the target behavior")
     return _proved(SystemMorphism, src, dst, phi_b, phi_u)
 
 

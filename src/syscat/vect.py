@@ -84,83 +84,27 @@ basis directly.
 Computed subobjects (kernels, images, pullback objects) come back with
 generated ``k<i>`` coordinate names.
 
-``Fraction``s exist only at the boundary. The dense constructors
-``LinMap(dom, cod, matrix)`` and ``Subspace(ambient, basis)`` take rows of
-ints, ``Fraction``s or ``'p/q'`` strings, each entry passed through ``frac``,
-and reject floats; nothing in this module rounds. The dense views
-``LinMap.matrix`` and ``Subspace.basis`` are tuples of ``Fraction`` rows, the
-entry n/d of a row as ``Fraction(n, d)``, computed on first read and kept.
-``to_sparse`` and ``to_dense`` convert between the two forms; ``frac`` passes
-a ``Fraction`` through unchanged and converts anything else.
+Rows are the one format: ``LinMap.from_rows`` and ``Subspace.from_rows`` are
+the constructors, and nothing in this module builds a ``Fraction`` or rounds.
+``row_text`` writes a row's entries as text, each n/d reduced and without
+``/1``, for the reports and the witnesses that print them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import compress
 from math import gcd, lcm
-from operator import attrgetter
 
 from .errors import MismatchError
 
 Row = tuple[int, dict[int, int]]
 Rows = tuple[Row, ...]
-Vec = tuple[Fraction, ...]
-Dense = tuple[Vec, ...]
-
-
-def frac(x) -> Fraction:
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, float):
-        raise MismatchError("floating point values are not accepted; use int or 'p/q'")
-    return Fraction(x)
-
-
-def _vec(row) -> Vec:
-    return tuple(map(frac, row))
 
 
 def _kernel_names(n: int) -> tuple[str, ...]:
     return tuple(f"k{i}" for i in range(n))
-
-
-# -- the boundary: dense Fraction rows <-> canonical sparse rows --------------
-
-_NUM = attrgetter("numerator")
-
-
-def _int_row(row: Vec) -> Row:
-    """The canonical row of a dense row of Fractions.
-
-    d is the lcm of the denominators. It makes the row primitive: the highest
-    power of a prime in d divides some denominator exactly, and so not that
-    entry's scaled numerator.
-    """
-    nums = tuple(map(_NUM, row))
-    cols = tuple(compress(range(len(nums)), nums))
-    dens = [row[j].denominator for j in cols]
-    d = lcm(*dens)
-    return d, {j: nums[j] * (d // q) for j, q in zip(cols, dens)}
-
-
-def to_sparse(matrix) -> Rows:
-    """The canonical rows of a dense matrix of ints, Fractions or 'p/q' strings."""
-    return tuple(_int_row(_vec(row)) for row in matrix)
-
-
-def to_dense(rows, ncols: int) -> Dense:
-    """The dense matrix of rows over ncols columns, as tuples of Fractions."""
-    out = []
-    for d, m in rows:
-        v = [Fraction(0)] * ncols
-        for j, n in m.items():
-            v[j] = Fraction(n, d)
-        out.append(tuple(v))
-    return tuple(out)
 
 
 def _canon(d: int, m: dict[int, int]) -> Row:
@@ -169,6 +113,17 @@ def _canon(d: int, m: dict[int, int]) -> Row:
     if g == 1:
         return d, m
     return d // g, {j: x // g for j, x in m.items()}
+
+
+def row_text(row: Row, ncols: int) -> list[str]:
+    """The entries of row over ncols columns as text: n/d reduced, as ``p/q``
+    or, when it is an integer, without ``/1``; an absent column is ``"0"``."""
+    d, m = row
+    out = ["0"] * ncols
+    for j, n in m.items():
+        g = gcd(n, d)
+        out[j] = str(n // g) if g == d else f"{n // g}/{d // g}"
+    return out
 
 
 def _transpose(rows, ncols: int) -> Rows:
@@ -255,33 +210,18 @@ class LinMap:
         transpose of its basis, are built on first read and kept.
 
         The dataclass records this descriptor as the field's default, which
-        nothing reads: ``__init__`` is written out, not generated.
+        nothing reads: it generates no ``__init__``, so ``from_rows`` is the
+        constructor and a call ``LinMap(dom, cod, x)`` raises ``TypeError``.
         """
         return _transpose(self._basis, self.cod.dim)
-
-    def __init__(self, dom: VectObj, cod: VectObj, matrix):
-        """The map with a dense matrix: cod.dim rows of dom.dim ints, Fractions or 'p/q' strings."""
-        dense = tuple(map(_vec, matrix))
-        for row in dense:
-            if len(row) != dom.dim:
-                raise MismatchError(
-                    f"matrix row length {len(row)} != domain dimension {dom.dim}"
-                )
-        object.__setattr__(self, "matrix", dense)
-        self._set(dom, cod, tuple(map(_int_row, dense)))
 
     @classmethod
     def from_rows(cls, dom: VectObj, cod: VectObj, rows: Rows) -> LinMap:
         """The map with the given canonical rows."""
         f = cls.__new__(cls)
-        f._set(dom, cod, rows)
+        f.__dict__.update(dom=dom, cod=cod, rows=rows)
+        f.__post_init__()
         return f
-
-    def _set(self, dom: VectObj, cod: VectObj, rows: Rows):
-        object.__setattr__(self, "dom", dom)
-        object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "rows", rows)
-        self.__post_init__()
 
     def __post_init__(self):
         if len(self.rows) != self.cod.dim:
@@ -292,20 +232,6 @@ class LinMap:
 
     def __hash__(self):
         return hash((self.dom, self.cod, _row_hash(self.rows)))
-
-    @cached_property
-    def matrix(self) -> Dense:
-        """The dense matrix: cod.dim rows of dom.dim Fractions."""
-        return to_dense(self.rows, self.dom.dim)
-
-    def apply(self, vec) -> Vec:
-        v = tuple(frac(x) for x in vec)
-        if len(v) != self.dom.dim:
-            raise MismatchError("vector length does not match the domain dimension")
-        return tuple(sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in self.matrix)
-
-    def column(self, j: int) -> Vec:
-        return tuple(row[j] for row in self.matrix)
 
 
 # -- exact matrix kernels ---------------------------------------------------
@@ -802,30 +728,21 @@ def _is_canonical_rref(rows) -> bool:
 
 @dataclass(frozen=True, init=False)
 class Subspace:
-    """A subspace of ambient: the canonical rows of its reduced row-echelon basis."""
+    """A subspace of ambient: the canonical rows of its reduced row-echelon basis.
+
+    ``from_rows`` is the constructor; like ``LinMap``, it has no ``__init__``.
+    """
 
     ambient: VectObj
     rows: Rows
-
-    def __init__(self, ambient: VectObj, basis):
-        """The span of dense vectors of ints, Fractions or 'p/q' strings."""
-        dense = tuple(map(_vec, basis))
-        for row in dense:
-            if len(row) != ambient.dim:
-                raise MismatchError("basis row length does not match the ambient dimension")
-        self._set(ambient, tuple(map(_int_row, dense)))
 
     @classmethod
     def from_rows(cls, ambient: VectObj, rows) -> Subspace:
         """The span of rows (d, m) with d > 0, in any scale."""
         s = cls.__new__(cls)
-        s._set(ambient, rows)
+        s.__dict__.update(ambient=ambient, rows=rows)
+        s.__post_init__()
         return s
-
-    def _set(self, ambient: VectObj, rows):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rows", rows)
-        self.__post_init__()
 
     def __post_init__(self):
         _check_columns(self.rows, self.ambient.dim, "a basis row")
@@ -837,24 +754,9 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, _row_hash(self.rows)))
 
-    @cached_property
-    def basis(self) -> Dense:
-        """The canonical basis as dense rows of Fractions."""
-        return to_dense(self.rows, self.ambient.dim)
-
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def contains(self, vec) -> bool:
-        v = tuple(frac(x) for x in vec)
-        if len(v) != self.ambient.dim:
-            raise MismatchError("vector length does not match the ambient dimension")
-        return rank_of(self.rows + (_int_row(v),), self.ambient.dim) == self.dim
-
-    def leq(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return rank_of(other.rows + self.rows, self.ambient.dim) == other.dim
 
     def intersect(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -926,3 +828,16 @@ def subobject_map(universum: VectObj, behavior: Subspace) -> LinMap:
         raise MismatchError("subspace ambient differs from the universum")
     dom = VectObj(tuple(f"b{i}" for i in range(behavior.dim)))
     return _inclusion(dom, universum, behavior.rows)
+
+
+def escape_witness(inclusion: LinMap, moved: LinMap, image: Subspace) -> str:
+    """The first basis vector of inclusion's domain that moved sends outside
+    image, in inclusion's codomain coordinates; see ``carriers.escape_witness``."""
+    n = image.ambient.dim
+    j = next(
+        j
+        for j, col in enumerate(_transpose(moved.rows, moved.dom.dim))
+        if rank_of(image.rows + (col,), n) != image.dim
+    )
+    vec = row_text(_transpose(inclusion.rows, inclusion.dom.dim)[j], inclusion.cod.dim)
+    return f"behavior vector [{', '.join(vec)}]"

@@ -263,10 +263,11 @@ def full_emergence_report(c1: Circuit, c2: Circuit, spec, names):
 
 
 # The law generators' instances as ``syscat.laws`` built them before it drew
-# sparse int rows: dense ``Fraction`` matrices through the dense ``LinMap`` and
-# ``Subspace`` constructors, and the kernel multiples added entry by entry.
+# sparse int rows: dense ``Fraction`` matrices through ``dense_kernels``'
+# dense constructors, and the kernel multiples added entry by entry.
 # Each makes the same ``rng`` calls in the same order as its counterpart.
 
+import dense_kernels  # noqa: E402
 from syscat import carriers, vect  # noqa: E402
 from syscat.equations import EquationMorphism, EquationRep  # noqa: E402
 from syscat.finset import FinMap, FinObj  # noqa: E402
@@ -317,11 +318,12 @@ def _dense_matrix(rng, rows: int, cols: int):
 
 
 def dense_linmap(rng, dom: VectObj, cod: VectObj) -> LinMap:
-    return LinMap(dom, cod, _dense_matrix(rng, cod.dim, dom.dim))
+    return dense_kernels.dense_map(dom, cod, _dense_matrix(rng, cod.dim, dom.dim))
 
 
 def dense_subspace(rng, ambient: VectObj) -> Subspace:
-    return Subspace(ambient, _dense_matrix(rng, rng.randint(0, ambient.dim), ambient.dim))
+    rows = _dense_matrix(rng, rng.randint(0, ambient.dim), ambient.dim)
+    return dense_kernels.dense_subspace(ambient, rows)
 
 
 def dense_vect_equation_cospan(rng):
@@ -335,23 +337,24 @@ def dense_vect_equation_cospan(rng):
         psi_u = dense_linmap(rng, u, uc)
         while True:  # resample until psi_e has full row rank
             psi_e = dense_linmap(rng, e, ec)
-            if rank(psi_e.matrix, e.dim) == ec.dim:
+            if rank(dense_kernels.matrix_of(psi_e), e.dim) == ec.dim:
                 break
         # psi_e's right inverse with free coordinates zero, and its kernel's
         # canonical basis, from the dense references rather than from vect
         unit = tuple(tuple(Fraction(int(i == j)) for j in range(ec.dim)) for i in range(ec.dim))
-        right_inv = LinMap(ec, e, dense_solve_matrix(psi_e.matrix, e.dim, unit, ec.dim))
-        kernel = dense_kernel_basis(psi_e.matrix, e.dim)
+        psi_e_matrix = dense_kernels.matrix_of(psi_e)
+        right_inv = dense_kernels.dense_map(ec, e, dense_solve_matrix(psi_e_matrix, e.dim, unit, ec.dim))
+        kernel = dense_kernel_basis(psi_e_matrix, e.dim)
         maps = []
         for h in (shared.f1, shared.f2):
             target = carriers.compose(h, psi_u)
-            rows = [list(r) for r in vect.compose(right_inv, target).matrix]
+            rows = [list(r) for r in dense_kernels.matrix_of(vect.compose(right_inv, target))]
             for kvec in kernel:
                 coeffs = [Fraction(rng.randint(-1, 1)) for _ in range(u.dim)]
                 for i in range(e.dim):
                     for j in range(u.dim):
                         rows[i][j] += kvec[i] * coeffs[j]
-            maps.append(LinMap(u, e, tuple(tuple(r) for r in rows)))
+            maps.append(dense_kernels.dense_map(u, e, tuple(tuple(r) for r in rows)))
         return EquationMorphism(EquationRep(maps[0], maps[1]), shared, psi_u, psi_e)
 
     return leg("a"), leg("b")

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 
+from dense_kernels import contains, dense_map, dense_subspace, matrix_of
 import oracles
 from syscat import finset, vect
 from syscat.booldual import (
@@ -47,7 +48,7 @@ from syscat.systems import (
     systems_equal,
     terminal_system,
 )
-from syscat.vect import LinMap, Subspace, VectObj
+from syscat.vect import VectObj
 
 S_TEXT = (
     "circuit S\nnode a b c d\nterminal a b c d\nresistor ac a c 1\nwire bd b d\n"
@@ -78,11 +79,11 @@ def test_criterion_1_circuit_dimensions():
         s = compile_circuit(parse_netlist(S_TEXT))
         assert s.universum.dim == 6
         assert behavior_image(s.system).dim == 4
-        assert oracles.nullity(s.rep.f1.matrix, 6) == 4
+        assert oracles.nullity(matrix_of(s.rep.f1), 6) == 4
         p = compile_circuit(parse_netlist(P_TEXT))
         assert p.universum.dim == 11
         assert behavior_image(p.system).dim == 4
-        assert oracles.nullity(p.rep.f1.matrix, 11) == 4
+        assert oracles.nullity(matrix_of(p.rep.f1), 11) == 4
 
 
 def test_criterion_2_series_resistor_law():
@@ -92,8 +93,8 @@ def test_criterion_2_series_resistor_law():
         spec = parse_glue("glue RR\nidentify v_b = v_c\nidentify i_ab = i_cd\n")
         res = glue(r1, r2, spec)
         law = (1, 0, -3, -1)  # v_a - v_d - 3 i = 0 over (v_a, v_b=v_c, i, v_d)
-        assert Subspace(res.universum, res.rep.f1.matrix).contains(law)
-        assert oracles.in_row_space(res.rep.f1.matrix, law, 4)
+        assert contains(dense_subspace(res.universum, matrix_of(res.rep.f1)), law)
+        assert oracles.in_row_space(matrix_of(res.rep.f1), law, 4)
 
 
 def test_criterion_3_preservation_theorem():
@@ -244,7 +245,7 @@ def test_criterion_9_morphism_taxonomy():
         u_sc = VectObj(("v_a2", "v_b2", "v_c2", "i_ac2", "i_bc2"))
         s_c = arr_eq(
             kernel_rep(
-                LinMap(u_sc, VectObj(("ohm", "wire")), ((1, 0, -1, -1, 0), (0, 1, -1, 0, 0)))
+                dense_map(u_sc, VectObj(("ohm", "wire")), ((1, 0, -1, -1, 0), (0, 1, -1, 0, 0)))
             )
         )
         cols = {
@@ -254,7 +255,7 @@ def test_criterion_9_morphism_taxonomy():
             "i_ac2": {"i_ac": 1},
             "i_bc2": {"i_bd": 1},
         }
-        phi_u = LinMap(
+        phi_u = dense_map(
             u_sc,
             s.universum,
             [
@@ -266,7 +267,7 @@ def test_criterion_9_morphism_taxonomy():
         assert controlled.controlled and not controlled.subsystem
 
         u_ps = VectObj(("v_g2", "v_h2", "i_gh2"))
-        ps = arr_eq(kernel_rep(LinMap(u_ps, VectObj(("ohm",)), ((1, -1, -1),))))
+        ps = arr_eq(kernel_rep(dense_map(u_ps, VectObj(("ohm",)), ((1, -1, -1),))))
         proj = vect.coordinate_map(
             p.universum, u_ps, {"v_g": "v_g2", "v_h": "v_h2", "i_gh": "i_gh2"}
         )

@@ -21,6 +21,7 @@ from syscat.errors import MismatchError
 from syscat.finset import FinMap, FinObj
 from syscat.vect import LinMap, VectObj
 
+from dense_kernels import dense_map, dense_subspace, matrix_of
 import oracles
 
 
@@ -68,7 +69,7 @@ def _vectobj(prefix, n):
 
 
 def _linmap(rng, dom, cod):
-    return LinMap(dom, cod, tuple(
+    return dense_map(dom, cod, tuple(
         tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dom.dim))
         for _ in range(cod.dim)
     ))
@@ -108,8 +109,8 @@ def test_vect_lift_matches_sympy():
             fs = tuple(vect.compose(m, u0) for m in ms)
         else:
             fs = tuple(_linmap(rng, apex, m.cod) for m in ms)
-        a = [row for m in ms for row in m.matrix]
-        b = [row for f in fs for row in f.matrix]
+        a = [row for m in ms for row in matrix_of(m)]
+        b = [row for f in fs for row in matrix_of(f)]
         augmented = [tuple(ar) + tuple(br) for ar, br in zip(a, b)]
         assert _rank(a, dom.dim) == dom.dim
         consistent = _rank(augmented, dom.dim + apex.dim) == _rank(a, dom.dim)
@@ -119,7 +120,7 @@ def test_vect_lift_matches_sympy():
             continue
         found += 1
         assert u is not None and u.dom == apex and u.cod == dom
-        assert _product(a, u.matrix, dom.dim, apex.dim) == tuple(map(tuple, b))
+        assert _product(a, matrix_of(u), dom.dim, apex.dim) == tuple(map(tuple, b))
     assert 30 < found < 130  # both outcomes are exercised
 
 
@@ -165,12 +166,12 @@ def _dense(draw, nrows, ncols):
 @st.composite
 def vect_squares(draw):
     a_obj, b_obj, d_obj = (_vectobj(p, draw(DIM)) for p in "abd")
-    b = LinMap(a_obj, b_obj, _dense(draw, b_obj.dim, a_obj.dim))
-    a = LinMap(b_obj, d_obj, _dense(draw, d_obj.dim, b_obj.dim))
+    b = dense_map(a_obj, b_obj, _dense(draw, b_obj.dim, a_obj.dim))
+    a = dense_map(b_obj, d_obj, _dense(draw, d_obj.dim, b_obj.dim))
     if not draw(st.booleans()):
         c_obj = _vectobj("c", draw(DIM))
-        c = LinMap(c_obj, d_obj, _dense(draw, d_obj.dim, c_obj.dim))
-        return a, b, c, LinMap(a_obj, c_obj, _dense(draw, c_obj.dim, a_obj.dim))
+        c = dense_map(c_obj, d_obj, _dense(draw, d_obj.dim, c_obj.dim))
+        return a, b, c, dense_map(a_obj, c_obj, _dense(draw, c_obj.dim, a_obj.dim))
     # c = (a | k) and d = (b ; m) with k m = 0, so c . d = a . b
     extra = draw(DIM)
     k, m = _dense(draw, d_obj.dim, extra), _dense(draw, extra, a_obj.dim)
@@ -179,11 +180,11 @@ def vect_squares(draw):
     else:
         m = tuple(tuple(Fraction(0) for _ in row) for row in m)
     c_obj = _vectobj("c", b_obj.dim + extra)
-    c_rows = tuple(ar + kr for ar, kr in zip(a.matrix, k))
-    d_rows = [list(row) for row in b.matrix + m]
+    c_rows = tuple(ar + kr for ar, kr in zip(matrix_of(a), k))
+    d_rows = [list(row) for row in matrix_of(b) + m]
     if d_rows and d_rows[0] and draw(st.booleans()):
         d_rows[0][0] += 1
-    return a, b, LinMap(c_obj, d_obj, c_rows), LinMap(a_obj, c_obj, d_rows)
+    return a, b, dense_map(c_obj, d_obj, c_rows), dense_map(a_obj, c_obj, d_rows)
 
 
 def _reference_compose(g, f):
@@ -191,7 +192,7 @@ def _reference_compose(g, f):
         return {x: g.table[f.table[x]] for x in f.dom}
     if f.cod.dim == 0:
         return tuple(tuple(Fraction(0) for _ in f.dom.vars) for _ in g.cod.vars)
-    return oracles.dense_mat_mul(g.matrix, f.matrix, f.cod.dim)
+    return oracles.dense_mat_mul(matrix_of(g), matrix_of(f), f.cod.dim)
 
 
 SQUARES = st.one_of(fin_squares(), vect_squares())
@@ -213,7 +214,7 @@ def test_commutes_on_fixed_squares():
     assert carriers.commutes(swap, swap, ident, ident)
     assert not carriers.commutes(swap, ident, ident, ident)
     line = VectObj(("x",))
-    half, two, one = (LinMap(line, line, ((q,),)) for q in ("1/2", 2, 1))
+    half, two, one = (dense_map(line, line, ((q,),)) for q in ("1/2", 2, 1))
     assert carriers.commutes(half, two, one, one)
     assert not carriers.commutes(half, half, one, one)
 
@@ -261,7 +262,7 @@ QX = VectObj(("x",))
 def test_vect_equalizer_mediate_rejects_a_map_into_another_space():
     zero = vect.zero_map(QXY, QX)
     eq = carriers.equalizer(zero, zero)
-    h = LinMap(VectObj(("c",)), VectObj(("a",)), ((1,),))
+    h = dense_map(VectObj(("c",)), VectObj(("a",)), ((1,),))
     with pytest.raises(MismatchError):
         carriers.equalizer_mediate(eq, h)
 
@@ -271,8 +272,8 @@ def test_vect_pullback_mediate_rejects_a_cone_of_the_wrong_shape():
     pb = carriers.pullback(ident, ident)
     apex = VectObj(("c",))
     # rows (q1; q2) = (1, 1, 5): only the first two match the projections' rows
-    q1 = LinMap(apex, QXY, ((1,), (1,)))
-    q2 = LinMap(apex, QX, ((5,),))
+    q1 = dense_map(apex, QXY, ((1,), (1,)))
+    q2 = dense_map(apex, QX, ((5,),))
     with pytest.raises(MismatchError):
         carriers.pullback_mediate(pb, q1, q2)
 
@@ -346,7 +347,7 @@ def test_image_of_subobject_map_is_the_subobject():
         amb = VectObj(tuple(f"v{i}" for i in range(rng.randint(0, 5))))
         rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in amb.vars]
                 for _ in range(rng.randint(0, amb.dim + 1))]
-        sub = vect.Subspace(amb, rows)
+        sub = dense_subspace(amb, rows)
         m = carriers.subobject_map(amb, sub)
         assert carriers.classify_map(m).mono and m.dom.dim == sub.dim
         assert carriers.image(m) == sub

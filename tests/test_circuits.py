@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_kernels import basis_of, contains, dense_map, dense_subspace, matrix_of, to_sparse
 import oracles
 from syscat import carriers, circuits, vect
 from syscat.circuits import (
@@ -36,7 +37,7 @@ from syscat.systems import (
     product_systems,
     systems_equal,
 )
-from syscat.vect import LinMap, Subspace, VectObj
+from syscat.vect import Subspace, VectObj
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 BENCH = CIRCUITS.parent / "bench"
@@ -326,8 +327,8 @@ def test_compile_series_circuit():
     assert c.rep.codomain.dim == 2  # no balance rows: every node is a terminal
     sub = behavior_image(c.system)
     assert sub.dim == 4
-    assert oracles.nullity(c.rep.f1.matrix, 6) == 4
-    assert sub.contains((1, 0, 0, 0, 1, 0))  # v_a=1, i_ac=1 satisfies the ohm row
+    assert oracles.nullity(matrix_of(c.rep.f1), 6) == 4
+    assert contains(sub, (1, 0, 0, 0, 1, 0))  # v_a=1, i_ac=1 satisfies the ohm row
 
 
 def test_compile_parallel_circuit():
@@ -335,7 +336,7 @@ def test_compile_parallel_circuit():
     assert c.universum.dim == 11
     assert c.rep.codomain.dim == 7  # 4 wires + 1 ohm + 2 internal balance rows
     assert behavior_image(c.system).dim == 4
-    assert oracles.nullity(c.rep.f1.matrix, 11) == 4
+    assert oracles.nullity(matrix_of(c.rep.f1), 11) == 4
 
 
 def test_compile_isolated_node():
@@ -398,7 +399,7 @@ def _kernel_paths(rows, dim):
 
 def _dense_kernel(compiled):
     dim = compiled.universum.dim
-    return vect.to_sparse(oracles.dense_kernel_basis(compiled.rep.f1.matrix, dim))
+    return to_sparse(oracles.dense_kernel_basis(matrix_of(compiled.rep.f1), dim))
 
 
 @settings(max_examples=80, deadline=None)
@@ -406,7 +407,7 @@ def _dense_kernel(compiled):
 def test_compiled_rows_match_the_dense_reference(circuit):
     compiled = compile_circuit(circuit)
     names, rows = oracles.dense_equation_rows(circuit, compiled.universum)
-    assert compiled.rep.f1 == LinMap(compiled.universum, VectObj(names), rows)
+    assert compiled.rep.f1 == dense_map(compiled.universum, VectObj(names), rows)
     dim = compiled.universum.dim
     # these kernels take both paths: read off canonical, and canonicalized once
     got, forwards, canonicalized = _kernel_paths(compiled.rep.f1.rows, dim)
@@ -435,8 +436,8 @@ def test_long_chain_behavior_is_exact():
             for v in compiled.universum.vars
         ]
 
-    assert behavior.contains(point(lambda k: 1, 0))
-    assert behavior.contains(point(lambda k: n - k, 1))
+    assert contains(behavior, point(lambda k: 1, 0))
+    assert contains(behavior, point(lambda k: n - k, 1))
 
 
 # -- gluing ---------------------------------------------------------------------
@@ -446,7 +447,7 @@ def test_glue_series_parallel_dimensions():
     res = glue(s, p, parse_glue(SP_GLUE))
     assert res.universum.dim == 6 + 11 - 4
     assert res.behavior.dim == 4
-    assert oracles.nullity(res.rep.f1.matrix, 13) == 4
+    assert oracles.nullity(matrix_of(res.rep.f1), 13) == 4
     assert res.preservation.equal
     assert behavior_image(res.preservation.syntax_system).dim == 4
     assert behavior_image(res.preservation.semantics_system).dim == 4
@@ -534,7 +535,7 @@ def test_closing_a_terminal_with_no_element_end_changes_nothing():
     assert closed.rep.codomain.vars[-2:] == ("ext:L.z", "ext:R.qz")
     assert closed.rep.f1.rows[-2:] == ((1, {}), (1, {}))
     assert closed.behavior == open_.behavior
-    assert closed.behavior.basis == _kernel_of_equations(closed)
+    assert basis_of(closed.behavior) == _kernel_of_equations(closed)
     assert closed.preservation.equal
 
 
@@ -580,7 +581,7 @@ def test_glue_close_dangling_collapses_to_a_line():
     assert res.behavior.dim == 1
     assert res.closed_terminals == ("L.a", "L.b", "R.i", "R.j")
     # every vector has all node voltages equal and all currents zero
-    basis = behavior_image(res.system).basis
+    basis = basis_of(behavior_image(res.system))
     assert len(basis) == 1
     vec = dict(zip(res.universum.vars, basis[0]))
     volts = {v for k, v in vec.items() if k.startswith("v_")}
@@ -799,7 +800,7 @@ def test_semantics_route_is_the_pullback_through_the_universa(left, right, spec,
 def _kernel_of_equations(res):
     """The canonical basis the glued equations give when solved exactly by the
     dense reference, not by ``vect.kernel_basis``."""
-    return oracles.dense_kernel_basis(res.rep.f1.matrix, res.universum.dim)
+    return oracles.dense_kernel_basis(matrix_of(res.rep.f1), res.universum.dim)
 
 
 @st.composite
@@ -831,7 +832,7 @@ def test_glue_behavior_is_the_kernel_of_its_equations(case):
     # ext: rows (closed), is the dense kernel of the glued circuit's equations
     left, right, spec = case
     res = glue(left, right, spec)
-    assert res.behavior.basis == _kernel_of_equations(res)
+    assert basis_of(res.behavior) == _kernel_of_equations(res)
     assert res.preservation.equal
 
 
@@ -902,7 +903,7 @@ def test_glue_solves_its_equations_when_the_pullback_misses_a_vector(monkeypatch
     assert not res.preservation.equal
     assert res.preservation.syntax_system.behavior.dim == 4
     assert res.preservation.semantics_system.behavior.dim == 3
-    assert res.behavior.basis == _kernel_of_equations(res)
+    assert basis_of(res.behavior) == _kernel_of_equations(res)
     assert res.behavior.dim == (1 if close else 4)
 
 
@@ -915,7 +916,7 @@ def test_glue_result_glues_again():
     for close, closed in ((False, ()), (True, ("L.L.a", "R.f"))):
         res = _glue_compiled(first, r3, replace(spec, close_dangling=close))
         assert res.preservation.equal
-        assert res.behavior.dim == oracles.nullity(res.rep.f1.matrix, res.universum.dim)
+        assert res.behavior.dim == oracles.nullity(matrix_of(res.rep.f1), res.universum.dim)
         assert res.closed_terminals == closed
     # closing both ends of the series chain stops its current
     assert res.behavior.dim == 1
@@ -939,9 +940,9 @@ def test_two_resistors_in_series():
     spec = parse_glue("glue RR\nidentify v_b = v_c\nidentify i_ab = i_cd\n")
     res = glue(r1, r2, spec)
     assert res.universum.vars == ("v_a", "v_b=v_c", "i_ab=i_cd", "v_d")
-    rows = Subspace(res.universum, res.rep.f1.matrix)
-    assert rows.contains((1, 0, -3, -1))  # v_a - v_d = (R + R') i
-    assert oracles.in_row_space(res.rep.f1.matrix, (1, 0, -3, -1), 4)
+    rows = dense_subspace(res.universum, matrix_of(res.rep.f1))
+    assert contains(rows, (1, 0, -3, -1))  # v_a - v_d = (R + R') i
+    assert oracles.in_row_space(matrix_of(res.rep.f1), (1, 0, -3, -1), 4)
 
 
 def test_glue_with_no_identifications_is_the_product():
@@ -951,9 +952,9 @@ def test_glue_with_no_identifications_is_the_product():
     assert res.universum.dim == 6
     assert res.behavior.dim == 4
     c1, c2 = compile_circuit(r1), compile_circuit(r2)
-    lifted_left = [tuple(row) + (0, 0, 0) for row in behavior_image(c1.system).basis]
-    lifted_right = [(0, 0, 0) + tuple(row) for row in behavior_image(c2.system).basis]
-    assert behavior_image(res.system) == Subspace(res.universum, lifted_left + lifted_right)
+    lifted_left = [tuple(row) + (0, 0, 0) for row in basis_of(behavior_image(c1.system))]
+    lifted_right = [(0, 0, 0) + tuple(row) for row in basis_of(behavior_image(c2.system))]
+    assert behavior_image(res.system) == dense_subspace(res.universum, lifted_left + lifted_right)
     prod = product_systems(c1.system, c2.system).system
     assert behavior_image(prod).dim == res.behavior.dim
 
@@ -990,7 +991,7 @@ def test_orientation_reversal_changes_nothing_observable():
     fwd = parse_netlist("circuit F\nnode a b c\nterminal a c\nresistor r a b 2\nwire w b c\n")
     rev = parse_netlist("circuit R\nnode a b c\nterminal a c\nresistor r b a 2\nwire w b c\n")
     cf, cr = compile_circuit(fwd), compile_circuit(rev)
-    flip = vect.LinMap(
+    flip = dense_map(
         cf.universum,
         cf.universum,
         tuple(
@@ -1062,7 +1063,7 @@ def test_whole_phenome_is_contained_in_parts():
     parts = oracles.full_phenome(k1.system, obs).intersect(oracles.full_phenome(k2.system, obs))
     for close in (False, True):
         whole = oracles.full_phenome(glue(s, p, replace(spec, close_dangling=close)).system, obs)
-        assert whole.leq(parts)
+        assert whole & parts == whole
         rep = emergence_report(s, p, replace(spec, close_dangling=close), obs)
         assert (rep.parts_dim, rep.whole_dim, rep.emergent) == (parts.dim, whole.dim, whole != parts)
 

@@ -6,18 +6,20 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from syscat import circuits, cli, equations, generalized, vect
+from syscat import booldual, circuits, cli, equations, generalized, systems, vect
 from syscat.circuits import Resistor
 from syscat.cli import main
-from syscat.vect import LinMap, Subspace, VectObj
+from syscat.vect import LinMap, VectObj
 
 import test_cli_golden
+from dense_kernels import basis_of, dense_subspace
 from test_vect_kernels import ENTRIES, INTEGER, sparse_rows
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -118,9 +120,11 @@ def test_non_utf8_input_is_usage_error(command, circuits_dir, tmp_path, capsys):
     ("glue", "glue g\nidentify v_c =\n"),
     ("ckt", "circuit T\nnode a b\nresistor r1 a b 1/" + "7" * 5000 + "\n"),
     ("ckt", "circuit T\nnode a b\nresistor r1 a b \u0661\u0662\n"),
+    ("ckt", "circuit T\nnode a b\nresistor r1 a b 1.5\n"),
+    ("ckt", "circuit T\nnode a b\nresistor r1 a b 1e3\n"),
 ], ids=["empty-netlist", "truncated-netlist", "duplicate-circuit-header",
         "empty-glue", "duplicate-glue-header", "malformed-identify", "overlong-value",
-        "non-ascii-digits"])
+        "non-ascii-digits", "float-value", "exponent-value"])
 def test_malformed_file_is_usage_error(kind, text, circuits_dir, tmp_path, capsys):
     bad = tmp_path / f"bad.{kind}"
     bad.write_text(text)
@@ -134,6 +138,15 @@ def test_malformed_file_is_usage_error(kind, text, circuits_dir, tmp_path, capsy
     assert "Traceback" not in err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_a_float_value_is_refused_as_inexact(tmp_path, capsys):
+    # the netlist parser is where floats are refused: vect takes no values, only int rows
+    bad = tmp_path / "float.ckt"
+    bad.write_text("circuit T\nnode a b\nresistor r1 a b 1.5\n")
+    code, _, err = run_cli(["behavior", str(bad)], capsys)
+    assert code == 2
+    assert err == "error: line 3: expected an exact rational (int or p/q), got '1.5'\n"
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
@@ -157,8 +170,8 @@ HUGE = st.builds(Fraction, st.integers(-10**300, 10**300).filter(bool), st.integ
 @given(st.sampled_from((INTEGER, HUGE) + ENTRIES).flatmap(lambda entries: sparse_rows(entries=entries)))
 def test_behavior_json_formats_entries_as_fractions(m):
     rows, ncols = m
-    sub = Subspace(VectObj(tuple(f"x{i}" for i in range(ncols))), rows)
-    assert cli._behavior_json(sub)["basis"] == [[str(x) for x in row] for row in sub.basis]
+    sub = dense_subspace(VectObj(tuple(f"x{i}" for i in range(ncols))), rows)
+    assert cli._behavior_json(sub)["basis"] == [[str(x) for x in row] for row in basis_of(sub)]
 
 
 # every character json escapes by name, a control character it writes as
@@ -505,19 +518,40 @@ def test_check_prints_a_failed_law(monkeypatch, capsys):
     assert code == 1
     assert out.splitlines() == [
         "adjunction: hom-set bijection: 1/3 FAIL",
-        "  failed: |Hom(diag g, e)|=2 |Hom(g, ObjEq e)|=3",
-        "  failed: |Hom(diag g, e)|=0 |Hom(g, ObjEq e)|=1",
+        "  failed: trial 2: |Hom(diag g, e)|=2 |Hom(g, ObjEq e)|=3, false: bijection_ok",
+        "  failed: trial 3: |Hom(diag g, e)|=0 |Hom(g, ObjEq e)|=1, false: bijection_ok",
     ]
-    # preservation records no detail, so a failure is named by its trial
     pull_back_the_left_leg_twice(monkeypatch)
     code, out, _ = run_cli(["check", "--law", "preservation", "--trials", "2"], capsys)
     assert code == 1
     assert out.splitlines() == [
         "preservation: finset: 0/2 FAIL",
-        "  failed: trial 1",
-        "  failed: trial 2",
+        "  failed: trial 1: the universa differ",
+        "  failed: trial 2: the universa differ",
         "preservation: vect: 0/1 FAIL",
-        "  failed: trial 1",
+        "  failed: trial 1: the universa differ",
+    ]
+
+
+def test_a_failed_trial_says_what_failed(monkeypatch, capsys):
+    ignore_the_probe(monkeypatch)
+    _, out, _ = run_cli(["check", "--law", "adjunction", "--trials", "2"], capsys)
+    assert "  failed: trial 2: |Hom(diag g, e)|=3 |Hom(g, ObjEq e)|=3, false: naturality_ok" in out
+    monkeypatch.setattr(systems.BehaviorLattice, "meet", lambda self, b1, b2: b1)
+    _, out, _ = run_cli(["check", "--law", "lattice", "--trials", "4"], capsys)
+    assert out.splitlines() == [
+        "lattice: meet = interconnection: 2/4 FAIL",
+        "  failed: trial 1: pullback meet 2 points, lattice meet 3 points",
+        "  failed: trial 4: pullback meet dim 0, lattice meet dim 1",
+        "lattice: modular law: 2/4 FAIL",
+        "  failed: trial 1: dims a=3 b=3 a+b=5 a&b=3",
+        "  failed: trial 2: dims a=3 b=0 a+b=3 a&b=3",
+    ]
+    monkeypatch.setattr(booldual, "duality_classify", lambda f: SimpleNamespace(consistent=False))
+    _, out, _ = run_cli(["check", "--law", "duality", "--trials", "1"], capsys)
+    assert out.splitlines()[-2:] == [
+        "duality: roundtrip (randomized): 0/1 FAIL",
+        "  failed: trial 1: false: mono/epi swap",
     ]
 
 

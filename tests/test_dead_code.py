@@ -7,6 +7,12 @@ the code reads, so importing a definition does not count as naming it. So is
 one that only test-only definitions name: a helper kept for them alone. The
 public test-only definitions are pinned, so a new one, or one that gains a
 caller, shows up here and in ROADMAP item 4, which lists them.
+
+A method or property, dunders aside, is read when any code in ``src/`` or
+``bench/`` names it as an attribute; the name is matched alone, without its
+class. The ones only tests read are pinned the same way. And one module
+imports ``fractions``: ``circuits``, where netlist values are parsed; every
+other module works on int rows.
 """
 
 import ast
@@ -54,7 +60,13 @@ TEST_ONLY = {
         "span_into_product",
         "terminal_system",
     },
-    "vect": {"coordinate_map", "projection_onto", "to_sparse"},
+    "vect": {"coordinate_map", "projection_onto"},
+}
+
+TEST_ONLY_METHODS = {
+    "booldual.PowerLattice.subsets",
+    "carriers.MapClass.iso",
+    "systems.MorphismClass.plain",
 }
 
 
@@ -92,11 +104,14 @@ def test_every_module_uses_what_it_imports():
     assert unused == []
 
 
+def _code_trees() -> dict[Path, ast.Module]:
+    """The trees of every file in ``src/`` and ``bench/``."""
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
+    return {path: _tree(path) for path in paths}
+
+
 def test_the_test_only_definitions_are_the_listed_ones():
-    trees = {
-        path: _tree(path)
-        for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "bench").rglob("*.py"))
-    }
+    trees = _code_trees()
     definitions = {
         (path, node.name)
         for path in MODULES
@@ -121,3 +136,34 @@ def test_the_test_only_definitions_are_the_listed_ones():
         if not name.startswith("_"):
             public.setdefault(path.stem, set()).add(name)
     assert public == TEST_ONLY
+
+
+def test_the_test_only_methods_are_the_listed_ones():
+    attributes = {
+        node.attr
+        for tree in _code_trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    unread = {
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in MODULES
+        for cls in _tree(path).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in attributes
+    }
+    assert unread == TEST_ONLY_METHODS
+
+
+def test_only_the_netlist_parser_imports_fractions():
+    importers = set()
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                importers.add(path.stem)
+            elif isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+                importers.add(path.stem)
+    assert importers == {"circuits"}

@@ -4,6 +4,7 @@ from unittest import mock
 
 import pytest
 
+from dense_kernels import dense_map, dense_subspace, matrix_of
 import oracles
 from syscat import carriers, finset, vect
 from syscat.equations import arr_eq, kernel_rep
@@ -29,7 +30,7 @@ from syscat.systems import (
     systems_equal,
     terminal_system,
 )
-from syscat.vect import LinMap, Subspace, VectObj
+from syscat.vect import VectObj
 
 
 def fin_system(universe_labels, behavior_labels):
@@ -39,7 +40,7 @@ def fin_system(universe_labels, behavior_labels):
 
 def compile_s():
     u = VectObj(("v_a", "v_b", "v_c", "v_d", "i_ac", "i_bd"))
-    f = LinMap(u, VectObj(("ohm", "wire")), (
+    f = dense_map(u, VectObj(("ohm", "wire")), (
         (1, 0, -1, 0, -1, 0),
         (0, 1, 0, -1, 0, 0),
     ))
@@ -58,7 +59,7 @@ def compile_p():
         (0, 0, 0, 0, 0, 0, -1, 1, 0, 0, 1),       # current balance at g
         (0, 0, 0, 0, 0, 0, 0, 0, -1, 1, -1),      # current balance at h
     ]
-    return arr_eq(kernel_rep(LinMap(u, VectObj(tuple(f"r{i}" for i in range(7))), rows)))
+    return arr_eq(kernel_rep(dense_map(u, VectObj(tuple(f"r{i}" for i in range(7))), rows)))
 
 
 # -- construction -------------------------------------------------------------
@@ -68,18 +69,18 @@ def test_full_system_and_vect_span():
     s = full_system(u)
     assert behavior_image(s) == frozenset({"a", "b"})
     amb = VectObj(("v_a", "v_b"))
-    sv = system_from_behavior(amb, Subspace(amb, ((1, 1),)))
+    sv = system_from_behavior(amb, dense_subspace(amb, ((1, 1),)))
     assert behavior_image(sv).dim == 1
     # a FinObj never equals a VectObj, so systems of different carriers differ
     assert not systems_equal(s, sv) and not systems_equal(sv, s)
     with pytest.raises(MismatchError, match="'z' is not in the universum"):
         system_from_behavior(u, {"a", "z"})
     with pytest.raises(MismatchError, match="ambient differs"):
-        system_from_behavior(amb, Subspace(VectObj(("v_a", "v_c")), ((1, 1),)))
+        system_from_behavior(amb, dense_subspace(VectObj(("v_a", "v_c")), ((1, 1),)))
     # equal systems hash equally in both carriers
     assert s == system_from_behavior(u, frozenset({"a", "b"}))
     assert hash(s) == hash(system_from_behavior(u, frozenset({"a", "b"})))
-    assert hash(sv) == hash(system_from_behavior(amb, Subspace(amb, ((2, 2),))))
+    assert hash(sv) == hash(system_from_behavior(amb, dense_subspace(amb, ((2, 2),))))
 
 
 def test_non_injective_inclusion_rejected():
@@ -104,15 +105,15 @@ def test_make_morphism_behavior_escapes():
 
 def test_make_morphism_behavior_escapes_names_a_vect_basis_vector():
     u = VectObj(("x", "y"))
-    x_axis = system_from_behavior(u, Subspace(u, ((1, 0),)))
+    x_axis = system_from_behavior(u, dense_subspace(u, ((1, 0),)))
     # basis vectors (1, 0) and (0, 1): the second one leaves the x axis
     with pytest.raises(BehaviorEscapes, match=r"behavior vector \[0, 1\] lies outside"):
         make_morphism(full_system(u), x_axis, vect.identity(u))
     # the witness is in source-universum coordinates, here of the diagonal
-    diagonal = system_from_behavior(u, Subspace(u, (("1/2", "1/2"),)))
+    diagonal = system_from_behavior(u, dense_subspace(u, (("1/2", "1/2"),)))
     with pytest.raises(BehaviorEscapes, match=r"behavior vector \[1, 1\] lies outside"):
         make_morphism(diagonal, x_axis, vect.identity(u))
-    swap = LinMap(u, u, ((0, 1), (1, 0)))
+    swap = dense_map(u, u, ((0, 1), (1, 0)))
     with pytest.raises(BehaviorEscapes, match=r"behavior vector \[1, 0\] lies outside"):
         make_morphism(x_axis, x_axis, swap)
 
@@ -121,7 +122,7 @@ def test_make_morphism_behavior_escapes_names_a_vect_basis_vector():
 
 def sc_into_s():
     u_sc = VectObj(("v_a2", "v_b2", "v_c2", "i_ac2", "i_bc2"))
-    f = LinMap(u_sc, VectObj(("ohm", "wire")), (
+    f = dense_map(u_sc, VectObj(("ohm", "wire")), (
         (1, 0, -1, -1, 0),
         (0, 1, -1, 0, 0),
     ))
@@ -138,13 +139,13 @@ def sc_into_s():
         [Fraction(cols[src_var].get(dst_var, 0)) for src_var in u_sc.vars]
         for dst_var in s.universum.vars
     ]
-    return make_morphism(s_c, s, LinMap(u_sc, s.universum, matrix))
+    return make_morphism(s_c, s, dense_map(u_sc, s.universum, matrix))
 
 
 def p_onto_ps():
     p = compile_p()
     u_ps = VectObj(("v_g2", "v_h2", "i_gh2"))
-    ps = arr_eq(kernel_rep(LinMap(u_ps, VectObj(("ohm",)), ((1, -1, -1),))))
+    ps = arr_eq(kernel_rep(dense_map(u_ps, VectObj(("ohm",)), ((1, -1, -1),))))
     phi_u = vect.coordinate_map(
         p.universum, u_ps, {"v_g": "v_g2", "v_h": "v_h2", "i_gh": "i_gh2"}
     )
@@ -193,8 +194,8 @@ def test_behavior_image_is_computed_once_per_system():
     amb = VectObj(("v_a", "v_b"))
     for s, fresh in (
         (fin_system("abc", "ab"), lambda: fin_system("abc", "ab")),
-        (system_from_behavior(amb, Subspace(amb, ((1, 1),))),
-         lambda: system_from_behavior(amb, Subspace(amb, ((2, 2),)))),
+        (system_from_behavior(amb, dense_subspace(amb, ((1, 1),))),
+         lambda: system_from_behavior(amb, dense_subspace(amb, ((2, 2),)))),
     ):
         before = (repr(s), hash(s))
         with mock.patch.object(carriers, "image", wraps=carriers.image) as image:
@@ -305,7 +306,7 @@ def test_project_latent_identity_returns_same_behavior():
 
 def test_project_latent_requires_epi():
     s = compile_s()
-    pi = LinMap(s.universum, VectObj(("q", "r")), (
+    pi = dense_map(s.universum, VectObj(("q", "r")), (
         (1, 0, 0, 0, 0, 0),
         (1, 0, 0, 0, 0, 0),
     ))
@@ -326,7 +327,7 @@ def test_two_port_latent_elimination():
     pi = vect.projection_onto(p.universum, terminals)
     m, manifest = project_latent(p, pi)
     assert behavior_image(manifest).dim == 4  # frozen: projected-basis rank oracle
-    rows = vect.compose(pi, p.inclusion).matrix
+    rows = matrix_of(vect.compose(pi, p.inclusion))
     assert oracles.rank(tuple(zip(*rows)), 8) == 4
     assert classify_morphism(m).subsystem
 
@@ -342,7 +343,7 @@ def test_factors_through_witness():
     assert carriers.compose(big.inclusion, h) == small.inclusion
     assert factors_through(big, small) is None
     amb = VectObj(("x", "y"))
-    line = system_from_behavior(amb, Subspace(amb, ((1, 1),)))
+    line = system_from_behavior(amb, dense_subspace(amb, ((1, 1),)))
     plane = full_system(amb)
     assert factors_through(line, plane) is not None
     assert factors_through(plane, line) is None
@@ -351,18 +352,18 @@ def test_factors_through_witness():
 def test_lattice_operations_and_modularity():
     amb = VectObj(("x", "y", "z"))
     lat = BehaviorLattice(amb)
-    e1 = Subspace(amb, ((1, 0, 0),))
-    e2 = Subspace(amb, ((0, 1, 0),))
+    e1 = dense_subspace(amb, ((1, 0, 0),))
+    e2 = dense_subspace(amb, ((0, 1, 0),))
     assert lat.meet(e1, e1) == e1 and lat.join(e1, e1) == e1
     assert lat.join(e1, e2).dim == 2
-    e12 = Subspace(amb, ((1, 0, 0), (0, 1, 0)))
-    e23 = Subspace(amb, ((0, 1, 0), (0, 0, 1)))
+    e12 = dense_subspace(amb, ((1, 0, 0), (0, 1, 0)))
+    e23 = dense_subspace(amb, ((0, 1, 0), (0, 0, 1)))
     assert lat.meet(e12, e23) == e2
     rng = random.Random(2)
     for _ in range(30):
-        a = Subspace(amb, tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
+        a = dense_subspace(amb, tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
                                 for _ in range(rng.randint(0, 3))))
-        b = Subspace(amb, tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
+        b = dense_subspace(amb, tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(3))
                                 for _ in range(rng.randint(0, 3))))
         assert a.dim + b.dim == lat.join(a, b).dim + lat.meet(a, b).dim
     fin = BehaviorLattice(FinObj(("a", "b", "c")))
@@ -370,7 +371,7 @@ def test_lattice_operations_and_modularity():
     assert fin.meet(ab, bc) == {"b"} and type(fin.meet(ab, bc)) is frozenset
     assert fin.join(ab, bc) == {"a", "b", "c"} and type(fin.join(ab, bc)) is frozenset
     # an operand outside the universum is refused, also when both are
-    elsewhere = Subspace(VectObj(("x", "y")), ((1, 0),))
+    elsewhere = dense_subspace(VectObj(("x", "y")), ((1, 0),))
     for op, good, bad in [
         (lat.meet, e1, elsewhere), (lat.join, e1, elsewhere),
         (fin.meet, ab, frozenset({"a", "z"})), (fin.join, ab, frozenset({"a", "z"})),
@@ -410,7 +411,7 @@ def test_morphism_composition_checks_squares():
         SystemMorphism(s, t, m.phi_b, swap)
     # the line spanned by (1, 0) into the plane: phi_b sends its basis vector to (0, 1)
     u = VectObj(("x", "y"))
-    line, plane = system_from_behavior(u, Subspace(u, [(1, 0)])), full_system(u)
+    line, plane = system_from_behavior(u, dense_subspace(u, [(1, 0)])), full_system(u)
     with pytest.raises(MismatchError, match="does not commute"):
-        SystemMorphism(line, plane, LinMap(line.behavior, u, ((0,), (1,))), vect.identity(u))
-    assert SystemMorphism(line, plane, LinMap(line.behavior, u, ((1,), (0,))), vect.identity(u))
+        SystemMorphism(line, plane, dense_map(line.behavior, u, ((0,), (1,))), vect.identity(u))
+    assert SystemMorphism(line, plane, dense_map(line.behavior, u, ((1,), (0,))), vect.identity(u))

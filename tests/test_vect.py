@@ -10,6 +10,7 @@ from syscat.errors import MismatchError
 from syscat.vect import LinMap, Subspace, VectObj
 
 import dense_kernels
+from dense_kernels import column, contains, dense_map, dense_subspace, matrix_of
 import oracles
 
 Q1 = VectObj(("x",))
@@ -23,23 +24,14 @@ def rand_matrix(rng, rows, cols, span=3):
     return tuple(tuple(Fraction(rng.randint(-span, span)) for _ in range(cols)) for _ in range(rows))
 
 
-def test_floats_are_rejected():
-    with pytest.raises(MismatchError):
-        LinMap(Q1, Q1, ((1.5,),))
-    with pytest.raises(MismatchError):
-        LinMap(Q2, Q2, ((Fraction(1), Fraction(0)), (Fraction(0), 2.0)))
-    with pytest.raises(MismatchError):
-        Subspace(Q2, ((Fraction(1), Fraction(0)), (Fraction(0), 0.5)))
-
-
 def test_compose_matrix_product():
-    f = LinMap(Q2, Q2, ((1, 0), (0, 2)))
-    g = LinMap(Q2, Q1, ((1, 1),))
-    assert vect.compose(g, f).matrix == ((Fraction(1), Fraction(2)),)
+    f = dense_map(Q2, Q2, ((1, 0), (0, 2)))
+    g = dense_map(Q2, Q1, ((1, 1),))
+    assert matrix_of(vect.compose(g, f)) == ((Fraction(1), Fraction(2)),)
 
 
 def test_compose_identity_and_zero_dims():
-    f = LinMap(Q2, Q1, ((1, -1),))
+    f = dense_map(Q2, Q1, ((1, -1),))
     assert vect.compose(f, vect.identity(Q2)) == f
     assert vect.compose(vect.identity(Q1), f) == f
     z = vect.zero_map(Q2, vect.ZERO_SPACE)
@@ -48,7 +40,7 @@ def test_compose_identity_and_zero_dims():
     assert gz == vect.zero_map(Q2, Q3)
     # a zero dimension in the domain, in the middle or in the codomain; h has
     # a unit row, which selects, and a row that is multiplied
-    h = LinMap(Q2, Q2, ((1, 0), (Fraction(1, 2), 3)))
+    h = dense_map(Q2, Q2, ((1, 0), (Fraction(1, 2), 3)))
     zero = vect.ZERO_SPACE
     assert vect.compose(h, vect.zero_map(zero, Q2)) == vect.zero_map(zero, Q2)
     assert vect.compose(vect.zero_map(zero, Q2), vect.zero_map(Q3, zero)) == vect.zero_map(Q3, Q2)
@@ -59,15 +51,15 @@ def test_compose_identity_and_zero_dims():
 def test_product_tags_and_dims():
     obj, p1, p2 = vect.product(VectObj(("v", "i")), VectObj(("w",)))
     assert obj.vars == ("L.v", "L.i", "R.w")
-    assert p1.matrix == ((1, 0, 0), (0, 1, 0))
-    assert p2.matrix == ((0, 0, 1),)
+    assert matrix_of(p1) == ((1, 0, 0), (0, 1, 0))
+    assert matrix_of(p2) == ((0, 0, 1),)
     empty, _, _ = vect.product(vect.ZERO_SPACE, Q1)
     assert empty.dim == 1
 
 
 def test_pullback_kernel_example():
-    f1 = LinMap(Q2, Q1, ((1, 0),))
-    f2 = LinMap(Q1, Q1, ((1,),))
+    f1 = dense_map(Q2, Q1, ((1, 0),))
+    f2 = dense_map(Q1, Q1, ((1,),))
     k, p1, p2 = vect.pullback(f1, f2)
     assert k.dim == 2  # frozen from the RREF oracle
     assert oracles.nullity([(1, 0, -1)], 3) == 2
@@ -75,7 +67,7 @@ def test_pullback_kernel_example():
     # K = {(a, b, c) : a = c} inside Q^2 x Q^1
     emb = carriers.product_mediate(carriers.product(Q2, Q1), p1, p2)
     for j in range(k.dim):
-        col = emb.column(j)
+        col = column(emb, j)
         assert col[0] == col[2]
 
 
@@ -88,36 +80,36 @@ def test_pullback_dimension_law_randomized():
             VectObj(tuple(f"b{i}" for i in range(d2))),
             VectObj(tuple(f"z{i}" for i in range(dz))),
         )
-        f1 = LinMap(x1, z, rand_matrix(rng, dz, d1))
-        f2 = LinMap(x2, z, rand_matrix(rng, dz, d2))
+        f1 = dense_map(x1, z, rand_matrix(rng, dz, d1))
+        f2 = dense_map(x2, z, rand_matrix(rng, dz, d2))
         k, p1, p2 = vect.pullback(f1, f2)
-        stacked = [tuple(r1) + tuple(-x for x in r2) for r1, r2 in zip(f1.matrix, f2.matrix)]
+        stacked = [tuple(r1) + tuple(-x for x in r2) for r1, r2 in zip(matrix_of(f1), matrix_of(f2))]
         assert k.dim == d1 + d2 - oracles.rank(stacked, d1 + d2)
         assert vect.compose(f1, p1) == vect.compose(f2, p2)
 
 
 def test_equalizer_symmetric_kernel():
-    f = LinMap(Q2, Q1, ((1, -1),))
+    f = dense_map(Q2, Q1, ((1, -1),))
     g = vect.zero_map(Q2, Q1)
     e_obj, e = vect.equalizer(f, g)
     assert e_obj.dim == 1
-    assert e.column(0) == (Fraction(1), Fraction(1))
+    assert column(e, 0) == (Fraction(1), Fraction(1))
 
 
 def test_image_factorize_rank_one():
-    f = LinMap(Q2, Q2, ((1, 2), (2, 4)))
+    f = dense_map(Q2, Q2, ((1, 2), (2, 4)))
     surj, inj = vect.image_factorize(f)
     assert inj.dom.dim == 1  # frozen: RREF rank oracle
-    assert oracles.rank(f.matrix, 2) == 1
-    assert inj.column(0) == (Fraction(1), Fraction(2))
+    assert oracles.rank(matrix_of(f), 2) == 1
+    assert column(inj, 0) == (Fraction(1), Fraction(2))
     assert vect.compose(inj, surj) == f
     assert vect.classify(surj)[1] and vect.classify(inj)[0]
 
 
 def test_classify_thin_column():
-    f = LinMap(Q1, Q2, ((1,), (1,)))
+    f = dense_map(Q1, Q2, ((1,), (1,)))
     assert vect.classify(f) == (True, False)
-    assert oracles.rank(f.matrix, 1) == 1
+    assert oracles.rank(matrix_of(f), 1) == 1
 
 
 @settings(deadline=None, max_examples=40)
@@ -167,20 +159,20 @@ def test_solve_matrix_recovers_unique_solution():
 
 
 def test_subspace_canonical_equality():
-    s1 = Subspace(Q3, ((1, 1, 0), (0, 0, 1)))
-    s2 = Subspace(Q3, ((2, 2, 2), (1, 1, -1)))
+    s1 = dense_subspace(Q3, ((1, 1, 0), (0, 0, 1)))
+    s2 = dense_subspace(Q3, ((2, 2, 2), (1, 1, -1)))
     assert s1 == s2
-    assert s1.contains((5, 5, -3))
-    assert not s1.contains((1, 0, 0))
+    assert contains(s1, (5, 5, -3))
+    assert not contains(s1, (1, 0, 0))
 
 
 def test_subspace_meet_join_examples():
-    e1 = Subspace(Q3, ((1, 0, 0),))
-    e2 = Subspace(Q3, ((0, 1, 0),))
-    e12 = Subspace(Q3, ((1, 0, 0), (0, 1, 0)))
-    e23 = Subspace(Q3, ((0, 1, 0), (0, 0, 1)))
+    e1 = dense_subspace(Q3, ((1, 0, 0),))
+    e2 = dense_subspace(Q3, ((0, 1, 0),))
+    e12 = dense_subspace(Q3, ((1, 0, 0), (0, 1, 0)))
+    e23 = dense_subspace(Q3, ((0, 1, 0), (0, 0, 1)))
     assert e12.intersect(e23) == e2
-    zero = Subspace(Q3, ())
+    zero = dense_subspace(Q3, ())
     for a, b in ((e12, zero), (zero, e12), (zero, zero)):
         assert a.intersect(b) == zero and a.intersect(b).rows == ()
     assert e1.sum(e2) == e12
@@ -191,36 +183,21 @@ def test_subspace_modular_law_randomized():
     rng = random.Random(5)
     amb = VectObj(tuple(f"u{i}" for i in range(5)))
     for _ in range(50):
-        a = Subspace(amb, rand_matrix(rng, rng.randint(0, 5), 5))
-        b = Subspace(amb, rand_matrix(rng, rng.randint(0, 5), 5))
+        a = dense_subspace(amb, rand_matrix(rng, rng.randint(0, 5), 5))
+        b = dense_subspace(amb, rand_matrix(rng, rng.randint(0, 5), 5))
         assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
 
 
-def test_to_dense_entries_are_the_fractions_of_the_rows():
-    # entries past +-64 and entries n/d that reduce, in canonical rows and not
-    rows = (
-        (1, {0: 65, 2: -1000}),
-        (6, {0: 4, 1: 9, 2: -130}),
-        (3, {0: 300, 1: -6}),
-        (1, {}),
-        (7, {1: 10**30}),
-    )
-    dense = vect.to_dense(rows, 3)
-    assert dense == tuple(tuple(Fraction(m.get(j, 0), d) for j in range(3)) for d, m in rows)
-    assert all(type(x) is Fraction for row in dense for x in row)
-    assert dense[2] == (100, -2, 0)
-
-
 def test_exact_fractions_survive_reduction():
-    f = LinMap(Q2, Q1, ((Fraction(1, 3), Fraction(1, 6)),))
-    basis = dense_kernels.kernel_basis(f.matrix, 2)
+    f = dense_map(Q2, Q1, ((Fraction(1, 3), Fraction(1, 6)),))
+    basis = dense_kernels.kernel_basis(matrix_of(f), 2)
     assert basis == ((Fraction(1), Fraction(-2)),)
 
 
 def test_coordinate_map_and_projection():
     pi = vect.projection_onto(Q3, ("z", "x"))
     assert pi.cod.vars == ("z", "x")
-    assert pi.apply((1, 2, 3)) == (Fraction(3), Fraction(1))
+    assert matrix_of(pi) == ((0, 0, 1), (1, 0, 0))
     with pytest.raises(MismatchError, match="^unknown variable 'nope'$"):
         vect.projection_onto(Q3, ("nope",))
     with pytest.raises(MismatchError, match="^unknown variable 'w'$"):
@@ -231,28 +208,28 @@ def test_coordinate_map_and_projection():
 # -- the canonical sparse format -------------------------------------------------
 
 def test_equal_maps_from_different_representations_are_equal():
-    a = LinMap(Q2, Q1, (("2/4", 3),))
-    b = LinMap(Q2, Q1, ((Fraction(1, 2), "6/2"),))
+    a = dense_map(Q2, Q1, (("2/4", 3),))
+    b = dense_map(Q2, Q1, ((Fraction(1, 2), "6/2"),))
     c = LinMap.from_rows(Q2, Q1, ((2, {0: 1, 1: 6}),))
     assert a.rows == ((2, {0: 1, 1: 6}),)
     assert a == b == c
     assert hash(a) == hash(b) == hash(c)
-    assert a.matrix == b.matrix == c.matrix == ((Fraction(1, 2), Fraction(3)),)
-    assert a != LinMap(Q2, Q1, ((1, 3),))
+    assert matrix_of(a) == matrix_of(b) == matrix_of(c) == ((Fraction(1, 2), Fraction(3)),)
+    assert a != dense_map(Q2, Q1, ((1, 3),))
     # a kernel output: lifting 2 through 4 gives 1/2
-    half = vect.lift((LinMap(Q1, Q1, ((4,),)),), (LinMap(Q1, Q1, ((-2,),)),))
-    assert half == LinMap(Q1, Q1, (("-2/4",),))
-    assert hash(half) == hash(LinMap(Q1, Q1, ((Fraction(-1, 2),),)))
-    assert half.matrix == ((Fraction(-1, 2),),)
-    s = Subspace(Q2, ((2, 4), (3, 6)))
-    t = Subspace(Q2, (("1/3", "2/3"),))
+    half = vect.lift((dense_map(Q1, Q1, ((4,),)),), (dense_map(Q1, Q1, ((-2,),)),))
+    assert half == dense_map(Q1, Q1, (("-2/4",),))
+    assert hash(half) == hash(dense_map(Q1, Q1, ((Fraction(-1, 2),),)))
+    assert matrix_of(half) == ((Fraction(-1, 2),),)
+    s = dense_subspace(Q2, ((2, 4), (3, 6)))
+    t = dense_subspace(Q2, (("1/3", "2/3"),))
     assert s == t and hash(s) == hash(t)
     assert s.rows == ((1, {0: 1, 1: 2}),)
-    assert s == vect.image(LinMap(Q1, Q2, (("1/7",), ("2/7",))))
+    assert s == vect.image(dense_map(Q1, Q2, (("1/7",), ("2/7",))))
 
 
 def test_kernel_outputs_keep_the_shape_check():
-    f = LinMap(Q2, Q2, ((1, 2), (2, 4)))
+    f = dense_map(Q2, Q2, ((1, 2), (2, 4)))
     composed = vect.compose(f, f)
     _, arrow = vect.equalizer(f, vect.zero_map(Q2, Q2))
     surj, inj = vect.image_factorize(f)
@@ -268,5 +245,8 @@ def test_kernel_outputs_keep_the_shape_check():
         LinMap.from_rows(Q1, Q1, ((1, {-1: 1}),))
     with pytest.raises(MismatchError, match="column outside"):
         Subspace.from_rows(Q1, composed.rows)
-    with pytest.raises(MismatchError, match="row length"):
-        LinMap(Q2, Q1, ((1, 2, 3),))
+    # from_rows is the one constructor: a dense matrix is not taken as rows
+    with pytest.raises(TypeError):
+        LinMap(Q2, Q1, ((1, 2),))
+    with pytest.raises(TypeError):
+        Subspace(Q2, ((1, 2),))
