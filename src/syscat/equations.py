@@ -26,7 +26,7 @@ from functools import cached_property
 from . import carriers, vect
 from .carriers import CarrierMap
 from .errors import MismatchError
-from .systems import System, SystemMorphism, _proved, make_morphism, pullback_systems, systems_equal
+from .systems import System, SystemMorphism, _proved, _pullback_systems_over, make_morphism, systems_equal
 from .vect import LinMap, VectObj
 
 
@@ -172,7 +172,14 @@ class PreservationReport:
 
 
 def check_preservation(m: EquationMorphism, n: EquationMorphism) -> PreservationReport:
-    """Interpret-then-pull-back versus pull-back-then-interpret, compared exactly."""
-    syntax_side = arr_eq(pullback_equations(m, n).rep)
-    semantics_side = pullback_systems(arr_eq_morphism(m), arr_eq_morphism(n)).system
+    """Interpret-then-pull-back versus pull-back-then-interpret, compared exactly.
+
+    Interpretation leaves universa alone, so both routes live over one pullback
+    of (m.psi_u, n.psi_u): the syntax route computes it, and the semantic
+    route pulls the systems back over the same one.
+    """
+    pb = pullback_equations(m, n)
+    syntax_side = arr_eq(pb.rep)
+    upb = carriers.PullbackResult(pb.rep.universum, pb.proj1.psi_u, pb.proj2.psi_u)
+    semantics_side = _pullback_systems_over(arr_eq_morphism(m), arr_eq_morphism(n), upb).system
     return PreservationReport(syntax_side, semantics_side, systems_equal(syntax_side, semantics_side))

@@ -9,6 +9,7 @@ carrier and matched by an explicit bijection.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import carriers, finset
@@ -152,7 +153,10 @@ def diagonal(g: GeneralizedSystem) -> GenEquation:
 
 
 def diagonal_morphism(m: GenSystemMorphism) -> GenEquationMorphism:
-    return GenEquationMorphism(diagonal(m.src), diagonal(m.dst), m.phi_c, m.phi_u, m.phi_c, m.phi_u)
+    """diagonal(m); an endomorphism's two ends are one diagonal, built once."""
+    src = diagonal(m.src)
+    dst = src if m.dst == m.src else diagonal(m.dst)
+    return GenEquationMorphism(src, dst, m.phi_c, m.phi_u, m.phi_c, m.phi_u)
 
 
 def embed_equation(rep: EquationRep) -> GenEquation:
@@ -227,24 +231,26 @@ def _require_finset_small(*objs: FinObj):
             raise DomainError(f"size bound exceeded: enumeration is capped at {ENUM_BOUND} elements")
 
 
-def gen_system_homs(g: GeneralizedSystem, h: GeneralizedSystem) -> list[GenSystemMorphism]:
-    """All morphisms g => h (finite-set carrier, small objects)."""
-    homs = []
+def _iter_gen_system_homs(g: GeneralizedSystem, h: GeneralizedSystem) -> Iterator[GenSystemMorphism]:
+    """The morphisms g => h, built one at a time as they are drawn."""
     for phi_c in finset.all_maps(g.domain, h.domain):
         for phi_u in finset.all_maps(g.codomain, h.codomain):
             if carriers.commutes(phi_u, g.arrow, h.arrow, phi_c):
-                homs.append(GenSystemMorphism(g, h, phi_c, phi_u))
-    return homs
+                yield GenSystemMorphism(g, h, phi_c, phi_u)
 
 
-def homs_from_diagonal(g: GeneralizedSystem, e: GenEquation) -> list[GenEquationMorphism]:
-    """All equation morphisms diagonal(g) => e (finite-set carrier, small objects).
+def gen_system_homs(g: GeneralizedSystem, h: GeneralizedSystem) -> list[GenSystemMorphism]:
+    """All morphisms g => h (finite-set carrier, small objects)."""
+    return list(_iter_gen_system_homs(g, h))
+
+
+def homs_from_diagonal(dg: GenEquation, e: GenEquation) -> list[GenEquationMorphism]:
+    """All equation morphisms dg => e, for dg = diagonal(g) (finite-set carrier, small objects).
 
     For a diagonal source the two lower component maps are forced by the side
     faces, so only the top square is searched.
     """
-    dg = diagonal(g)
-    h = e.src.arrow
+    g, h = dg.src, e.src.arrow
     out = []
     for tau1 in finset.all_maps(g.domain, e.src.domain):
         if not carriers.commutes(e.phi1.phi_c, tau1, e.phi2.phi_c, tau1):
@@ -283,14 +289,14 @@ def _transpose_to_objeq(t: GenEquationMorphism, eqs, target: GeneralizedSystem,
 
 
 def _transpose_to_diagonal(m: GenSystemMorphism, e: GenEquation, eqs,
-                           g: GeneralizedSystem) -> GenEquationMorphism:
-    """The transpose diagonal(g) => e of m, for eqs = _equalizers(e)."""
+                           dg: GenEquation) -> GenEquationMorphism:
+    """The transpose dg => e of m, for dg = diagonal(m.src) and eqs = _equalizers(e)."""
     ec, eu = eqs
     tau1 = carriers.compose(ec.arrow, m.phi_c)
     tau2 = carriers.compose(eu.arrow, m.phi_u)
     tau3 = carriers.compose(e.phi1.phi_c, tau1)
     tau4 = carriers.compose(e.phi1.phi_u, tau2)
-    return GenEquationMorphism(diagonal(g), e, tau1, tau2, tau3, tau4)
+    return GenEquationMorphism(dg, e, tau1, tau2, tau3, tau4)
 
 
 def adjunction_check(g: GeneralizedSystem, e: GenEquation) -> AdjunctionReport:
@@ -299,45 +305,47 @@ def adjunction_check(g: GeneralizedSystem, e: GenEquation) -> AdjunctionReport:
     Both hom-sets are enumerated exhaustively; the transposition maps are then
     checked to be mutually inverse. A probe morphism into g (the first
     endomorphism other than the identity, if any) spot-checks naturality under
-    precomposition.
+    precomposition. diagonal(g), the probe's diagonal d and each transpose
+    are built once per check.
     """
     _require_finset_small(g.domain, g.codomain, e.src.domain, e.src.codomain,
                           e.dst.domain, e.dst.codomain)
+    ident = identity_gen_morphism(g)
+    probe = next((m for m in _iter_gen_system_homs(g, g) if m != ident), ident)
+    d = diagonal_morphism(probe)
+    dg = d.src  # diagonal(g): the probe is an endomorphism of g
     eqs = _equalizers(e)
     target = _obj_eq_of(e, eqs)
-    lhs = homs_from_diagonal(g, e)
+    lhs = homs_from_diagonal(dg, e)
     rhs = gen_system_homs(g, target)
     bijection_ok = len(lhs) == len(rhs)
     seen = []
     for t in lhs:
         m = _transpose_to_objeq(t, eqs, target, g)
-        back = _transpose_to_diagonal(m, e, eqs, g)
+        back = _transpose_to_diagonal(m, e, eqs, dg)
         if back != t:
             bijection_ok = False
         seen.append(m)
     for m in rhs:
         if m not in seen:
             bijection_ok = False
-        t = _transpose_to_diagonal(m, e, eqs, g)
+        t = _transpose_to_diagonal(m, e, eqs, dg)
         if _transpose_to_objeq(t, eqs, target, g) != m:
             bijection_ok = False
 
-    ident = identity_gen_morphism(g)
-    probe = next((m for m in gen_system_homs(g, g) if m != ident), ident)
     naturality_ok = True
-    for t in lhs:
-        precomposed = _compose_equation_with_diagonal(t, probe)
-        direct = _transpose_to_objeq(precomposed, eqs, target, probe.src)
-        expected = compose_gen_morphisms(_transpose_to_objeq(t, eqs, target, g), probe)
-        if direct != expected:
+    for t, m in zip(lhs, seen):
+        precomposed = _compose_equation_with_diagonal(t, d)
+        direct = _transpose_to_objeq(precomposed, eqs, target, g)
+        if direct != compose_gen_morphisms(m, probe):
             naturality_ok = False
     return AdjunctionReport(len(lhs), len(rhs), bijection_ok, naturality_ok)
 
 
 def _compose_equation_with_diagonal(
-    t: GenEquationMorphism, probe: GenSystemMorphism
+    t: GenEquationMorphism, d: GenEquationMorphism
 ) -> GenEquationMorphism:
-    d = diagonal_morphism(probe)
+    """t . d, for d the diagonal of a morphism into g."""
     return GenEquationMorphism(
         d.src,
         t.dst,

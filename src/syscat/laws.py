@@ -143,12 +143,14 @@ def _linmap(rng: random.Random, dom: VectObj, cod: VectObj) -> LinMap:
     return LinMap.from_rows(dom, cod, _int_rows(rng, cod.dim, dom.dim))
 
 
-def _epi_linmap(rng: random.Random, dom: VectObj, cod: VectObj) -> LinMap:
-    # assumes dom.dim >= cod.dim; resamples until full row rank
+def _epi_linmap(rng: random.Random, dom: VectObj, cod: VectObj) -> tuple[LinMap, LinMap]:
+    # assumes dom.dim >= cod.dim; resamples until full row rank, that is until
+    # f has a right inverse, and returns f with it
     while True:
         f = _linmap(rng, dom, cod)
-        if vect.classify(f)[1]:
-            return f
+        right_inv = vect.right_inverse(f)
+        if right_inv is not None:
+            return f, right_inv
 
 
 def _plus_kernel_multiples(rows: Rows, ncols: int, kernel: Rows, coeffs) -> Rows:
@@ -177,8 +179,7 @@ def _vect_equation_cospan(rng: random.Random) -> tuple[EquationMorphism, Equatio
         u = _vect_obj(rng, f"u{side}", 1, 4)
         e = _vect_obj(rng, f"e{side}", ec.dim, 4)
         psi_u = _linmap(rng, u, uc)
-        psi_e = _epi_linmap(rng, e, ec)
-        right_inv = vect.right_inverse(psi_e)
+        psi_e, right_inv = _epi_linmap(rng, e, ec)
         kernel = vect.kernel_basis(psi_e.rows, e.dim)  # canonical basis rows of ker psi_e
         maps = []
         for h in (shared.f1, shared.f2):

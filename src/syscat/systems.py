@@ -161,8 +161,15 @@ def pullback_systems(phi: SystemMorphism, psi: SystemMorphism) -> SystemPullback
     """
     if phi.dst != psi.dst:
         raise MismatchError("pullback requires morphisms into the same system")
+    return _pullback_systems_over(phi, psi, carriers.pullback(phi.phi_u, psi.phi_u))
+
+
+def _pullback_systems_over(
+    phi: SystemMorphism, psi: SystemMorphism, upb: carriers.PullbackResult
+) -> SystemPullback:
+    """``pullback_systems(phi, psi)`` over upb, a pullback of (phi.phi_u, psi.phi_u)
+    the caller already holds; the pullback's universum is upb.obj."""
     bpb = carriers.pullback(phi.phi_b, psi.phi_b)
-    upb = carriers.pullback(phi.phi_u, psi.phi_u)
     k = System(carriers.pullback_map(bpb, upb, phi.src.inclusion, psi.src.inclusion))
     proj1 = _proved(SystemMorphism, k, phi.src, bpb.proj1, upb.proj1)
     proj2 = _proved(SystemMorphism, k, psi.src, bpb.proj2, upb.proj2)

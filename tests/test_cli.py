@@ -507,9 +507,11 @@ def one_transpose_per_hom_set(monkeypatch):
 
 
 def pull_back_the_left_leg_twice(monkeypatch):
-    """Make the semantic pullback of (m, n) the pullback of (m, m), over another universum."""
-    pullback = equations.pullback_systems
-    monkeypatch.setattr(equations, "pullback_systems", lambda f, g: pullback(f, f))
+    """Make the semantic pullback of (m, n) the pullback of (m, m) over its own
+    universum pullback, not over the syntax route's one."""
+    monkeypatch.setattr(
+        equations, "_pullback_systems_over", lambda f, g, upb: systems.pullback_systems(f, f)
+    )
 
 
 def test_check_prints_a_failed_law(monkeypatch, capsys):

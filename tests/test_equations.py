@@ -264,6 +264,22 @@ def test_check_preservation_interprets_each_representation_once(monkeypatch):
     assert report.equal
 
 
+@pytest.mark.parametrize("cospan, seed", [(_finset_equation_cospan, 15), (_vect_equation_cospan, 16)])
+def test_check_preservation_pulls_the_universa_back_once(cospan, seed, monkeypatch):
+    # the syntax route's pullbacks of the universum and codomain maps, and the
+    # semantic route's pullback of the behavior maps over the same universum one
+    rng = random.Random(seed)
+    calls = []
+    pullback = carriers.pullback
+    monkeypatch.setattr(carriers, "pullback", lambda f, g: calls.append(f) or pullback(f, g))
+    for _ in range(20):
+        m, n = cospan(rng)
+        calls.clear()
+        report = check_preservation(m, n)
+        assert report.equal and len(calls) == 3
+        assert report.syntax_system.universum is report.semantics_system.universum
+
+
 def test_check_preservation_randomized_finset():
     rng = random.Random(100)
     for _ in range(60):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from syscat import carriers, finset, vect
+from syscat import carriers, finset, generalized, vect
 from syscat.equations import EquationRep, arr_eq, kernel_rep
 from syscat.errors import DomainError, MismatchError
 from syscat.finset import FinMap, FinObj
@@ -295,6 +295,68 @@ def test_adjunction_on_singleton_and_random_instances():
         g = GeneralizedSystem(FinMap(dom, cod, table))
         report = adjunction_check(g, e)
         assert report.ok
+
+
+def _adjunction_instances(seed: int, count: int):
+    """count random (g, e) pairs drawn as the adjunction suite draws them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        e = _gen_equation(rng)
+        dom = FinObj(tuple(f"g{i}" for i in range(rng.randint(1, 3))))
+        cod = FinObj(tuple(f"h{i}" for i in range(rng.randint(1, 3))))
+        yield GeneralizedSystem(FinMap(dom, cod, {x: rng.choice(cod.elements) for x in dom})), e
+
+
+def _record_adjunction_builds(monkeypatch) -> dict:
+    """Record the arguments of diagonal and diagonal_morphism, and every endomorphism
+    of rec["g"] other than the identity that is built, until the patches are undone."""
+    rec = {"g": None, "diagonal": [], "diagonal_morphism": [], "endos": []}
+    for name in ("diagonal", "diagonal_morphism"):
+        f = getattr(generalized, name)
+        monkeypatch.setattr(generalized, name, lambda x, _f=f, _n=name: rec[_n].append(x) or _f(x))
+    post_init = GenSystemMorphism.__post_init__
+
+    def counting(m):
+        post_init(m)
+        g = rec["g"]
+        if m.src is g and m.dst is g and (m.phi_c, m.phi_u) != (
+            finset.identity(g.domain), finset.identity(g.codomain)
+        ):
+            rec["endos"].append(m)
+
+    monkeypatch.setattr(GenSystemMorphism, "__post_init__", counting)
+    return rec
+
+
+def test_adjunction_check_builds_each_diagonal_once_and_stops_at_the_probe(monkeypatch):
+    instances = list(_adjunction_instances(41, 25))
+    endo_counts = [len(gen_system_homs(g, g)) - 1 for g, _ in instances]
+    rec = _record_adjunction_builds(monkeypatch)
+    sizes = []
+    for (g, e), endos in zip(instances, endo_counts):
+        rec.update(g=g, diagonal=[], diagonal_morphism=[], endos=[])
+        report = adjunction_check(g, e)
+        assert report.ok
+        assert rec["diagonal"] == [g]
+        assert len(rec["diagonal_morphism"]) == 1
+        assert len(rec["endos"]) == min(1, endos)  # the first one is the probe
+        sizes.append(report.diagonal_homs)
+    # the counts would grow with the hom-sets and the endomorphisms
+    assert max(sizes) > 1 and max(endo_counts) > 1
+
+
+def test_adjunction_probe_is_the_first_endomorphism_other_than_the_identity(monkeypatch):
+    instances = list(_adjunction_instances(42, 25))
+    expected = []
+    for g, _ in instances:
+        ident = identity_gen_morphism(g)
+        expected.append(next((m for m in gen_system_homs(g, g) if m != ident), ident))
+    rec = _record_adjunction_builds(monkeypatch)
+    for (g, e), probe in zip(instances, expected):
+        rec.update(g=g, diagonal_morphism=[])
+        assert adjunction_check(g, e).ok
+        assert rec["diagonal_morphism"] == [probe]
+    assert sum(p != identity_gen_morphism(g) for p, (g, _) in zip(expected, instances)) >= 20
 
 
 def test_adjunction_size_bound():
