@@ -3,16 +3,21 @@
 Subsets are bitmasks over the sorted base, and a lattice homomorphism is
 stored by its atom images — the disjointness and covering of those images are
 exactly what makes it a complete atomic homomorphism induced by a set map in
-the opposite direction. Systems reappear here as surjective restriction homs,
-with the subsystem/controlled-system taxonomy reversed, and pushouts are
-computed by transporting spans through the equivalence and pulling back.
+the opposite direction. ``all_homs`` enumerates them as the set maps they are:
+one per assignment of the target's atoms to the source's atoms. ``functor_G``
+is a pure construction, and ``check``'s duality law verifies that it inverts
+``functor_F``. ``PowerLattice`` and ``BoolHom`` run their checks in their own
+``__init__``, which fills the instance's ``__dict__`` in one step. Systems
+reappear here as surjective restriction homs, with the
+subsystem/controlled-system taxonomy reversed, and pushouts are computed by
+transporting spans through the equivalence and pulling back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as _iterproduct
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import finset
 from .errors import InvalidHom, MismatchError
@@ -22,13 +27,14 @@ from .systems import System, SystemMorphism, behavior_image, pullback_systems
 MAX_BASE = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PowerLattice:
     base: FinObj
 
-    def __post_init__(self):
-        if len(self.base) > MAX_BASE:
+    def __init__(self, base: FinObj):
+        if len(base) > MAX_BASE:
             raise MismatchError(f"powerset base capped at {MAX_BASE} elements")
+        self.__dict__["base"] = base
 
     @property
     def full_mask(self) -> int:
@@ -50,7 +56,7 @@ class PowerLattice:
         return iter(range(1 << len(self.base)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoolHom:
     """A homomorphism 2^T -> 2^S, stored by the images of the atoms of T."""
 
@@ -58,20 +64,20 @@ class BoolHom:
     dst: PowerLattice
     atom_image: dict[str, int]
 
-    def __post_init__(self):
-        if set(self.atom_image) != set(self.src.base.elements):
+    def __init__(self, src: PowerLattice, dst: PowerLattice, atom_image: dict[str, int]):
+        if set(atom_image) != src.base._members:
             raise InvalidHom("atom images must be given for exactly the source base")
-        union = 0
-        for t in self.src.base.elements:
-            img = self.atom_image[t]
-            if img < 0 or img > self.dst.full_mask:
+        full, union = dst.full_mask, 0
+        for t in src.base.elements:
+            img = atom_image[t]
+            if img < 0 or img > full:
                 raise InvalidHom(f"atom image of {t!r} is not a subset of the target base")
             if union & img:
                 raise InvalidHom("atom images overlap")
             union |= img
-        if union != self.dst.full_mask:
+        if union != full:
             raise InvalidHom("atom images do not cover the target base")
-        object.__setattr__(self, "atom_image", dict(self.atom_image))
+        self.__dict__.update(src=src, dst=dst, atom_image=dict(atom_image))
 
     def apply(self, mask: int) -> int:
         out = 0
@@ -101,42 +107,38 @@ def hom_is_epi(phi: BoolHom) -> bool:
 
 def functor_F(f: FinMap) -> BoolHom:
     """Preimage hom 2^T -> 2^S of a set map f : S -> T."""
-    src = PowerLattice(f.cod)
-    dst = PowerLattice(f.dom)
-    images = {t: 0 for t in f.cod}
-    for s in f.dom:
-        images[f(s)] |= dst.atom(s)
-    return BoolHom(src, dst, images)
+    images = dict.fromkeys(f.cod.elements, 0)
+    for i, s in enumerate(f.dom.elements):
+        images[f.table[s]] |= 1 << i
+    return BoolHom(PowerLattice(f.cod), PowerLattice(f.dom), images)
 
 
 def functor_G(phi: BoolHom) -> FinMap:
-    """The unique set map whose preimage hom equals phi."""
+    """The set map whose preimage hom is phi: s goes to the atom whose image holds s.
+
+    A pure construction: phi's disjoint, covering atom images make the table
+    total and single-valued, and ``check``'s duality law verifies that
+    F(G(phi)) == phi.
+    """
     table = {}
     for t in phi.src.base:
         for s in phi.dst.labels_of(phi.atom_image[t]):
             table[s] = t
-    g = FinMap(phi.dst.base, phi.src.base, table)
-    if functor_F(g) != phi:
-        raise InvalidHom("atom images do not determine a preimage hom")
-    return g
+    return FinMap(phi.dst.base, phi.src.base, table)
 
 
 def all_homs(src: PowerLattice, dst: PowerLattice) -> Iterator[BoolHom]:
-    """Every valid hom src -> dst, enumerated directly over atom-image tables."""
+    """Every hom 2^T -> 2^S, one per set map S -> T: each assignment of S's
+    atoms to T's atoms gives the atom images, |T|^|S| homs in all."""
     atoms = src.base.elements
-    for combo in _iterproduct(range(dst.full_mask + 1), repeat=len(atoms)):
-        union, ok = 0, True
-        for m in combo:
-            if union & m:
-                ok = False
-                break
-            union |= m
-        if ok and union == dst.full_mask:
-            yield BoolHom(src, dst, dict(zip(atoms, combo)))
+    for assignment in _iterproduct(atoms, repeat=len(dst.base)):
+        images = dict.fromkeys(atoms, 0)
+        for i, t in enumerate(assignment):
+            images[t] |= 1 << i
+        yield BoolHom(src, dst, images)
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     map_mono: bool
     map_epi: bool
     hom_mono: bool
@@ -147,8 +149,8 @@ class DualityReport:
         return self.map_mono == self.hom_epi and self.map_epi == self.hom_mono
 
 
-def duality_classify(f: FinMap) -> DualityReport:
-    phi = functor_F(f)
+def duality_classify(f: FinMap, phi: BoolHom) -> DualityReport:
+    """Classify f and its preimage hom phi = ``functor_F(f)``, which the caller passes."""
     return DualityReport(
         map_mono=finset.is_injective(f),
         map_epi=finset.is_surjective(f),

@@ -19,11 +19,13 @@ cone through a jointly mono family (product and pullback projections, an
 equalizer, a system's inclusion). Every map between two pullbacks, products
 included (a product is the pullback over the terminal object), is
 ``pullback_map``. Every operation is a pure function of immutable inputs.
+The results that carry no check of their own (``PullbackResult``,
+``EqualizerResult``, ``Factorization``, ``MapClass``) are named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import finset, vect
 from .errors import MismatchError
@@ -51,27 +53,23 @@ def _carrier(x, *rest):
     return module
 
 
-@dataclass(frozen=True)
-class PullbackResult:
+class PullbackResult(NamedTuple):
     obj: CarrierObj
     proj1: CarrierMap
     proj2: CarrierMap
 
 
-@dataclass(frozen=True)
-class EqualizerResult:
+class EqualizerResult(NamedTuple):
     obj: CarrierObj
     arrow: CarrierMap
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     surj: CarrierMap
     inj: CarrierMap
 
 
-@dataclass(frozen=True)
-class MapClass:
+class MapClass(NamedTuple):
     mono: bool
     epi: bool
 

@@ -15,13 +15,16 @@ Y . K with Y the canonical basis of ker(E . K), which is exact because
 span K = ker A. Pullbacks here stack equations while identifying shared
 variables, and the interpretation into systems preserves them —
 `check_preservation` is the law's check over generic pullbacks: it computes
-both routes and compares.
+both routes and compares. ``EquationRep`` checks its pair in its own
+``__init__``, which fills the instance's ``__dict__`` in one step, and the
+results with no check of their own are named tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import carriers, vect
 from .carriers import CarrierMap
@@ -30,14 +33,15 @@ from .systems import System, SystemMorphism, _proved, _pullback_systems_over, ma
 from .vect import LinMap, VectObj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EquationRep:
     f1: CarrierMap
     f2: CarrierMap
 
-    def __post_init__(self):
-        if self.f1.dom != self.f2.dom or self.f1.cod != self.f2.cod:
+    def __init__(self, f1: CarrierMap, f2: CarrierMap):
+        if f1.dom != f2.dom or f1.cod != f2.cod:
             raise MismatchError("equation maps must be a parallel pair")
+        self.__dict__.update(f1=f1, f2=f2)
 
     @property
     def universum(self):
@@ -136,8 +140,7 @@ def arr_eq_morphism(m: EquationMorphism) -> SystemMorphism:
     return make_morphism(arr_eq(m.src), arr_eq(m.dst), m.psi_u)
 
 
-@dataclass(frozen=True)
-class EquationPullback:
+class EquationPullback(NamedTuple):
     rep: EquationRep
     proj1: EquationMorphism
     proj2: EquationMorphism
@@ -164,8 +167,7 @@ def pullback_equations(m: EquationMorphism, n: EquationMorphism) -> EquationPull
     return EquationPullback(rep, proj1, proj2)
 
 
-@dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(NamedTuple):
     syntax_system: System
     semantics_system: System
     equal: bool

@@ -4,6 +4,9 @@ Element labels are plain strings and objects keep them sorted, so equality of
 objects (and of computed subobjects such as equalizers, images, and pullbacks)
 is ordinary ``==``. ``FinMap(dom, cod, table)`` keeps a copy of the table and
 checks it; labels that are not ``str`` are converted with ``str()`` first.
+Both are frozen dataclasses with their own ``__init__``: it runs the checks
+and fills the instance's ``__dict__`` in one step, so a value costs no
+per-field ``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -23,17 +26,17 @@ def pair_label(a: str, b: str) -> str:
     return f"({a.translate(_PAIR_ESCAPES)},{b.translate(_PAIR_ESCAPES)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinObj:
     elements: tuple[str, ...]
 
-    def __post_init__(self):
-        elems = tuple(sorted(str(e) for e in self.elements))
-        if len(set(elems)) != len(elems):
+    def __init__(self, elements):
+        elems = tuple(sorted(str(e) for e in elements))
+        members = frozenset(elems)
+        if len(members) != len(elems):
             raise MismatchError(f"duplicate element labels in {elems!r}")
-        object.__setattr__(self, "elements", elems)
-        # not a dataclass field, so == and hash still compare ``elements`` only
-        object.__setattr__(self, "_members", frozenset(elems))
+        # _members is not a dataclass field, so == and hash still compare ``elements`` only
+        self.__dict__.update(elements=elems, _members=members)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -54,21 +57,21 @@ def _check(dom: FinObj, cod: FinObj, table: dict[str, str]):
         raise MismatchError(f"image {v!r} of {k!r} is not in the codomain")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinMap:
     dom: FinObj
     cod: FinObj
     table: dict[str, str]
 
-    def __post_init__(self):
-        table = dict(self.table)
+    def __init__(self, dom: FinObj, cod: FinObj, table: dict[str, str]):
+        table = dict(table)
         try:
-            _check(self.dom, self.cod, table)
+            _check(dom, cod, table)
         except MismatchError:
             # a label that is not a str matches no element, so only a failed table is relabelled
             table = {str(k): str(v) for k, v in table.items()}
-            _check(self.dom, self.cod, table)
-        object.__setattr__(self, "table", table)
+            _check(dom, cod, table)
+        self.__dict__.update(dom=dom, cod=cod, table=table)
 
     def __hash__(self):
         return hash((self.dom, self.cod, frozenset(self.table.items())))

@@ -264,8 +264,9 @@ def duality_suite(seed: int, trials: int = 500) -> LawReport:
             s = FinObj(tuple(f"s{i}" for i in range(ns)))
             t = FinObj(tuple(f"t{i}" for i in range(nt)))
             for f in finset.all_maps(s, t):
-                gf.record(booldual.functor_G(booldual.functor_F(f)) == f)
-                cl.record(booldual.duality_classify(f).consistent)
+                phi = booldual.functor_F(f)
+                gf.record(booldual.functor_G(phi) == f)
+                cl.record(booldual.duality_classify(f, phi).consistent)
     fg = SuiteResult("F.G=id (exhaustive homs)")
     for ns in range(EXHAUSTIVE_MAX + 1):
         for nt in range(EXHAUSTIVE_MAX + 1):
@@ -281,7 +282,7 @@ def duality_suite(seed: int, trials: int = 500) -> LawReport:
         phi = booldual.functor_F(f)
         g = booldual.functor_G(phi)
         checks = {"G.F=id": g == f, "F.G=id": booldual.functor_F(g) == phi,
-                  "mono/epi swap": booldual.duality_classify(f).consistent}
+                  "mono/epi swap": booldual.duality_classify(f, phi).consistent}
         rnd.record(all(checks.values()), lambda: "false: " + _false(checks))
     return LawReport("duality", [gf, cl, fg, rnd])
 

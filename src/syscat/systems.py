@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from . import carriers
 from .carriers import CarrierMap, CarrierObj
@@ -145,8 +146,7 @@ def make_morphism(src: System, dst: System, phi_u: CarrierMap) -> SystemMorphism
     return _proved(SystemMorphism, src, dst, phi_b, phi_u)
 
 
-@dataclass(frozen=True)
-class SystemPullback:
+class SystemPullback(NamedTuple):
     system: System
     proj1: SystemMorphism
     proj2: SystemMorphism

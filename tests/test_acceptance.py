@@ -137,8 +137,9 @@ def test_criterion_5_bool_duality():
                 s = FinObj(tuple(f"s{i}" for i in range(ns)))
                 t = FinObj(tuple(f"t{i}" for i in range(nt)))
                 for f in finset.all_maps(s, t):
-                    assert functor_G(functor_F(f)) == f
-                    assert duality_classify(f).consistent
+                    phi = functor_F(f)
+                    assert functor_G(phi) == f
+                    assert duality_classify(f, phi).consistent
                     maps_checked += 1
         assert maps_checked == 499
         homs_checked = 0
@@ -156,9 +157,10 @@ def test_criterion_5_bool_duality():
             s = FinObj(tuple(f"s{i}" for i in range(rng.randint(0, 6))))
             t = FinObj(tuple(f"t{i}" for i in range(rng.randint(1, 6))))
             f = FinMap(s, t, {x: rng.choice(t.elements) for x in s})
-            assert functor_G(functor_F(f)) == f
-            assert functor_F(functor_G(functor_F(f))) == functor_F(f)
-            assert duality_classify(f).consistent
+            phi = functor_F(f)
+            assert functor_G(phi) == f
+            assert functor_F(functor_G(phi)) == phi
+            assert duality_classify(f, phi).consistent
 
 
 def _all_bool_morphisms(a: BoolSystem, b: BoolSystem):

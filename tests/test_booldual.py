@@ -102,27 +102,46 @@ def test_contravariant_functoriality():
 
 def test_duality_classify_examples():
     bij = finset.identity(FinObj(("a", "b")))
-    rep = duality_classify(bij)
+    rep = duality_classify(bij, functor_F(bij))
     assert rep.map_mono and rep.map_epi and rep.hom_mono and rep.hom_epi and rep.consistent
 
     const = FinMap(FinObj(("1", "2")), FinObj(("a", "b")), {"1": "a", "2": "a"})
-    rep = duality_classify(const)
+    rep = duality_classify(const, functor_F(const))
     assert not rep.map_epi and not rep.hom_mono
     assert not rep.map_mono and not rep.hom_epi
     assert rep.consistent
 
     incl = FinMap(FinObj(("1",)), FinObj(("1", "2")), {"1": "1"})
-    rep = duality_classify(incl)
+    rep = duality_classify(incl, functor_F(incl))
     assert rep.map_mono and rep.hom_epi and rep.consistent
 
 
+def brute_force_atom_images(src: PowerLattice, dst: PowerLattice):
+    """Every atom-image table of a hom src -> dst, found by filtering all
+    (2^|S|)^|T| tables for disjoint images that cover dst's base."""
+    atoms = src.base.elements
+    for combo in iterproduct(range(dst.full_mask + 1), repeat=len(atoms)):
+        union, ok = 0, True
+        for m in combo:
+            if union & m:
+                ok = False
+                break
+            union |= m
+        if ok and union == dst.full_mask:
+            yield dict(zip(atoms, combo))
+
+
 def test_exhaustive_hom_enumeration_matches_map_count():
-    for ns, nt in iterproduct(range(4), repeat=2):
+    # all_homs yields the brute-force filter's tables, each once, one per map S -> T
+    for ns, nt in iterproduct(range(5), repeat=2):
         s = FinObj(tuple(f"s{i}" for i in range(ns)))
         t = FinObj(tuple(f"t{i}" for i in range(nt)))
-        homs = list(all_homs(PowerLattice(t), PowerLattice(s)))
-        maps = list(finset.all_maps(s, t))
-        assert len(homs) == len(maps)
+        src, dst = PowerLattice(t), PowerLattice(s)
+        homs = list(all_homs(src, dst))
+        tables = [tuple(sorted(phi.atom_image.items())) for phi in homs]
+        want = {tuple(sorted(table.items())) for table in brute_force_atom_images(src, dst)}
+        assert len(tables) == len(set(tables)) == nt**ns == len(list(finset.all_maps(s, t)))
+        assert set(tables) == want, (ns, nt)
         for phi in homs:
             assert functor_F(functor_G(phi)) == phi
 

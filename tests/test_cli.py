@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from syscat import booldual, circuits, cli, equations, generalized, systems, vect
 from syscat.circuits import Resistor
 from syscat.cli import main
+from syscat.finset import FinMap
 from syscat.vect import LinMap, VectObj
 
 import test_cli_golden
@@ -549,11 +550,37 @@ def test_a_failed_trial_says_what_failed(monkeypatch, capsys):
         "  failed: trial 1: dims a=3 b=3 a+b=5 a&b=3",
         "  failed: trial 2: dims a=3 b=0 a+b=3 a&b=3",
     ]
-    monkeypatch.setattr(booldual, "duality_classify", lambda f: SimpleNamespace(consistent=False))
+    monkeypatch.setattr(booldual, "duality_classify", lambda f, phi: SimpleNamespace(consistent=False))
     _, out, _ = run_cli(["check", "--law", "duality", "--trials", "1"], capsys)
     assert out.splitlines()[-2:] == [
         "duality: roundtrip (randomized): 0/1 FAIL",
         "  failed: trial 1: false: mono/epi swap",
+    ]
+
+
+def test_the_duality_law_checks_that_g_inverts_f(monkeypatch, capsys):
+    # functor_G checks nothing itself: a G that sends each point one atom on
+    # is wrong whenever |T| >= 2, and the law's own equalities list the trials
+    real = booldual.functor_G
+
+    def one_atom_on(phi):
+        g = real(phi)
+        t = g.cod.elements
+        step = dict(zip(t, t[1:] + t[:1]))
+        return FinMap(g.dom, g.cod, {s: step[x] for s, x in g.table.items()})
+
+    monkeypatch.setattr(booldual, "functor_G", one_atom_on)
+    code, out, err = run_cli(["check", "--law", "duality", "--trials", "3"], capsys)
+    assert code == 1 and "error:" not in out + err
+    first_failures = [f"  failed: trial {n}" for n in range(7, 12)]
+    assert out.splitlines() == [
+        "duality: G.F=id (exhaustive): 9/499 FAIL",
+        *first_failures,
+        "duality: mono/epi swap (exhaustive): 499/499 pass",
+        "duality: F.G=id (exhaustive homs): 9/499 FAIL",
+        *first_failures,
+        "duality: roundtrip (randomized): 0/3 FAIL",
+        *[f"  failed: trial {n}: false: G.F=id, F.G=id" for n in (1, 2, 3)],
     ]
 
 

@@ -13,6 +13,10 @@ A method or property, dunders aside, is read when any code in ``src/`` or
 class. The ones only tests read are pinned the same way. And one module
 imports ``fractions``: ``circuits``, where netlist values are parsed; every
 other module works on int rows.
+
+Every ``Class.method`` that ``bench/tracer.py`` hooks is defined in that
+class's own body, so a method folded into another (a ``__post_init__`` into
+an ``__init__``) cannot leave the tracer a name to miss.
 """
 
 import ast
@@ -167,3 +171,24 @@ def test_only_the_netlist_parser_imports_fractions():
             elif isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
                 importers.add(path.stem)
     assert importers == {"circuits"}
+
+
+def test_every_traced_method_is_defined_in_its_class():
+    tracer = _tree(ROOT / "bench" / "tracer.py")
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TARGETS"
+    )
+    missing = []
+    for module, names in targets.items():
+        methods = {
+            node.name: {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+            for node in _tree(PACKAGE / f"{module}.py").body
+            if isinstance(node, ast.ClassDef)
+        }
+        for name in names:
+            cls, _, method = name.rpartition(".")
+            if cls and method not in methods.get(cls, ()):
+                missing.append(f"{module}.{name}")
+    assert missing == []
